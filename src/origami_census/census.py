@@ -14,7 +14,15 @@ from itertools import permutations
 from pathlib import Path
 from typing import Iterator
 
-from .perm import CycleType, Perm, class_representative, centralizer_generators
+from .perm import (
+    CycleType,
+    Perm,
+    centralizer_generators,
+    class_representative,
+    cycle_lengths,
+    inverse_word,
+    words_transitive,
+)
 from .surface import (
     Origami,
     StratumSignature,
@@ -112,44 +120,6 @@ def partitions_desc(n: int, largest: int | None = None) -> Iterator[tuple[int, .
             yield (first,) + rest
 
 
-def _cycle_type_key(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Descending cycle lengths of a word, allocation-light."""
-    seen = [False] * len(word)
-    parts = []
-    for i in range(len(word)):
-        if seen[i]:
-            continue
-        n = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            n += 1
-            j = word[j]
-        parts.append(n)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def _is_transitive_words(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    d = len(a)
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n = d
-    for w in (a, b):
-        for i in range(d):
-            ri, rj = find(i), find(w[i])
-            if ri != rj:
-                parent[ri] = rj
-                n -= 1
-    return n == 1
-
-
 def _enumerate_alpha_class(
     degree: int,
     alpha_parts: tuple[int, ...],
@@ -163,18 +133,16 @@ def _enumerate_alpha_class(
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
-    ai = alpha.inverse().word
+    ai = inverse_word(aw)
     zgens = [g.word for g in centralizer_generators(alpha)]
 
     survivors: list[tuple[int, ...]] = []
     for bw in permutations(range(degree)):
-        bi = [0] * degree
-        for i, j in enumerate(bw):
-            bi[j] = i
+        bi = inverse_word(bw)
         gamma = tuple(bi[ai[bw[aw[i]]]] for i in range(degree))
-        if _cycle_type_key(gamma) != target_parts:
+        if cycle_lengths(gamma) != target_parts:
             continue
-        if not _is_transitive_words(aw, bw):
+        if not words_transitive(aw, bw):
             continue
         survivors.append(bw)
 
@@ -267,17 +235,13 @@ def brute_force_census(
     members: dict[bytes, Origami] = {}
     words = list(permutations(range(degree)))
     for aw in words:
-        ai = [0] * degree
-        for i, j in enumerate(aw):
-            ai[j] = i
+        ai = inverse_word(aw)
         for bw in words:
-            bi = [0] * degree
-            for i, j in enumerate(bw):
-                bi[j] = i
+            bi = inverse_word(bw)
             gamma = tuple(bi[ai[bw[aw[i]]]] for i in range(degree))
-            if _cycle_type_key(gamma) != target.parts:
+            if cycle_lengths(gamma) != target.parts:
                 continue
-            if not _is_transitive_words(aw, bw):
+            if not words_transitive(aw, bw):
                 continue
             key = canonical_key(Perm(aw), Perm(bw))
             if key not in members:

@@ -27,7 +27,6 @@ from .census import (
 )
 from .involutions import find_anti_involutions, is_hyperelliptic
 from .limits import (
-    compare_with_reference,
     reference_rows,
     row_slope,
     stratum_constants,

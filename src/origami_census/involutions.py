@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import Perm
+from .perm import Perm, inverse_word
 from .surface import Origami
 
 
@@ -47,23 +47,19 @@ class InvolutionReport:
         )
 
 
-def _propagate(o: Origami, target: int, inverted: bool) -> Perm | None:
+def _propagate(o: Origami, target: int, ea, eb) -> Perm | None:
     """Extend tau(square 1) = target to all squares, or return None.
 
     The intertwining relation determines tau along every alpha/beta
-    edge: tau(alpha(x)) = alpha^e(tau(x)) and tau(beta(x)) =
-    beta^e(tau(x)) with e = -1 for the inverted relation, e = +1 for a
-    plain automorphism.  Transitivity makes the extension total; the
+    edge: tau(alpha(x)) = ea(tau(x)) and tau(beta(x)) = eb(tau(x)).
+    The target words (ea, eb) are the inverses of alpha and beta for
+    an anti-involution, alpha and beta themselves for a plain
+    automorphism.  Transitivity makes the extension total; the
     candidate is then checked for consistency and tau^2 = id.
     """
     d = o.degree
     aw = o.alpha.word
     bw = o.beta.word
-    if inverted:
-        ea = o.alpha.inverse().word
-        eb = o.beta.inverse().word
-    else:
-        ea, eb = aw, bw
 
     tau = [-1] * d
     tau[0] = target
@@ -93,9 +89,10 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     Returns one report per involution, ordered by tau's word.
     """
     gamma_cycles = _gamma_cycles(o)
+    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
     reports = []
     for target in range(o.degree):
-        tau = _propagate(o, target, inverted=True)
+        tau = _propagate(o, target, ai, bi)
         if tau is not None:
             reports.append(_report(o, tau, gamma_cycles))
     return reports
@@ -104,7 +101,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
 def has_order_two_automorphism(o: Origami) -> bool:
     """True iff a non-identity involution commutes with both alpha and beta."""
     for target in range(o.degree):
-        tau = _propagate(o, target, inverted=False)
+        tau = _propagate(o, target, o.alpha.word, o.beta.word)
         if tau is not None and not tau.is_identity():
             return True
     return False
@@ -134,7 +131,7 @@ def _report(
     # The involution sends the vertex through the lower-left corner of
     # square i to the one through the lower-left corner of sigma(i),
     # where sigma = (beta alpha)^-1 tau.
-    ba_inv = Perm(tuple(bw[aw[i]] for i in range(d))).inverse().word
+    ba_inv = inverse_word([bw[aw[i]] for i in range(d)])
     sigma = [ba_inv[tw[i]] for i in range(d)]
 
     cycle_of = [0] * d

@@ -74,55 +74,58 @@ def component_slope(
 def decompose(census: Census) -> list[ComponentSummary]:
     """Split a census into twist orbits, ordered by least member key.
 
-    The hyperelliptic flag (and spin parity, on even strata) is
-    computed for every member and checked to be constant per orbit.
+    Orbits are closed with the two forward twists only: each is a
+    bijection of the finite census, so its inverse is one of its
+    powers.  The walk records every member's horizontal-twist image,
+    from which :func:`cusp_data` reads the cusps.  The hyperelliptic
+    flag (and spin parity, on even strata) is computed for every
+    member and checked to be constant per orbit.
     """
-    twists = (act_h_alpha, act_h_beta, act_h_alpha_inverse, act_h_beta_inverse)
-    unvisited = dict(census.members)
-    components = []
+    members = census.members
+    unvisited = dict(members)
+    out = []
+    # Start keys come in sorted order, so each orbit starts at its
+    # least key and the orbits come out already ordered.
     for start_key in census.keys():
         if start_key not in unvisited:
             continue
-        orbit_keys = [start_key]
-        del unvisited[start_key]
-        frontier = [census.members[start_key]]
+        h_alpha_next: dict[bytes, bytes] = {}
+        frontier = [(start_key, unvisited.pop(start_key))]
         while frontier:
-            o = frontier.pop()
-            for twist in twists:
-                image = twist(o)
-                key = canonical_key(image.alpha, image.beta)
-                if key in unvisited:
-                    orbit_keys.append(key)
-                    frontier.append(unvisited.pop(key))
-                elif key not in census.members:
+            key, o = frontier.pop()
+            image_keys = [
+                canonical_key(image.alpha, image.beta)
+                for image in (act_h_alpha(o), act_h_beta(o))
+            ]
+            h_alpha_next[key] = image_keys[0]
+            for image_key in image_keys:
+                if image_key in unvisited:
+                    frontier.append((image_key, unvisited.pop(image_key)))
+                elif image_key not in members:
                     raise OrbitClosureError(
                         "twist image left the census; enumeration is "
                         "incomplete or inconsistent"
                     )
-        components.append(sorted(orbit_keys))
-    components.sort(key=lambda keys: keys[0])
-
-    out = []
-    for cid, keys in enumerate(components, start=1):
-        members = [census.members[k] for k in keys]
-        weight = sum((o.weight for o in members), Fraction(0))
-        flags = {is_hyperelliptic(o) for o in members}
+        keys = sorted(h_alpha_next)
+        orbit = [members[k] for k in keys]
+        weight = sum((o.weight for o in orbit), Fraction(0))
+        flags = {is_hyperelliptic(o) for o in orbit}
         assert len(flags) == 1, "hyperelliptic flag must be orbit-constant"
         parity: int | None = None
         if census.stratum.all_even():
-            parities = {spin_parity(o) for o in members}
+            parities = {spin_parity(o) for o in orbit}
             assert len(parities) == 1, "spin parity must be orbit-constant"
             parity = parities.pop()
         out.append(
             ComponentSummary(
-                component_id=cid,
+                component_id=len(out) + 1,
                 member_keys=tuple(keys),
                 n_classes=len(keys),
                 total_weight=weight,
                 slope=component_slope(len(keys), weight, census.stratum),
                 hyperelliptic=flags.pop(),
                 parity=parity,
-                cusps=cusp_data(keys, census),
+                cusps=cusp_data(keys, census, h_alpha_next),
             )
         )
     assert sum(c.n_classes for c in out) == census.n_classes
@@ -133,27 +136,28 @@ def decompose(census: Census) -> list[ComponentSummary]:
 
 
 def cusp_data(
-    component_keys, census: Census
+    component_keys, census: Census, h_alpha_next: dict[bytes, bytes]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Orbits of the horizontal twist alone within one component.
 
-    Each such orbit is one cusp; the cycle type of alpha is constant
-    along it (the twist fixes alpha) and is reported per cusp.
+    ``h_alpha_next`` maps each member key to the key of its
+    horizontal-twist image.  Each cycle of that map is one cusp; the
+    cycle type of alpha is constant along it (the twist fixes alpha)
+    and is reported per cusp.
     """
+    members = census.members
     remaining = set(component_keys)
     cusps = []
     for key in sorted(component_keys):
         if key not in remaining:
             continue
         orbit_size = 0
-        alpha_parts = census.members[key].alpha.cycle_type().parts
-        cur = census.members[key]
+        alpha_parts = members[key].alpha.cycle_type().parts
         cur_key = key
         while cur_key in remaining:
             remaining.remove(cur_key)
             orbit_size += 1
-            assert cur.alpha.cycle_type().parts == alpha_parts
-            cur = act_h_alpha(cur)
-            cur_key = canonical_key(cur.alpha, cur.beta)
+            assert members[cur_key].alpha.cycle_type().parts == alpha_parts
+            cur_key = h_alpha_next[cur_key]
         cusps.append((orbit_size, alpha_parts))
     return tuple(cusps)

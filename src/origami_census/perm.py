@@ -54,10 +54,7 @@ class Perm:
         return compose(self, other)
 
     def inverse(self) -> Perm:
-        inv = [0] * len(self.word)
-        for i, j in enumerate(self.word):
-            inv[j] = i
-        return Perm(tuple(inv))
+        return Perm(inverse_word(self.word))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.word))
@@ -82,9 +79,7 @@ class Perm:
         return out
 
     def cycle_type(self) -> CycleType:
-        return CycleType.from_parts(
-            len(self.word), [len(c) for c in self.cycles()]
-        )
+        return CycleType(len(self.word), cycle_lengths(self.word))
 
     def __str__(self) -> str:
         return cycles_to_str(self.cycles())
@@ -118,6 +113,66 @@ class CycleType:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
+def inverse_word(w: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of a 0-based word."""
+    inv = [0] * len(w)
+    for i, j in enumerate(w):
+        inv[j] = i
+    return tuple(inv)
+
+
+def cycle_lengths(w: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of a 0-based word, descending, fixed points included."""
+    seen = [False] * len(w)
+    parts = []
+    for i in range(len(w)):
+        if seen[i]:
+            continue
+        n = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            n += 1
+            j = w[j]
+        parts.append(n)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True iff two 0-based words of one degree generate a transitive group."""
+    d = len(a)
+    if d == 0:
+        return True
+    parent = list(range(d))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    n_components = d
+    for w in (a, b):
+        for i in range(d):
+            ri, rj = find(i), find(w[i])
+            if ri != rj:
+                parent[ri] = rj
+                n_components -= 1
+    return n_components == 1
+
+
+def word_from_cycles(
+    cycles: Iterable[Sequence[int]], degree: int
+) -> tuple[int, ...]:
+    """0-based word of disjoint 1-based cycles; unlisted letters are fixed."""
+    word = list(range(degree))
+    for cyc in cycles:
+        for k in range(len(cyc)):
+            word[cyc[k] - 1] = cyc[(k + 1) % len(cyc)] - 1
+    return tuple(word)
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: the result maps i to p(q(i))."""
     if p.degree != q.degree:
@@ -137,8 +192,8 @@ def commutator(alpha: Perm, beta: Perm) -> Perm:
         )
     aw = alpha.word
     bw = beta.word
-    ai = alpha.inverse().word
-    bi = beta.inverse().word
+    ai = inverse_word(aw)
+    bi = inverse_word(bw)
     return Perm(tuple(bi[ai[bw[aw[i]]]] for i in range(len(aw))))
 
 
@@ -148,25 +203,7 @@ def is_transitive(alpha: Perm, beta: Perm) -> bool:
         raise DegreeMismatchError(
             f"degree mismatch: {alpha.degree} vs {beta.degree}"
         )
-    d = alpha.degree
-    if d == 0:
-        return True
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n_components = d
-    for w in (alpha.word, beta.word):
-        for i in range(d):
-            ri, rj = find(i), find(w[i])
-            if ri != rj:
-                parent[ri] = rj
-                n_components -= 1
-    return n_components == 1
+    return words_transitive(alpha.word, beta.word)
 
 
 def class_representative(t: CycleType) -> Perm:
@@ -200,16 +237,9 @@ def centralizer_generators(p: Perm) -> list[Perm]:
         cycs = sorted(by_length[length])
         if length > 1:
             for cyc in cycs:
-                word = list(range(d))
-                for k in range(length):
-                    word[cyc[k] - 1] = cyc[(k + 1) % length] - 1
-                gens.append(Perm(tuple(word)))
+                gens.append(Perm(word_from_cycles([cyc], d)))
         for c1, c2 in zip(cycs, cycs[1:]):
-            word = list(range(d))
-            for a, b in zip(c1, c2):
-                word[a - 1] = b - 1
-                word[b - 1] = a - 1
-            gens.append(Perm(tuple(word)))
+            gens.append(Perm(word_from_cycles(zip(c1, c2), d)))
     return gens
 
 
@@ -270,11 +300,7 @@ def perm_from_cycles(text: str) -> Perm:
         raise ValueError(
             f"letters {missing} missing; write fixed points as (i)"
         )
-    word = list(range(degree))
-    for cyc in cycles:
-        for k in range(len(cyc)):
-            word[cyc[k] - 1] = cyc[(k + 1) % len(cyc)] - 1
-    return Perm(tuple(word))
+    return Perm(word_from_cycles(cycles, degree))
 
 
 def all_perms(degree: int) -> Iterator[Perm]:

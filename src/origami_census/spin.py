@@ -22,6 +22,7 @@ square side.
 """
 from __future__ import annotations
 
+from .perm import inverse_word
 from .surface import Origami
 
 R, U, L, D = 0, 1, 2, 3
@@ -41,10 +42,12 @@ def spin_parity(o: Origami) -> int:
         raise ParityUndefinedError(
             f"parity undefined for this stratum: mu = {o.stratum} has an odd zero"
         )
-    walks = _center_walks(o)
+    d = o.degree
+    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
+    walks = _center_walks(o, ai, bi)
     q = [_walk_turning_q(w) for w in walks]
-    cross = [_walk_cross(w, o) for w in walks]
-    skel = [_walk_skeleton_copy(w, o) for w in walks]
+    cross = [_walk_cross(w, d, ai, bi) for w in walks]
+    skel = [_walk_skeleton_copy(w, d, ai, bi) for w in walks]
 
     n = len(walks)
     pairing = [[_dot(cross[i], skel[j]) for j in range(n)] for i in range(n)]
@@ -57,15 +60,15 @@ def spin_parity(o: Origami) -> int:
     return _arf(pairing, q, genus=o.genus)
 
 
-def _center_walks(o: Origami) -> list[list[tuple[int, int]]]:
+def _center_walks(o: Origami, ai, bi) -> list[list[tuple[int, int]]]:
     """Fundamental cycles of a breadth-first spanning tree.
 
     Each walk is a closed list of (square, move) steps; squares along a
-    walk are pairwise distinct.
+    walk are pairwise distinct.  ``ai`` and ``bi`` are the inverse
+    words of alpha and beta.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    ai, bi = o.alpha.inverse().word, o.beta.inverse().word
 
     def neighbors(x: int):
         # (move, target, edge id); edge ids: ("a", i) joins i to alpha(i),
@@ -135,14 +138,12 @@ def _walk_turning_q(walk: list[tuple[int, int]]) -> int:
     return (turn // 4 + 1) % 2
 
 
-def _walk_cross(walk: list[tuple[int, int]], o: Origami) -> int:
+def _walk_cross(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
     """Bitmask of square sides the center path crosses, mod 2.
 
     Bit i is the glued vertical side between i and alpha(i); bit d+i
     the glued horizontal side between i and beta(i).
     """
-    d = o.degree
-    ai, bi = o.alpha.inverse().word, o.beta.inverse().word
     mask = 0
     for x, move in walk:
         if move == R:
@@ -156,15 +157,13 @@ def _walk_cross(walk: list[tuple[int, int]], o: Origami) -> int:
     return mask
 
 
-def _walk_skeleton_copy(walk: list[tuple[int, int]], o: Origami) -> int:
+def _walk_skeleton_copy(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
     """Sides traversed by the homologous copy pushed onto the skeleton.
 
     A step right from square x slides to the bottom side of x; a step
     up slides to the left side of x (and symmetrically for the inverse
     steps), keeping the endpoints pinned at lower-left vertices.
     """
-    d = o.degree
-    ai, bi = o.alpha.inverse().word, o.beta.inverse().word
     mask = 0
     for x, move in walk:
         if move == R:
@@ -248,9 +247,7 @@ def _check_descends(o, walks, cross, pairing, q) -> None:
     this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
     """
     classes = _vertex_classes(o)
-    from .perm import commutator
-
-    n_vertices = len(commutator(o.alpha, o.beta).cycles())
+    n_vertices = len(o.commutator_type.parts)
     assert len(classes) == n_vertices, "corner orbits must match vertices"
 
     n = len(walks)

@@ -16,8 +16,8 @@ from .perm import (
     DegreeMismatchError,
     Perm,
     commutator,
-    cycles_to_str,
     is_transitive,
+    word_from_cycles,
 )
 
 
@@ -224,18 +224,15 @@ def from_record(rec: dict) -> Origami:
     d = rec["degree"]
     perms = []
     for field in ("alpha", "beta"):
-        word = list(range(d))
         seen: set[int] = set()
         for cyc in rec[field]:
             for x in cyc:
                 if not isinstance(x, int) or x < 1 or x > d or x in seen:
                     raise ValueError(f"bad {field} cycles in record: {rec!r}")
                 seen.add(x)
-            for k in range(len(cyc)):
-                word[cyc[k] - 1] = cyc[(k + 1) % len(cyc)] - 1
         if len(seen) != d:
             raise ValueError(f"{field} cycles do not cover 1..{d}: {rec!r}")
-        perms.append(Perm(tuple(word)))
+        perms.append(Perm(word_from_cycles(rec[field], d)))
     return make_origami(perms[0], perms[1])
 
 

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from origami_census.cli import main
 
@@ -113,6 +116,33 @@ class TestOrbitsCommand:
         cache_a = (tmp_path / "a" / "v1" / "census-d5-mu4.jsonl").read_bytes()
         cache_b = (tmp_path / "b" / "v1" / "census-d5-mu4.jsonl").read_bytes()
         assert cache_a == cache_b
+
+
+# sha256 of the stdout of `orbits --format json --workers 1` on a fresh
+# cache: member keys, sizes, weights, slopes, flags, parity and cusps.
+ORBIT_GOLDEN_SHA256 = {
+    (6, "4"): "8d914a4f03ecfcb7ef0ee3207683e90834ec16a33cc393267570955ffee1c159",
+    (6, "2,2"): "f8c7e1419027588658081727c4bda3b66d9e03011416c093391ba2ac9056bf13",
+    (6, "3,1"): "83d1a8180d416fd56c766a466207a7e8d1879faf95c18cfd14f9862f5d3510a3",
+    (6, "1,1,1,1"): "c06cc82dfed31b251f43a7cced6be59f8921ca80d8744336a8ef832c84727f6b",
+    (7, "2"): "60f8f09dfaa306aee24f8ea3c02e4619cdcf5910aab12f88d84c5e72049037b3",
+    (7, "4"): "49f820afcbeb33e1d27864a26196c179fddf64d7c357abb7e0930dfda518cf24",
+    (7, "2,2"): "02625c547732e8ea9bcafe1b4dd6c5b1e68bf941b17e25a8cbf1295881eb4a51",
+    (7, "3,1"): "d820aebb0d57a90b8dc10ec67f07b0d30302422d11487674f8452803f8f598b4",
+    (7, "1,1"): "f9b94f425138130340759e92ee0157e88cca1b602b8f30268d9216312e4aa31c",
+}
+
+
+@pytest.mark.parametrize("degree,mu", sorted(ORBIT_GOLDEN_SHA256))
+def test_orbits_json_golden_output(capsys, tmp_path, degree, mu):
+    code, out, err = run(
+        capsys, "orbits", "--degree", str(degree), "--mu", mu,
+        "--format", "json", "--workers", "1", "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert "cache write" in err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ORBIT_GOLDEN_SHA256[(degree, mu)]
 
 
 class TestClassifyCommand:

@@ -11,7 +11,6 @@ from origami_census.orbits import (
     act_h_beta,
     act_h_beta_inverse,
     component_slope,
-    cusp_data,
     decompose,
 )
 from origami_census.perm import Perm, all_perms, commutator, conjugate, perm_from_cycles
@@ -206,6 +205,32 @@ class TestHyperellipticSlopes:
         assert sorted(c.n_classes for c in comps) == [30, 40, 105, 120, 120, 360]
 
 
+# Censuses of degree 5 to 7 on which orbits and cusps are checked
+# against the inverse twists and a direct horizontal-twist walk.
+ORBIT_CHECK_CENSUSES = [
+    (5, (4,)), (5, (2,)), (6, (2, 2)), (6, (3, 1)), (7, (4,)), (7, (1, 1)),
+]
+
+
+def direct_cusp_walk(component_keys, census):
+    """Cusps by twisting and relabeling each member again."""
+    remaining = set(component_keys)
+    cusps = []
+    for key in sorted(component_keys):
+        if key not in remaining:
+            continue
+        size = 0
+        alpha_parts = census.members[key].alpha.cycle_type().parts
+        cur, cur_key = census.members[key], key
+        while cur_key in remaining:
+            remaining.remove(cur_key)
+            size += 1
+            cur = act_h_alpha(cur)
+            cur_key = canonical_key(cur.alpha, cur.beta)
+        cusps.append((size, alpha_parts))
+    return tuple(cusps)
+
+
 class TestCusps:
     def test_component_one_cusp_count(self, census_of):
         # regression baseline: twist orbits {(2),(10)} and {(13)} split
@@ -226,5 +251,24 @@ class TestCusps:
         # orbit per alpha class or larger; verify partition property
         census = enumerate_census(3, StratumSignature((2,)))
         for c in decompose(census):
-            cusps = cusp_data(c.member_keys, census)
-            assert sum(size for size, _ in cusps) == c.n_classes
+            assert sum(size for size, _ in c.cusps) == c.n_classes
+            assert c.cusps == direct_cusp_walk(c.member_keys, census)
+
+    @pytest.mark.parametrize("d,mu", ORBIT_CHECK_CENSUSES)
+    def test_cusps_match_direct_twist_walk(self, d, mu, census_of):
+        census = census_of(d, mu)
+        for c in decompose(census):
+            assert c.cusps == direct_cusp_walk(c.member_keys, census)
+
+
+class TestForwardClosure:
+    @pytest.mark.parametrize("d,mu", ORBIT_CHECK_CENSUSES)
+    def test_inverse_twists_stay_in_component(self, d, mu, census_of):
+        census = census_of(d, mu)
+        for c in decompose(census):
+            keys = set(c.member_keys)
+            for k in c.member_keys:
+                o = census.members[k]
+                for inv in (act_h_alpha_inverse, act_h_beta_inverse):
+                    image = inv(o)
+                    assert canonical_key(image.alpha, image.beta) in keys
