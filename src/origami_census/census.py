@@ -8,6 +8,7 @@ It carries the exact class count N and the exact total weight M.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import permutations
@@ -41,6 +42,14 @@ BRUTE_FORCE_MAX_DEGREE = 6
 
 class ResourceBudgetError(RuntimeError):
     """The enumeration exceeded the configured member budget."""
+
+
+class InvariantError(RuntimeError):
+    """A mathematical invariant of a census or its orbits failed.
+
+    This indicates a bug, not bad input; the message names the census
+    keys at fault in hex.
+    """
 
 
 class CensusFileError(Exception):
@@ -163,8 +172,8 @@ def _enumerate_alpha_class(
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        ca, cb = canonical_form(alpha, Perm(bw))
-        out.append((encode_pair(ca, cb), ca.word, cb.word))
+        ca, cb = canonical_form(aw, bw)
+        out.append((encode_pair(ca, cb), ca, cb))
     return out
 
 
@@ -182,7 +191,10 @@ def enumerate_census(
 
     The degree being too small for the profile gives an empty census,
     not an error.  Exceeding ``budget`` members raises
-    :class:`ResourceBudgetError`.
+    :class:`ResourceBudgetError` as soon as the alpha class that holds
+    the extra member is read; alpha classes not yet started are then
+    cancelled.  ``workers`` is clamped to the number of alpha classes
+    and of CPUs.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
@@ -193,24 +205,32 @@ def enumerate_census(
     tasks = [
         (degree, parts, target.parts) for parts in partitions_desc(degree)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_class_task, tasks))
-    else:
-        chunks = [_class_task(t) for t in tasks]
-
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     members: dict[bytes, Origami] = {}
-    for chunk in chunks:
-        for key, aw, bw in chunk:
-            assert key not in members, "canonical keys must not collide"
-            o = make_origami(Perm(aw), Perm(bw))
-            assert o.commutator_type == target
-            assert o.stratum == stratum
-            members[key] = o
-            if budget is not None and len(members) > budget:
-                raise ResourceBudgetError(
-                    f"census exceeds budget of {budget} members"
-                )
+    try:
+        mapper = pool.map if pool is not None else map
+        for chunk in mapper(_class_task, tasks):
+            for key, aw, bw in chunk:
+                if key in members:
+                    raise InvariantError(
+                        f"canonical key {key.hex()} found twice"
+                    )
+                o = make_origami(Perm(aw), Perm(bw))
+                if o.commutator_type != target or o.stratum != stratum:
+                    raise InvariantError(
+                        f"key {key.hex()} has commutator type "
+                        f"{o.commutator_type} and stratum {o.stratum}, "
+                        f"expected {target} and {stratum}"
+                    )
+                members[key] = o
+                if budget is not None and len(members) > budget:
+                    raise ResourceBudgetError(
+                        f"census exceeds budget of {budget} members"
+                    )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return Census(degree, stratum, members)
 
 
@@ -243,10 +263,10 @@ def brute_force_census(
                 continue
             if not words_transitive(aw, bw):
                 continue
-            key = canonical_key(Perm(aw), Perm(bw))
+            ca, cb = canonical_form(aw, bw)
+            key = encode_pair(ca, cb)
             if key not in members:
-                ca, cb = canonical_form(Perm(aw), Perm(bw))
-                members[key] = make_origami(ca, cb)
+                members[key] = make_origami(Perm(ca), Perm(cb))
     return Census(degree, stratum, members)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import Perm, inverse_word
+from .perm import Perm, commutator_word, inverse_word, word_cycles
 from .surface import Origami
 
 
@@ -88,8 +88,9 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
 
     Returns one report per involution, ordered by tau's word.
     """
-    gamma_cycles = _gamma_cycles(o)
-    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
+    aw, bw = o.alpha.word, o.beta.word
+    gamma_cycles = word_cycles(commutator_word(aw, bw))
+    ai, bi = inverse_word(aw), inverse_word(bw)
     reports = []
     for target in range(o.degree):
         tau = _propagate(o, target, ai, bi)
@@ -105,15 +106,6 @@ def has_order_two_automorphism(o: Origami) -> bool:
         if tau is not None and not tau.is_identity():
             return True
     return False
-
-
-def _gamma_cycles(o: Origami) -> list[tuple[int, ...]]:
-    from .perm import commutator
-
-    return [
-        tuple(x - 1 for x in c)
-        for c in commutator(o.alpha, o.beta).cycles()
-    ]
 
 
 def _report(

@@ -8,12 +8,13 @@ and classification flags.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import Census
+from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
-from .perm import compose
+from .perm import compose, cycle_lengths
 from .spin import spin_parity
 from .surface import Origami, StratumSignature, canonical_key, make_origami
 
@@ -79,7 +80,9 @@ def decompose(census: Census) -> list[ComponentSummary]:
     powers.  The walk records every member's horizontal-twist image,
     from which :func:`cusp_data` reads the cusps.  The hyperelliptic
     flag (and spin parity, on even strata) is computed for every
-    member and checked to be constant per orbit.
+    member and checked to be constant per orbit, and the orbits are
+    checked to add up to the census; a failed check raises
+    :class:`InvariantError`.
     """
     members = census.members
     unvisited = dict(members)
@@ -109,13 +112,14 @@ def decompose(census: Census) -> list[ComponentSummary]:
         keys = sorted(h_alpha_next)
         orbit = [members[k] for k in keys]
         weight = sum((o.weight for o in orbit), Fraction(0))
-        flags = {is_hyperelliptic(o) for o in orbit}
-        assert len(flags) == 1, "hyperelliptic flag must be orbit-constant"
+        hyperelliptic = _orbit_constant(
+            "hyperelliptic flag", keys, [is_hyperelliptic(o) for o in orbit]
+        )
         parity: int | None = None
         if census.stratum.all_even():
-            parities = {spin_parity(o) for o in orbit}
-            assert len(parities) == 1, "spin parity must be orbit-constant"
-            parity = parities.pop()
+            parity = _orbit_constant(
+                "spin parity", keys, [spin_parity(o) for o in orbit]
+            )
         out.append(
             ComponentSummary(
                 component_id=len(out) + 1,
@@ -123,16 +127,37 @@ def decompose(census: Census) -> list[ComponentSummary]:
                 n_classes=len(keys),
                 total_weight=weight,
                 slope=component_slope(len(keys), weight, census.stratum),
-                hyperelliptic=flags.pop(),
+                hyperelliptic=hyperelliptic,
                 parity=parity,
                 cusps=cusp_data(keys, census, h_alpha_next),
             )
         )
-    assert sum(c.n_classes for c in out) == census.n_classes
-    assert sum(
-        (c.total_weight for c in out), Fraction(0)
-    ) == census.total_weight
+    n_total = sum(c.n_classes for c in out)
+    m_total = sum((c.total_weight for c in out), Fraction(0))
+    if n_total != census.n_classes or m_total != census.total_weight:
+        counts = Counter(k for c in out for k in c.member_keys)
+        raise InvariantError(
+            f"orbits hold {n_total} classes of weight {m_total}, the "
+            f"census {census.n_classes} of weight {census.total_weight}; "
+            "keys not in exactly one orbit: "
+            + ", ".join(k.hex() for k in members if counts[k] != 1)
+        )
     return out
+
+
+def _orbit_constant(label: str, keys: list[bytes], values: list):
+    """The value every member of an orbit shares.
+
+    Raises :class:`InvariantError` naming the first member whose value
+    differs from that of the least key.
+    """
+    for key, value in zip(keys, values):
+        if value != values[0]:
+            raise InvariantError(
+                f"{label} is not orbit-constant: {keys[0].hex()} gives "
+                f"{values[0]!r}, {key.hex()} gives {value!r}"
+            )
+    return values[0]
 
 
 def cusp_data(
@@ -152,12 +177,12 @@ def cusp_data(
         if key not in remaining:
             continue
         orbit_size = 0
-        alpha_parts = members[key].alpha.cycle_type().parts
+        alpha_parts = cycle_lengths(members[key].alpha.word)
         cur_key = key
         while cur_key in remaining:
             remaining.remove(cur_key)
             orbit_size += 1
-            assert members[cur_key].alpha.cycle_type().parts == alpha_parts
+            assert cycle_lengths(members[cur_key].alpha.word) == alpha_parts
             cur_key = h_alpha_next[cur_key]
         cusps.append((orbit_size, alpha_parts))
     return tuple(cusps)

@@ -15,9 +15,11 @@ from .perm import (
     CycleType,
     DegreeMismatchError,
     Perm,
-    commutator,
-    is_transitive,
+    commutator_word,
+    cycle_lengths,
+    word_cycles,
     word_from_cycles,
+    words_transitive,
 )
 
 
@@ -123,11 +125,13 @@ def make_origami(alpha: Perm, beta: Perm) -> Origami:
         raise DegreeMismatchError(
             f"degree mismatch: {alpha.degree} vs {beta.degree}"
         )
-    if not is_transitive(alpha, beta):
+    if not words_transitive(alpha.word, beta.word):
         raise DisconnectedCoverError(
             "disconnected cover: <alpha, beta> is not transitive"
         )
-    ctype = commutator(alpha, beta).cycle_type()
+    ctype = CycleType(
+        alpha.degree, cycle_lengths(commutator_word(alpha.word, beta.word))
+    )
     stratum = stratum_of(ctype)
     return Origami(alpha, beta, ctype, stratum)
 
@@ -135,22 +139,52 @@ def make_origami(alpha: Perm, beta: Perm) -> Origami:
 def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
     """(width, height) of each maximal horizontal cylinder.
 
-    Every cycle of alpha of length w is one cylinder of width w and
-    height 1; widths sum to the degree.
+    Every cycle C of alpha is a horizontal strip of height 1.  C
+    continues into the strip above it when beta(alpha(x)) ==
+    alpha(beta(x)) for every square x in C: then no zero lies on its
+    top edge and beta maps C onto one cycle of alpha, of the same
+    length.  Stacked strips make one cylinder.  Cylinders are listed
+    in the order of the least square of their bottom strip; the sum of
+    width * height is the degree.
     """
-    return [(len(c), 1) for c in o.alpha.cycles()]
+    aw = o.alpha.word
+    bw = o.beta.word
+    strips = word_cycles(aw)
+    strip_of = [0] * len(aw)
+    for k, cyc in enumerate(strips):
+        for x in cyc:
+            strip_of[x] = k
+    above = [
+        strip_of[bw[cyc[0]]]
+        if all(bw[aw[x]] == aw[bw[x]] for x in cyc) else None
+        for cyc in strips
+    ]
+    # A stack cannot close up on itself: its strips would then be the
+    # whole (connected) surface with a trivial commutator, a torus.
+    bottoms = set(range(len(strips))) - set(above)
+    out = []
+    for k in sorted(bottoms):
+        width = len(strips[k])
+        height = 1
+        while above[k] is not None:
+            k = above[k]
+            height += 1
+        out.append((width, height))
+    return out
 
 
 def weight_of(alpha: Perm) -> Fraction:
     """Sum of 1/width over the horizontal cylinders (cycles of alpha)."""
     total = Fraction(0)
-    for c in alpha.cycles():
-        total += Fraction(1, len(c))
+    for n in cycle_lengths(alpha.word):
+        total += Fraction(1, n)
     return total
 
 
-def canonical_form(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
-    """Least relabeling of a transitive pair.
+def canonical_form(
+    aw: tuple[int, ...], bw: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least relabeling of a transitive pair of 0-based words.
 
     For every start square s, relabel squares in first-discovery order
     of a breadth-first walk that follows alpha then beta from each
@@ -158,9 +192,7 @@ def canonical_form(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
     result is a class invariant: conjugate pairs give equal forms,
     distinct classes give distinct forms.
     """
-    d = alpha.degree
-    aw = alpha.word
-    bw = beta.word
+    d = len(aw)
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for start in range(d):
         relabel = [-1] * d
@@ -187,27 +219,22 @@ def canonical_form(alpha: Perm, beta: Perm) -> tuple[Perm, Perm]:
         if best is None or cand < best:
             best = cand
     assert best is not None
-    return Perm(best[0]), Perm(best[1])
+    return best
 
 
-def encode_pair(alpha: Perm, beta: Perm) -> bytes:
+def encode_pair(aw: tuple[int, ...], bw: tuple[int, ...]) -> bytes:
     """Raw byte encoding of a pair of words (no relabeling)."""
-    if alpha.degree < 256:
-        return bytes(alpha.word) + bytes(beta.word)
+    if len(aw) < 256:
+        return bytes(aw) + bytes(bw)
     out = bytearray()
-    for x in alpha.word + beta.word:
+    for x in aw + bw:
         out += x.to_bytes(4, "big")
     return bytes(out)
 
 
 def canonical_key(alpha: Perm, beta: Perm) -> bytes:
     """Byte key identifying the simultaneous-conjugation class."""
-    a, b = canonical_form(alpha, beta)
-    return encode_pair(a, b)
-
-
-def origami_key(o: Origami) -> bytes:
-    return canonical_key(o.alpha, o.beta)
+    return encode_pair(*canonical_form(alpha.word, beta.word))
 
 
 def to_record(o: Origami) -> dict:

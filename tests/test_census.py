@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from origami_census import census as census_mod
 from origami_census.census import (
     CensusCorruptError,
     CensusSchemaError,
@@ -63,6 +64,74 @@ class TestEnumerate:
     def test_budget_exceeded(self):
         with pytest.raises(ResourceBudgetError):
             enumerate_census(5, StratumSignature((4,)), budget=10)
+
+    def test_serial_budget_stops_during_the_sweep(self, monkeypatch):
+        calls = []
+        real = census_mod._enumerate_alpha_class
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(census_mod, "_enumerate_alpha_class", counting)
+        with pytest.raises(ResourceBudgetError):
+            enumerate_census(5, StratumSignature((4,)), budget=1)
+        assert 0 < len(calls) < len(list(partitions_desc(5)))
+
+    def test_workers_clamped_and_pending_classes_cancelled(
+        self, monkeypatch
+    ):
+        pools = []
+
+        class SerialPool:
+            """Maps lazily in this process; records how it was used."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.mapped = 0
+                self.cancel_futures = None
+                pools.append(self)
+
+            def map(self, fn, tasks):
+                for t in tasks:
+                    self.mapped += 1
+                    yield fn(t)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                self.cancel_futures = cancel_futures
+
+        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
+        n_alpha = len(list(partitions_desc(5)))  # 7 alpha classes
+        stratum = StratumSignature((4,))
+
+        assert len(enumerate_census(5, stratum, workers=64)) == 40
+        assert pools[-1].max_workers == 4
+        assert pools[-1].mapped == n_alpha
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 64)
+        enumerate_census(5, stratum, workers=64)
+        assert pools[-1].max_workers == n_alpha
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: None)
+        enumerate_census(5, stratum, workers=64)
+        assert len(pools) == 2  # one CPU: no pool at all
+
+        monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
+        with pytest.raises(ResourceBudgetError):
+            enumerate_census(5, stratum, workers=3, budget=1)
+        assert pools[-1].max_workers == 3
+        assert pools[-1].mapped < n_alpha
+        assert pools[-1].cancel_futures is True
+
+    def test_key_collision_names_the_key(self, monkeypatch):
+        real = census_mod._enumerate_alpha_class
+
+        def twice(*args):
+            return real(*args) * 2
+
+        monkeypatch.setattr(census_mod, "_enumerate_alpha_class", twice)
+        first = real(5, (5,), (5,))[0][0]
+        with pytest.raises(census_mod.InvariantError, match=first.hex()):
+            enumerate_census(5, StratumSignature((4,)))
 
     def test_deterministic_across_workers(self, tmp_path):
         seq = enumerate_census(5, StratumSignature((4,)))

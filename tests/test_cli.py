@@ -145,6 +145,22 @@ def test_orbits_json_golden_output(capsys, tmp_path, degree, mu):
     assert digest == ORBIT_GOLDEN_SHA256[(degree, mu)]
 
 
+def test_orbits_golden_output_without_asserts(tmp_path):
+    # The invariant checks must not depend on assert statements.
+    proc = subprocess.run(
+        [
+            sys.executable, "-O", "-m", "origami_census", "orbits",
+            "--degree", "6", "--mu", "4", "--format", "json",
+            "--workers", "1", "--cache-dir", str(tmp_path),
+        ],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"cache write" in proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == ORBIT_GOLDEN_SHA256[(6, "4")]
+
+
 class TestClassifyCommand:
     def test_genus2_octagon(self, capsys, tmp_path):
         code, out, _ = run(

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from origami_census.census import enumerate_census
+from origami_census import orbits
+from origami_census.census import InvariantError, enumerate_census
 from origami_census.orbits import (
     act_h_alpha,
     act_h_alpha_inverse,
@@ -272,3 +273,24 @@ class TestForwardClosure:
                 for inv in (act_h_alpha_inverse, act_h_beta_inverse):
                     image = inv(o)
                     assert canonical_key(image.alpha, image.beta) in keys
+
+
+class TestInvariantErrors:
+    def test_flag_not_orbit_constant_names_the_key(
+        self, monkeypatch, census_of
+    ):
+        census = census_of(5, (4,))
+        orbit = decompose(census)[-1].member_keys
+        bad_key = orbit[len(orbit) // 2]
+        real = orbits.is_hyperelliptic
+
+        def flipped(o):
+            flag = real(o)
+            key = canonical_key(o.alpha, o.beta)
+            return not flag if key == bad_key else flag
+
+        monkeypatch.setattr(orbits, "is_hyperelliptic", flipped)
+        with pytest.raises(InvariantError, match=bad_key.hex()) as err:
+            decompose(census)
+        assert "hyperelliptic" in str(err.value)
+        assert isinstance(err.value, RuntimeError)

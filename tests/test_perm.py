@@ -12,11 +12,13 @@ from origami_census.perm import (
     centralizer_generators,
     class_representative,
     commutator,
+    commutator_word,
     compose,
     conjugate,
     cycles_to_str,
     is_transitive,
     perm_from_cycles,
+    word_cycles,
 )
 
 
@@ -98,6 +100,31 @@ class TestCommutator:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             commutator(Perm.identity(2), Perm.identity(3))
+
+
+class TestWordPrimitives:
+    def test_word_cycles_match_perm_cycles(self):
+        for p in all_perms(4):
+            cycles = word_cycles(p.word)
+            assert [tuple(x + 1 for x in c) for c in cycles] == p.cycles()
+            # each cycle follows the word, starts at its least letter,
+            # and the cycles partition the letters in order of that letter
+            for c in cycles:
+                assert c[0] == min(c)
+                assert all(p.word[c[k]] == c[(k + 1) % len(c)]
+                           for k in range(len(c)))
+            assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+            assert sorted(x for c in cycles for x in c) == list(range(4))
+
+    def test_commutator_word_matches_commutator(self):
+        ps = list(all_perms(4))
+        for a in ps:
+            for b in ps:
+                w = commutator_word(a.word, b.word)
+                assert w == commutator(a, b).word
+                assert w == compose(
+                    compose(b.inverse(), a.inverse()), compose(b, a)
+                ).word
 
 
 class TestCycleType:

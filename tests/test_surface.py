@@ -86,6 +86,29 @@ class TestCylindersAndWeight:
         o = origami("(1,2)(3,5)(4)", "(1,2,3,4,5)")
         assert horizontal_cylinders(o) == [(2, 1), (2, 1), (1, 1)]
 
+    def test_stacked_strips_merge(self):
+        # No zero lies on the top edge of (1,2,4): beta carries it onto
+        # (3,5,6), so the two strips are one cylinder of height 2.
+        o = origami("(1,2,4)(3,5,6)", "(1,3)(2,5,4,6)")
+        assert horizontal_cylinders(o) == [(3, 2)]
+
+    @pytest.mark.parametrize(
+        "d,mu", [(5, (2,)), (5, (4,)), (5, (1, 1)), (6, (2,)), (6, (4,)),
+                 (6, (2, 2)), (6, (3, 1))],
+    )
+    def test_cylinders_tile_and_give_weight(self, d, mu, census_of):
+        for o in census_of(d, mu):
+            cyls = horizontal_cylinders(o)
+            assert sum(w * h for w, h in cyls) == d
+            assert sum(Fraction(h, w) for w, h in cyls) == o.weight
+
+    def test_classes_with_stacked_strips(self, census_of):
+        stacked = [
+            o for o in census_of(6, (2,))
+            if any(h > 1 for _, h in horizontal_cylinders(o))
+        ]
+        assert len(stacked) == 12
+
     def test_weight_examples(self):
         assert weight_of(perm_from_cycles("(1,2,3,4)(5)")) == Fraction(5, 4)
         assert weight_of(perm_from_cycles("(1,2,3,5,4)")) == Fraction(1, 5)
@@ -129,7 +152,7 @@ class TestCanonicalKey:
     def test_canonical_form_is_equivalent_pair(self):
         a = perm_from_cycles("(1,2,3,4)(5)")
         b = perm_from_cycles("(1,5)(2)(3)(4)")
-        ca, cb = canonical_form(a, b)
+        ca, cb = map(Perm, canonical_form(a.word, b.word))
         # same class: key agrees and invariants agree
         assert canonical_key(ca, cb) == canonical_key(a, b)
         assert ca.cycle_type() == a.cycle_type()
