@@ -20,11 +20,14 @@ from .perm import (
     Perm,
     centralizer_generators,
     class_representative,
+    class_words,
+    conjugator_words,
     cycle_lengths,
     inverse_word,
     words_transitive,
 )
 from .surface import (
+    InvariantError,
     Origami,
     StratumSignature,
     canonical_form,
@@ -42,14 +45,6 @@ BRUTE_FORCE_MAX_DEGREE = 6
 
 class ResourceBudgetError(RuntimeError):
     """The enumeration exceeded the configured member budget."""
-
-
-class InvariantError(RuntimeError):
-    """A mathematical invariant of a census or its orbits failed.
-
-    This indicates a bug, not bad input; the message names the census
-    keys at fault in hex.
-    """
 
 
 class CensusFileError(Exception):
@@ -138,42 +133,40 @@ def _enumerate_alpha_class(
 
     Fixing alpha to the class representative, classes correspond to
     orbits of valid betas under conjugation by the centralizer of
-    alpha.  Returns (canonical key, canonical pair) triples.
+    alpha.  Betas are solved for, not swept: gamma = beta^-1 alpha^-1
+    beta alpha runs over the target class, and the betas with that
+    commutator are those conjugating delta = gamma alpha^-1 to
+    alpha^-1, one coset of the centralizer.  Returns (canonical key,
+    canonical pair) triples.
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
     ai = inverse_word(aw)
     zgens = [g.word for g in centralizer_generators(alpha)]
 
-    survivors: list[tuple[int, ...]] = []
-    for bw in permutations(range(degree)):
-        bi = inverse_word(bw)
-        gamma = tuple(bi[ai[bw[aw[i]]]] for i in range(degree))
-        if cycle_lengths(gamma) != target_parts:
-            continue
-        if not words_transitive(aw, bw):
-            continue
-        survivors.append(bw)
-
     out = []
     seen: set[tuple[int, ...]] = set()
-    for bw in survivors:
-        if bw in seen:
+    for gw in class_words(target_parts, degree):
+        dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
+        if cycle_lengths(dw) != alpha_parts:
             continue
-        # sweep the whole centralizer orbit of this beta
-        orbit = [bw]
-        seen.add(bw)
-        for cur in orbit:
-            for z in zgens:
-                img = [0] * degree
-                for i in range(degree):
-                    img[z[i]] = z[cur[i]]
-                t = tuple(img)
-                if t not in seen:
-                    seen.add(t)
-                    orbit.append(t)
-        ca, cb = canonical_form(aw, bw)
-        out.append((encode_pair(ca, cb), ca, cb))
+        for bw in conjugator_words(dw, ai):
+            if bw in seen or not words_transitive(aw, bw):
+                continue
+            # sweep the whole centralizer orbit of this beta
+            orbit = [bw]
+            seen.add(bw)
+            for cur in orbit:
+                for z in zgens:
+                    img = [0] * degree
+                    for i in range(degree):
+                        img[z[i]] = z[cur[i]]
+                    t = tuple(img)
+                    if t not in seen:
+                        seen.add(t)
+                        orbit.append(t)
+            ca, cb = canonical_form(aw, bw)
+            out.append((encode_pair(ca, cb), ca, cb))
     return out
 
 

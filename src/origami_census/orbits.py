@@ -44,14 +44,23 @@ class ComponentSummary:
 def act_h_alpha(o: Origami) -> Origami:
     """Horizontal twist: (alpha, beta) -> (alpha, alpha beta)."""
     image = make_origami(o.alpha, compose(o.alpha, o.beta))
-    assert image.commutator_type == o.commutator_type
-    return image
+    return _same_commutator("horizontal", o, image)
 
 
 def act_h_beta(o: Origami) -> Origami:
     """Vertical twist: (alpha, beta) -> (beta alpha, beta)."""
     image = make_origami(compose(o.beta, o.alpha), o.beta)
-    assert image.commutator_type == o.commutator_type
+    return _same_commutator("vertical", o, image)
+
+
+def _same_commutator(twist: str, o: Origami, image: Origami) -> Origami:
+    """``image``, after checking the twist kept the commutator type."""
+    if image.commutator_type != o.commutator_type:
+        raise InvariantError(
+            f"{twist} twist of {canonical_key(o.alpha, o.beta).hex()} "
+            f"changed the commutator type from {o.commutator_type} to "
+            f"{image.commutator_type}"
+        )
     return image
 
 
@@ -182,7 +191,11 @@ def cusp_data(
         while cur_key in remaining:
             remaining.remove(cur_key)
             orbit_size += 1
-            assert cycle_lengths(members[cur_key].alpha.word) == alpha_parts
+            if cycle_lengths(members[cur_key].alpha.word) != alpha_parts:
+                raise InvariantError(
+                    f"alpha's cycle type is not constant on the cusp of "
+                    f"{key.hex()}: {cur_key.hex()} differs"
+                )
             cur_key = h_alpha_next[cur_key]
         cusps.append((orbit_size, alpha_parts))
     return tuple(cusps)

@@ -11,6 +11,7 @@ this convention, so do not change it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -149,26 +150,111 @@ def commutator_word(aw: Sequence[int], bw: Sequence[int]) -> tuple[int, ...]:
 
 
 def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff two 0-based words of one degree generate a transitive group."""
+    """True iff two 0-based words of one degree generate a transitive group.
+
+    Walks forward images from letter 0: for permutations, the forward
+    images of a set already span its orbit.
+    """
     d = len(a)
     if d == 0:
         return True
-    parent = list(range(d))
+    seen = [False] * d
+    seen[0] = True
+    stack = [0]
+    n_seen = 1
+    while stack:
+        x = stack.pop()
+        y = a[x]
+        if not seen[y]:
+            seen[y] = True
+            n_seen += 1
+            stack.append(y)
+        y = b[x]
+        if not seen[y]:
+            seen[y] = True
+            n_seen += 1
+            stack.append(y)
+    return n_seen == d
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    n_components = d
-    for w in (a, b):
-        for i in range(d):
-            ri, rj = find(i), find(w[i])
-            if ri != rj:
-                parent[ri] = rj
-                n_components -= 1
-    return n_components == 1
+def class_words(
+    parts: Sequence[int], degree: int
+) -> Iterator[tuple[int, ...]]:
+    """Every 0-based word of cycle type ``parts``, each exactly once.
+
+    The cycle through the least letter not yet placed is chosen first:
+    its length, then its other letters in order.  There are d!/z of
+    them, z the order of the centralizer of one.
+    """
+    if sum(parts) != degree or any(p < 1 for p in parts):
+        raise ValueError(f"parts {tuple(parts)} do not partition {degree}")
+    left = {}
+    for p in parts:
+        left[p] = left.get(p, 0) + 1
+    lengths = sorted(left)
+    word = list(range(degree))
+
+    def place(free: list[int]) -> Iterator[tuple[int, ...]]:
+        # On entry word[y] == y for every free letter y, and so on return.
+        if len(free) == left.get(1, 0):
+            yield tuple(word)  # only fixed points remain
+            return
+        x, rest = free[0], free[1:]
+        for length in lengths:
+            if not left[length]:
+                continue
+            left[length] -= 1
+            for others in permutations(rest, length - 1):
+                prev = x
+                for y in others:
+                    word[prev] = y
+                    prev = y
+                word[prev] = x
+                yield from place([y for y in rest if y not in others])
+                word[x] = x
+                for y in others:
+                    word[y] = y
+            left[length] += 1
+
+    yield from place(list(range(degree)))
+
+
+def conjugator_words(
+    xw: Sequence[int], yw: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every word b with b x b^-1 == y, that is b[x[i]] == y[b[i]].
+
+    Each such b maps every cycle (c, x c, ...) of x onto a cycle
+    (e, y e, ...) of y of the same length, with b[x^k c] == y^k e.
+    Every matching of equal-length cycles, each with every rotation,
+    gives one b: there are |Z(x)| of them, or none when x and y have
+    different cycle types.
+    """
+    xcycles, ycycles = word_cycles(xw), word_cycles(yw)
+    if sorted(map(len, xcycles)) != sorted(map(len, ycycles)):
+        return
+    groups = []
+    for length in sorted(set(map(len, xcycles))):
+        rotations = [
+            [c[r:] + c[:r] for r in range(length)]
+            for c in ycycles if len(c) == length
+        ]
+        groups.append(([c for c in xcycles if len(c) == length], rotations))
+    b = [0] * len(xw)
+
+    def fill(g: int) -> Iterator[tuple[int, ...]]:
+        if g == len(groups):
+            yield tuple(b)
+            return
+        xcycles, rotations = groups[g]
+        for order in permutations(rotations):
+            for rots in product(range(len(xcycles[0])), repeat=len(xcycles)):
+                for xc, yrots, r in zip(xcycles, order, rots):
+                    for x, y in zip(xc, yrots[r]):
+                        b[x] = y
+                yield from fill(g + 1)
+
+    yield from fill(0)
 
 
 def word_from_cycles(

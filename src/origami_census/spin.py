@@ -23,7 +23,7 @@ square side.
 from __future__ import annotations
 
 from .perm import inverse_word
-from .surface import Origami
+from .surface import InvariantError, Origami, canonical_key
 
 R, U, L, D = 0, 1, 2, 3
 _OPPOSITE = {R: L, L: R, U: D, D: U}
@@ -36,12 +36,22 @@ class ParityUndefinedError(ValueError):
 def spin_parity(o: Origami) -> int:
     """Arf invariant of the surface: 0 = even, 1 = odd.
 
-    Raises :class:`ParityUndefinedError` on strata with an odd zero.
+    Raises :class:`ParityUndefinedError` on strata with an odd zero,
+    and :class:`InvariantError` naming the member's key in hex when one
+    of its consistency checks fails.
     """
     if not o.stratum.all_even():
         raise ParityUndefinedError(
             f"parity undefined for this stratum: mu = {o.stratum} has an odd zero"
         )
+    try:
+        return _parity(o)
+    except InvariantError as exc:
+        key = canonical_key(o.alpha, o.beta).hex()
+        raise InvariantError(f"spin parity of {key}: {exc}") from None
+
+
+def _parity(o: Origami) -> int:
     d = o.degree
     ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
     walks = _center_walks(o, ai, bi)
@@ -52,9 +62,11 @@ def spin_parity(o: Origami) -> int:
     n = len(walks)
     pairing = [[_dot(cross[i], skel[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        assert pairing[i][i] == 0, "self-pairing must vanish on a surface"
+        if pairing[i][i]:
+            raise InvariantError("self-pairing must vanish on a surface")
         for j in range(i):
-            assert pairing[i][j] == pairing[j][i], "pairing must be symmetric"
+            if pairing[i][j] != pairing[j][i]:
+                raise InvariantError("pairing must be symmetric")
 
     _check_descends(o, walks, cross, pairing, q)
     return _arf(pairing, q, genus=o.genus)
@@ -94,7 +106,8 @@ def _center_walks(o: Origami, ai, bi) -> list[list[tuple[int, int]]]:
                 depth[y] = depth[x] + 1
                 tree_edges.add(edge)
                 queue.append(y)
-    assert all(seen), "pair is not transitive"
+    if not all(seen):
+        raise InvariantError("pair is not transitive")
 
     def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
         """Moves walking from src to dst inside the tree."""
@@ -123,7 +136,10 @@ def _center_walks(o: Origami, ai, bi) -> list[list[tuple[int, int]]]:
         else:
             first, far = (i, U), bw[i]
         walks.append([first] + tree_path(far, i))
-    assert len(walks) == d + 1
+    if len(walks) != d + 1:
+        raise InvariantError(
+            f"{len(walks)} fundamental cycles, expected {d + 1}"
+        )
     return walks
 
 
@@ -132,9 +148,13 @@ def _walk_turning_q(walk: list[tuple[int, int]]) -> int:
     turn = 0
     for (_, m1), (_, m2) in zip(walk, walk[1:] + walk[:1]):
         delta = (m2 - m1) % 4
-        assert delta != 2, "backtracking step in a fundamental cycle"
+        if delta == 2:
+            raise InvariantError("backtracking step in a fundamental cycle")
         turn += 1 if delta == 1 else (-1 if delta == 3 else 0)
-    assert turn % 4 == 0, f"turning {turn} of a closed path not divisible by 4"
+    if turn % 4:
+        raise InvariantError(
+            f"turning {turn} of a closed path not divisible by 4"
+        )
     return (turn // 4 + 1) % 2
 
 
@@ -248,7 +268,8 @@ def _check_descends(o, walks, cross, pairing, q) -> None:
     """
     classes = _vertex_classes(o)
     n_vertices = len(o.commutator_type.parts)
-    assert len(classes) == n_vertices, "corner orbits must match vertices"
+    if len(classes) != n_vertices:
+        raise InvariantError("corner orbits must match vertices")
 
     n = len(walks)
     d = o.degree
@@ -263,7 +284,8 @@ def _check_descends(o, walks, cross, pairing, q) -> None:
         for j in range(n):
             if coeffs[j]:
                 combo ^= cross[j]
-        assert combo == face, "face boundary must be a cycle combination"
+        if combo != face:
+            raise InvariantError("face boundary must be a cycle combination")
         q_face = sum(q[j] for j in range(n) if coeffs[j]) % 2
         for j in range(n):
             if not coeffs[j]:
@@ -271,10 +293,12 @@ def _check_descends(o, walks, cross, pairing, q) -> None:
             for k in range(j + 1, n):
                 if coeffs[k]:
                     q_face = (q_face + pairing[j][k]) % 2
-        assert q_face == 0, "face boundary must have q = 0 (even zeros)"
+        if q_face:
+            raise InvariantError("face boundary must have q = 0 (even zeros)")
         for i in range(n):
             dot = sum(pairing[i][j] for j in range(n) if coeffs[j]) % 2
-            assert dot == 0, "face boundary must pair to zero"
+            if dot:
+                raise InvariantError("face boundary must pair to zero")
 
 
 def _arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
@@ -315,7 +339,11 @@ def _arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
             if b[z][x]:
                 add(z, y)
 
-    assert pairs == genus, f"found {pairs} hyperbolic pairs, expected {genus}"
+    if pairs != genus:
+        raise InvariantError(
+            f"found {pairs} hyperbolic pairs, expected {genus}"
+        )
     for z in active:
-        assert all(b[z][m] == 0 for m in range(n)), "radical must pair to zero"
+        if any(b[z][m] for m in range(n)):
+            raise InvariantError("radical must pair to zero")
     return arf

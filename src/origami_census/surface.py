@@ -23,6 +23,14 @@ from .perm import (
 )
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant of a census or its orbits failed.
+
+    This indicates a bug, not bad input; the message names the census
+    keys at fault in hex.
+    """
+
+
 class OrigamiError(ValueError):
     """Base class for invalid monodromy pairs."""
 
@@ -80,7 +88,11 @@ def genus_of(commutator_type: CycleType) -> int:
     Total ramification sum(c_j - 1) is even for genuine commutators.
     """
     ram = sum(c - 1 for c in commutator_type.parts)
-    assert ram % 2 == 0, f"odd total ramification {ram}: not a commutator type"
+    if ram % 2:
+        raise InvariantError(
+            f"odd total ramification {ram}: {commutator_type} is not a "
+            "commutator type"
+        )
     return ram // 2 + 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -140,6 +141,30 @@ class TestEnumerate:
         save_census(seq, f1)
         save_census(par, f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of the save_census file, recorded with the sweep of beta over
+# all of S_d that the enumeration used before it solved for beta.
+CENSUS_GOLDEN_SHA256 = {
+    (7, (2,)): "9de9c7d0699db2e645d4dbeda002bfeca536f954caa308ee470949fd90b5ab69",
+    (7, (1, 1)): "b7ab5f39506c6d482344ac6e1908e278d88c7936abc4ab2f61f519bef1cd8d1e",
+    (7, (4,)): "e0b50f60fa12ebcae442f72594860998bfbee12c16b19b32de3737bf7dfc2246",
+    (7, (3, 1)): "86e067637b6751447472c70c17977fda5b0ebf66a96060777db2a9e6dc4bec27",
+    (7, (2, 2)): "60f276e8f7f1b18aa1a9d29b46e1b11d9cc7256da81c7e0de3ac4adb423024f3",
+    (7, (2, 1, 1)): "4e747276fc325c6fe10a27445262eefffeda80a0e698ecb253dd835c530f773d",
+    (7, (6,)): "2a775ff878a7dbff7e8c5f6289e9266e6626e0abd587db34a673fb5d45fa93ce",
+    (8, (2,)): "8b3fe2b7f2fff819a2f55ba89898a5eeb35aec688a177700a42982947b123d79",
+    (8, (1, 1, 1, 1)): "789257512afb876a7e631ab033dcc12cb47d3c28ba1658543302db63b7d6d602",
+    (9, (4,)): "dc2c715154fdf14073ff3d5211d30d50df1223a58c0bb0bc79e49e2a77b358a6",
+}
+
+
+@pytest.mark.parametrize("degree,mu", sorted(CENSUS_GOLDEN_SHA256))
+def test_census_bytes_match_golden(degree, mu, census_of, tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_census(census_of(degree, mu), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CENSUS_GOLDEN_SHA256[(degree, mu)]
 
 
 class TestRawPairAccounting:

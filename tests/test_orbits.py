@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -12,9 +13,18 @@ from origami_census.orbits import (
     act_h_beta,
     act_h_beta_inverse,
     component_slope,
+    cusp_data,
     decompose,
 )
-from origami_census.perm import Perm, all_perms, commutator, conjugate, perm_from_cycles
+from origami_census.perm import (
+    CycleType,
+    Perm,
+    all_perms,
+    commutator,
+    conjugate,
+    cycle_lengths,
+    perm_from_cycles,
+)
 from origami_census.surface import StratumSignature, canonical_key, make_origami
 from conftest import DEGREE5_ORBIT_FACTS, DEGREE5_ORBITS, DEGREE5_PAIRS, origami
 
@@ -294,3 +304,33 @@ class TestInvariantErrors:
             decompose(census)
         assert "hyperelliptic" in str(err.value)
         assert isinstance(err.value, RuntimeError)
+
+    def test_twist_changing_the_commutator_names_the_key(self, monkeypatch):
+        o = origami("(1,2,3,4)(5)", "(1,5)(2)(3)(4)")
+        real = orbits.make_origami
+
+        def bent(alpha, beta):
+            return dataclasses.replace(
+                real(alpha, beta), commutator_type=CycleType(5, (5,))
+            )
+
+        monkeypatch.setattr(orbits, "make_origami", bent)
+        for twist in (act_h_alpha, act_h_beta):
+            with pytest.raises(
+                InvariantError, match=canonical_key(o.alpha, o.beta).hex()
+            ) as err:
+                twist(o)
+            assert "commutator type" in str(err.value)
+
+    def test_cusp_changing_alpha_type_names_the_keys(self, census_of):
+        census = census_of(5, (4,))
+        first = census.keys()[0]
+        parts = cycle_lengths(census.members[first].alpha.word)
+        other = next(
+            k for k in census.keys()
+            if cycle_lengths(census.members[k].alpha.word) != parts
+        )
+        bad_next = {first: other, other: first}
+        with pytest.raises(InvariantError, match=other.hex()) as err:
+            cusp_data([first, other], census, bad_next)
+        assert first.hex() in str(err.value)

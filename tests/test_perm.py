@@ -1,4 +1,4 @@
-from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +11,17 @@ from origami_census.perm import (
     all_perms,
     centralizer_generators,
     class_representative,
+    class_words,
     commutator,
     commutator_word,
     compose,
     conjugate,
-    cycles_to_str,
+    conjugator_words,
+    cycle_lengths,
     is_transitive,
     perm_from_cycles,
     word_cycles,
+    words_transitive,
 )
 
 
@@ -186,6 +189,32 @@ class TestTransitivity:
                 expected = len(self._orbit_of_one(a, b)) == d
                 assert is_transitive(a, b) == expected
 
+    @staticmethod
+    def _union_find_transitive(a, b) -> bool:
+        parent = list(range(len(a)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for w in (a, b):
+            for i, j in enumerate(w):
+                parent[find(i)] = find(j)
+        return len({find(i) for i in range(len(a))}) == 1
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_words_transitive_agrees_with_union_find(self, d):
+        words = [p.word for p in all_perms(d)]
+        for a in words:
+            for b in words:
+                assert words_transitive(a, b) == self._union_find_transitive(
+                    a, b
+                )
+
+    def test_words_transitive_degree0(self):
+        assert words_transitive((), ())
+
 
 class TestClassRepresentative:
     def test_blocks(self):
@@ -269,6 +298,77 @@ class TestCentralizer:
         for parts in partitions_desc(6):
             p = class_representative(CycleType(6, parts))
             assert _closure(centralizer_generators(p), 6) == _true_centralizer(p)
+
+
+def _centralizer_order(parts) -> int:
+    order = 1
+    for length in set(parts):
+        m = parts.count(length)
+        order *= length**m * factorial(m)
+    return order
+
+
+class TestClassWords:
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5, 6])
+    def test_classes_partition_the_symmetric_group(self, d):
+        from origami_census.census import partitions_desc
+
+        union = set()
+        for parts in partitions_desc(d):
+            words = list(class_words(parts, d))
+            assert len(set(words)) == len(words)
+            assert len(words) == factorial(d) // _centralizer_order(parts)
+            assert all(cycle_lengths(w) == parts for w in words)
+            union.update(words)
+        assert union == {p.word for p in all_perms(d)}
+
+    @pytest.mark.parametrize("parts", [(3, 1, 1, 1, 1, 1), (4, 2, 1, 1), (8,)])
+    def test_degree8_class_sizes(self, parts):
+        words = set(class_words(parts, 8))
+        assert len(words) == factorial(8) // _centralizer_order(parts)
+        assert all(cycle_lengths(w) == parts for w in words)
+
+    @pytest.mark.parametrize("parts", [(2, 2), (0, 3), (4, -1)])
+    def test_rejects_non_partitions(self, parts):
+        with pytest.raises(ValueError):
+            list(class_words(parts, 3))
+
+
+class TestConjugatorWords:
+    def test_all_solutions_over_s4(self):
+        ps = list(all_perms(4))
+        for x in ps:
+            for y in ps:
+                got = list(conjugator_words(x.word, y.word))
+                want = {b.word for b in ps if compose(b, x) == compose(y, b)}
+                assert len(got) == len(set(got))
+                assert set(got) == want
+                if x.cycle_type() == y.cycle_type():
+                    assert len(got) == _centralizer_order(
+                        x.cycle_type().parts
+                    )
+                else:
+                    assert got == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_self_conjugators_are_the_centralizer(self, d):
+        for p in all_perms(d):
+            got = set(conjugator_words(p.word, p.word))
+            assert got == _closure(centralizer_generators(p), d)
+
+    def test_solves_for_beta_from_its_commutator(self):
+        # beta^-1 alpha^-1 beta alpha = gamma iff beta conjugates
+        # delta = gamma alpha^-1 to alpha^-1
+        a = perm_from_cycles("(1,2,3,4)(5)")
+        b = perm_from_cycles("(1,5)(2)(3)(4)")
+        gamma = commutator(a, b)
+        delta = compose(gamma, a.inverse())
+        betas = {
+            Perm(w) for w in conjugator_words(delta.word, a.inverse().word)
+        }
+        assert b in betas
+        assert len(betas) == 4
+        assert all(commutator(a, beta) == gamma for beta in betas)
 
 
 class TestCycleStrings:

@@ -8,10 +8,12 @@ import random
 
 import pytest
 
+from origami_census import spin
+from origami_census.census import InvariantError
 from origami_census.orbits import decompose
 from origami_census.perm import all_perms, conjugate
 from origami_census.spin import ParityUndefinedError, spin_parity
-from origami_census.surface import make_origami
+from origami_census.surface import canonical_key, make_origami
 from conftest import origami
 
 
@@ -80,3 +82,19 @@ class TestInvariance:
                 conjugate(o.alpha, tau), conjugate(o.beta, tau)
             )
             assert spin_parity(image) == 1
+
+
+class TestInvariantErrors:
+    def test_face_not_descending_names_the_key(self, monkeypatch, census_of):
+        o = list(census_of(5, (4,)))[7]
+        real = spin._face_masks
+
+        def shifted(o):
+            masks = real(o)
+            return [masks[0] ^ 1] + masks[1:]
+
+        monkeypatch.setattr(spin, "_face_masks", shifted)
+        key = canonical_key(o.alpha, o.beta).hex()
+        with pytest.raises(InvariantError, match=key) as err:
+            spin_parity(o)
+        assert "face boundary" in str(err.value)

@@ -1,14 +1,17 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from origami_census import census as census_mod
 from origami_census.perm import CycleType, Perm, all_perms, conjugate, perm_from_cycles
 from origami_census.surface import (
     DisconnectedCoverError,
+    InvariantError,
     StratumSignature,
     TrivialStratumError,
     canonical_form,
@@ -69,6 +72,12 @@ class TestGenus:
     def test_matches_stratum_sum(self, census_of):
         for o in census_of(5, (4,)):
             assert genus_of(o.commutator_type) == sum(o.stratum.mu) // 2 + 1
+
+    def test_odd_ramification_names_the_type(self):
+        # one transposition is never a commutator: it is an odd permutation
+        with pytest.raises(InvariantError, match=re.escape("[2,1,1]")):
+            genus_of(CycleType(4, (2, 1, 1)))
+        assert InvariantError is census_mod.InvariantError
 
 
 class TestCylindersAndWeight:
