@@ -130,6 +130,7 @@ ORBIT_GOLDEN_SHA256 = {
     (7, "2,2"): "02625c547732e8ea9bcafe1b4dd6c5b1e68bf941b17e25a8cbf1295881eb4a51",
     (7, "3,1"): "d820aebb0d57a90b8dc10ec67f07b0d30302422d11487674f8452803f8f598b4",
     (7, "1,1"): "f9b94f425138130340759e92ee0157e88cca1b602b8f30268d9216312e4aa31c",
+    (7, "6"): "78972bfd30a21e7dc07426999250ce869b90e43892433594a451ad51ed2db37d",
 }
 
 

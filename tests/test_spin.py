@@ -2,7 +2,9 @@
 
 Genus 2 single-zero surfaces are all odd.  In genus 3 (both even
 strata) the hyperelliptic orbits are even and the rest odd, which
-pins every sign convention in the construction.
+pins every sign convention in the construction.  In genus 4 the
+single-zero stratum has non-hyperelliptic components of both parities,
+told apart by their limiting slopes.
 """
 import random
 
@@ -10,6 +12,7 @@ import pytest
 
 from origami_census import spin
 from origami_census.census import InvariantError
+from origami_census.limits import component_label, reference_rows
 from origami_census.orbits import decompose
 from origami_census.perm import all_perms, conjugate
 from origami_census.spin import ParityUndefinedError, spin_parity
@@ -41,6 +44,15 @@ class TestAnchors:
         assert census.n_classes > 0
         for comp in decompose(census):
             assert comp.parity == (0 if comp.hyperelliptic else 1)
+
+    def test_genus4_single_zero_slopes_match_labels(self, census_of):
+        want = {r.label: r.slope for r in reference_rows(4) if r.mu == (6,)}
+        labels = set()
+        for comp in decompose(census_of(7, (6,))):
+            label = component_label(comp)
+            labels.add(label)
+            assert comp.slope == want[label], label
+        assert labels == {"hyp", "even", "odd"}
 
 
 class TestInvariance:
