@@ -19,7 +19,7 @@ from typing import Callable
 from .census import Census, ResourceBudgetError, enumerate_census, target_class
 from .involutions import is_hyperelliptic
 from .orbits import ComponentSummary, component_slope, decompose
-from .surface import StratumSignature
+from .surface import InvariantError, StratumSignature
 
 REFERENCE_GENUS_RANGE = (3, 6)
 
@@ -52,7 +52,10 @@ def hyperelliptic_constants(
     else:
         raise ValueError(f"zeros must be 1 or 2, got {zeros}")
     s = s_from_c_l(c, big_l)
-    assert s == 8 + Fraction(4, g)
+    if s != 8 + Fraction(4, g):
+        raise InvariantError(
+            f"hyperelliptic slope {s} at genus {g} is not 8 + 4/g"
+        )
     return c, big_l, s
 
 

@@ -16,13 +16,14 @@ square side.
   edge midpoints, one per shared coordinate.
 * A greedy symplectic reduction over GF(2) extracts g hyperbolic
   pairs; the form values follow the quadratic law q(x+y)=q(x)+q(y)+x.y
-  along the way.  Face boundaries (one per vertex of the surface) are
-  checked to lie in the radical with q = 0, which is exactly the
-  condition for q to descend to homology.
+  along the way.  Face boundaries are checked to lie in the radical
+  with q = 0, which is exactly the condition for q to descend to
+  homology.  The vertices of the surface, one face each, are the cycles
+  of the commutator beta^-1 alpha^-1 beta alpha.
 """
 from __future__ import annotations
 
-from .perm import inverse_word
+from .perm import commutator_word, inverse_word, word_cycles
 from .surface import InvariantError, Origami, canonical_key
 
 R, U, L, D = 0, 1, 2, 3
@@ -54,7 +55,7 @@ def spin_parity(o: Origami) -> int:
 def _parity(o: Origami) -> int:
     d = o.degree
     ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
-    walks = _center_walks(o, ai, bi)
+    cotree, walks = _center_walks(o, ai, bi)
     q = [_walk_turning_q(w) for w in walks]
     cross = [_walk_cross(w, d, ai, bi) for w in walks]
     skel = [_walk_skeleton_copy(w, d, ai, bi) for w in walks]
@@ -68,32 +69,35 @@ def _parity(o: Origami) -> int:
             if pairing[i][j] != pairing[j][i]:
                 raise InvariantError("pairing must be symmetric")
 
-    _check_descends(o, walks, cross, pairing, q)
+    _check_descends(o, cotree, cross, pairing, q)
     return _arf(pairing, q, genus=o.genus)
 
 
-def _center_walks(o: Origami, ai, bi) -> list[list[tuple[int, int]]]:
+def _center_walks(
+    o: Origami, ai, bi
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """Fundamental cycles of a breadth-first spanning tree.
 
-    Each walk is a closed list of (square, move) steps; squares along a
-    walk are pairwise distinct.  ``ai`` and ``bi`` are the inverse
-    words of alpha and beta.
+    Returns the cotree edge ids and, for each, its closed walk: a list
+    of (square, move) steps whose squares are pairwise distinct.  An
+    edge's id is the bit of the side it crosses (see
+    :func:`_walk_cross`).  ``ai`` and ``bi`` are the inverse words of
+    alpha and beta.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
 
     def neighbors(x: int):
-        # (move, target, edge id); edge ids: ("a", i) joins i to alpha(i),
-        # ("b", i) joins i to beta(i)
-        yield R, aw[x], ("a", x)
-        yield U, bw[x], ("b", x)
-        yield L, ai[x], ("a", ai[x])
-        yield D, bi[x], ("b", bi[x])
+        # (move, target, edge id)
+        yield R, aw[x], x
+        yield U, bw[x], d + x
+        yield L, ai[x], ai[x]
+        yield D, bi[x], d + bi[x]
 
     parent = [-1] * d
     parent_move = [-1] * d
     depth = [0] * d
-    tree_edges: set[tuple[str, int]] = set()
+    tree_edges: set[int] = set()
     seen = [False] * d
     seen[0] = True
     queue = [0]
@@ -127,20 +131,19 @@ def _center_walks(o: Origami, ai, bi) -> list[list[tuple[int, int]]]:
             y = parent[y]
         return up_src + down_dst[::-1]
 
-    walks = []
-    for kind, i in [("a", i) for i in range(d)] + [("b", i) for i in range(d)]:
-        if (kind, i) in tree_edges:
-            continue
-        if kind == "a":
-            first, far = (i, R), aw[i]
-        else:
-            first, far = (i, U), bw[i]
-        walks.append([first] + tree_path(far, i))
-    if len(walks) != d + 1:
+    cotree = [e for e in range(2 * d) if e not in tree_edges]
+    if len(cotree) != d + 1:
         raise InvariantError(
-            f"{len(walks)} fundamental cycles, expected {d + 1}"
+            f"{len(cotree)} fundamental cycles, expected {d + 1}"
         )
-    return walks
+    walks = []
+    for e in cotree:
+        if e < d:
+            first, far = (e, R), aw[e]
+        else:
+            first, far = (e - d, U), bw[e - d]
+        walks.append([first] + tree_path(far, first[0]))
+    return cotree, walks
 
 
 def _walk_turning_q(walk: list[tuple[int, int]]) -> int:
@@ -198,88 +201,48 @@ def _walk_skeleton_copy(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
 
 
 def _dot(mask_a: int, mask_b: int) -> int:
-    return bin(mask_a & mask_b).count("1") % 2
-
-
-def _vertex_classes(o: Origami) -> list[list[tuple[int, int]]]:
-    """Orbits of square corners under the side gluings.
-
-    Corners are (square, c) with c = 0 lower-left, 1 lower-right,
-    2 upper-right, 3 upper-left.  One orbit per vertex of the surface.
-    """
-    d = o.degree
-    aw, bw = o.alpha.word, o.beta.word
-    parent = list(range(4 * d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    idx = lambda square, c: 4 * square + c
-    for i in range(d):
-        union(idx(i, 1), idx(aw[i], 0))  # right side of i = left side of alpha(i)
-        union(idx(i, 2), idx(aw[i], 3))
-        union(idx(i, 3), idx(bw[i], 0))  # top side of i = bottom side of beta(i)
-        union(idx(i, 2), idx(bw[i], 1))
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for i in range(d):
-        for c in range(4):
-            classes.setdefault(find(idx(i, c)), []).append((i, c))
-    return list(classes.values())
+    return (mask_a & mask_b).bit_count() & 1
 
 
 def _face_masks(o: Origami) -> list[int]:
-    """Boundary of the disk around each vertex, in crossing coordinates."""
+    """Boundary of the disk around each vertex, in crossing coordinates.
+
+    The upper-right corner of square i lies on the vertex of the
+    commutator cycle through i.  A side whose two ends lie on one
+    vertex enters its mask twice and cancels.
+    """
     d = o.degree
-    classes = _vertex_classes(o)
-    corner_class = {}
-    for ci, members in enumerate(classes):
-        for m in members:
-            corner_class[m] = ci
-    masks = [0] * len(classes)
+    aw, bw = o.alpha.word, o.beta.word
+    cycles = word_cycles(commutator_word(aw, bw))
+    vertex = [0] * d
+    for v, cyc in enumerate(cycles):
+        for i in cyc:
+            vertex[i] = v
+    ai, bi = inverse_word(aw), inverse_word(bw)
+    masks = [0] * len(cycles)
     for i in range(d):
-        # vertical side between i and alpha(i): endpoints are the
-        # vertices through the lower-right and upper-right corners of i
-        lo, hi = corner_class[(i, 1)], corner_class[(i, 2)]
-        if lo != hi:
-            masks[lo] ^= 1 << i
-            masks[hi] ^= 1 << i
-        # horizontal side between i and beta(i)
-        lo, hi = corner_class[(i, 3)], corner_class[(i, 2)]
-        if lo != hi:
-            masks[lo] ^= 1 << (d + i)
-            masks[hi] ^= 1 << (d + i)
+        # the sides between i and alpha(i) (bit i) and between i and
+        # beta(i) (bit d+i) both end at the upper-right corner of i
+        masks[vertex[i]] ^= (1 << i) | (1 << (d + i))
+        # the first starts at the upper-right corner of beta^-1(i),
+        # the second at that of alpha^-1(i)
+        masks[vertex[bi[i]]] ^= 1 << i
+        masks[vertex[ai[i]]] ^= 1 << (d + i)
     return masks
 
 
-def _check_descends(o, walks, cross, pairing, q) -> None:
+def _check_descends(o, cotree, cross, pairing, q) -> None:
     """Verify the form is well-defined on homology.
 
     Every vertex-face boundary must decompose over the fundamental
     cycles with induced q = 0 and zero pairing against everything;
     this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
+    ``cotree`` holds each fundamental cycle's edge id, the one side it
+    crosses that no other fundamental cycle crosses.
     """
-    classes = _vertex_classes(o)
-    n_vertices = len(o.commutator_type.parts)
-    if len(classes) != n_vertices:
-        raise InvariantError("corner orbits must match vertices")
-
-    n = len(walks)
-    d = o.degree
-    cotree_bit = []
-    for w in walks:
-        x, move = w[0]
-        cotree_bit.append(x if move == R else d + x)
-
+    n = len(cotree)
     for face in _face_masks(o):
-        coeffs = [(face >> cotree_bit[j]) & 1 for j in range(n)]
+        coeffs = [(face >> e) & 1 for e in cotree]
         combo = 0
         for j in range(n):
             if coeffs[j]:

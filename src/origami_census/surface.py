@@ -205,6 +205,8 @@ def canonical_form(
     distinct classes give distinct forms.
     """
     d = len(aw)
+    if d == 0:
+        return (), ()
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for start in range(d):
         relabel = [-1] * d
@@ -230,7 +232,6 @@ def canonical_form(
         cand = (tuple(na), tuple(nb))
         if best is None or cand < best:
             best = cand
-    assert best is not None
     return best
 
 

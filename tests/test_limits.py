@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from origami_census import limits
 from origami_census.census import enumerate_census
 from origami_census.limits import (
     compare_with_reference,
@@ -15,7 +16,7 @@ from origami_census.limits import (
     stratum_constants,
     sweep,
 )
-from origami_census.surface import StratumSignature
+from origami_census.surface import InvariantError, StratumSignature
 
 
 class TestKappa:
@@ -55,6 +56,11 @@ class TestHyperellipticConstants:
     def test_rejects_small_genus(self):
         with pytest.raises(ValueError):
             hyperelliptic_constants(1)
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr(limits, "s_from_c_l", lambda c, big_l: Fraction(9))
+        with pytest.raises(InvariantError, match="genus 3"):
+            hyperelliptic_constants(3)
 
 
 def kappa_of_shape(g: int, zeros: int) -> Fraction:

@@ -110,3 +110,58 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match=key) as err:
             spin_parity(o)
         assert "face boundary" in str(err.value)
+
+
+def corner_union_find_masks(o):
+    """Face masks from the orbits of square corners under the gluings.
+
+    Corners are (square, c) with c = 0 lower-left, 1 lower-right,
+    2 upper-right, 3 upper-left; one orbit per vertex of the surface.
+    """
+    d = o.degree
+    aw, bw = o.alpha.word, o.beta.word
+    parent = list(range(4 * d))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    for i in range(d):
+        union(4 * i + 1, 4 * aw[i])  # right side of i = left side of alpha(i)
+        union(4 * i + 2, 4 * aw[i] + 3)
+        union(4 * i + 3, 4 * bw[i])  # top side of i = bottom side of beta(i)
+        union(4 * i + 2, 4 * bw[i] + 1)
+    roots = sorted({find(x) for x in range(4 * d)})
+    masks = dict.fromkeys(roots, 0)
+    for i in range(d):
+        # vertical side between i and alpha(i), then horizontal side
+        # between i and beta(i), each from its lower or left end to
+        # the upper-right corner of i
+        for bit, lo in ((i, 4 * i + 1), (d + i, 4 * i + 3)):
+            masks[find(lo)] ^= 1 << bit
+            masks[find(4 * i + 2)] ^= 1 << bit
+    return list(masks.values())
+
+
+# Censuses of degree 5 to 7, odd strata included, on which the face
+# masks are checked against the corner union-find.
+FACE_CHECK_CENSUSES = [
+    (5, (4,)), (5, (2,)), (6, (2, 2)), (6, (3, 1)), (7, (4,)), (7, (1, 1)),
+    (7, (6,)),
+]
+
+
+class TestFaces:
+    @pytest.mark.parametrize("d,mu", FACE_CHECK_CENSUSES)
+    def test_face_masks_match_corner_union_find(self, d, mu, census_of):
+        census = census_of(d, mu)
+        assert census.n_classes > 0
+        for o in census:
+            faces = spin._face_masks(o)
+            assert sorted(faces) == sorted(corner_union_find_masks(o))
+            assert len(faces) == len(o.commutator_type.parts)

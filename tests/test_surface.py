@@ -167,6 +167,11 @@ class TestCanonicalKey:
         assert ca.cycle_type() == a.cycle_type()
         assert cb.cycle_type() == b.cycle_type()
 
+    def test_degree_zero(self):
+        # the empty pair is transitive, so it has a (trivial) class
+        assert canonical_form((), ()) == ((), ())
+        assert canonical_key(Perm(()), Perm(())) == b""
+
 
 class TestRecords:
     def test_round_trip(self, census_of):
