@@ -21,8 +21,9 @@ from .perm import (
     centralizer_generators,
     class_representative,
     class_words,
-    conjugator_words,
+    conjugators_onto,
     cycle_lengths,
+    cycle_rotations,
     inverse_word,
     words_transitive,
 )
@@ -143,6 +144,7 @@ def _enumerate_alpha_class(
     aw = alpha.word
     ai = inverse_word(aw)
     zgens = [g.word for g in centralizer_generators(alpha)]
+    ai_rotations = cycle_rotations(ai)
 
     out = []
     seen: set[tuple[int, ...]] = set()
@@ -150,7 +152,7 @@ def _enumerate_alpha_class(
         dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
         if cycle_lengths(dw) != alpha_parts:
             continue
-        for bw in conjugator_words(dw, ai):
+        for bw in conjugators_onto(dw, ai_rotations):
             if bw in seen or not words_transitive(aw, bw):
                 continue
             # sweep the whole centralizer orbit of this beta

@@ -95,7 +95,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     for target in range(o.degree):
         tau = _propagate(o, target, ai, bi)
         if tau is not None:
-            reports.append(_report(o, tau, gamma_cycles))
+            reports.append(_report(o, tau, gamma_cycles, ai, bi))
     return reports
 
 
@@ -109,8 +109,10 @@ def has_order_two_automorphism(o: Origami) -> bool:
 
 
 def _report(
-    o: Origami, tau: Perm, gamma_cycles: list[tuple[int, ...]]
+    o: Origami, tau: Perm, gamma_cycles: list[tuple[int, ...]], ai, bi
 ) -> InvolutionReport:
+    """Fixed points of tau; ``ai`` and ``bi`` are the inverse words of
+    alpha and beta."""
     d = o.degree
     aw = o.alpha.word
     bw = o.beta.word
@@ -122,9 +124,8 @@ def _report(
 
     # The involution sends the vertex through the lower-left corner of
     # square i to the one through the lower-left corner of sigma(i),
-    # where sigma = (beta alpha)^-1 tau.
-    ba_inv = inverse_word([bw[aw[i]] for i in range(d)])
-    sigma = [ba_inv[tw[i]] for i in range(d)]
+    # where sigma = (beta alpha)^-1 tau = alpha^-1 beta^-1 tau.
+    sigma = [ai[bi[tw[i]]] for i in range(d)]
 
     cycle_of = [0] * d
     for idx, cyc in enumerate(gamma_cycles):

@@ -14,9 +14,16 @@ from fractions import Fraction
 
 from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
-from .perm import compose, cycle_lengths
+from .perm import Perm, commutator_word, compose, cycle_lengths
 from .spin import spin_parity
-from .surface import Origami, StratumSignature, canonical_key, make_origami
+from .surface import (
+    Origami,
+    StratumSignature,
+    canonical_form,
+    canonical_key,
+    encode_pair,
+    make_origami,
+)
 
 
 class OrbitClosureError(RuntimeError):
@@ -41,15 +48,30 @@ class ComponentSummary:
         return len(self.cusps)
 
 
+def twist_words(
+    aw: tuple[int, ...], bw: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Words of the horizontal and vertical twist images of (aw, bw).
+
+    Returns ((alpha, alpha beta), (beta alpha, beta)) as 0-based words.
+    """
+    return (
+        (aw, tuple([aw[y] for y in bw])),
+        (tuple([bw[x] for x in aw]), bw),
+    )
+
+
 def act_h_alpha(o: Origami) -> Origami:
     """Horizontal twist: (alpha, beta) -> (alpha, alpha beta)."""
-    image = make_origami(o.alpha, compose(o.alpha, o.beta))
+    aw, bw = twist_words(o.alpha.word, o.beta.word)[0]
+    image = make_origami(Perm(aw), Perm(bw))
     return _same_commutator("horizontal", o, image)
 
 
 def act_h_beta(o: Origami) -> Origami:
     """Vertical twist: (alpha, beta) -> (beta alpha, beta)."""
-    image = make_origami(compose(o.beta, o.alpha), o.beta)
+    aw, bw = twist_words(o.alpha.word, o.beta.word)[1]
+    image = make_origami(Perm(aw), Perm(bw))
     return _same_commutator("vertical", o, image)
 
 
@@ -86,8 +108,10 @@ def decompose(census: Census) -> list[ComponentSummary]:
 
     Orbits are closed with the two forward twists only: each is a
     bijection of the finite census, so its inverse is one of its
-    powers.  The walk records every member's horizontal-twist image,
-    from which :func:`cusp_data` reads the cusps.  The hyperelliptic
+    powers.  The twist images are built and canonicalized as words,
+    and each must keep the member's commutator word exactly.  The walk
+    records every member's horizontal-twist image, from which
+    :func:`cusp_data` reads the cusps.  The hyperelliptic
     flag (and spin parity, on even strata) is computed for every
     member and checked to be constant per orbit, and the orbits are
     checked to add up to the census; a failed check raises
@@ -105,10 +129,20 @@ def decompose(census: Census) -> list[ComponentSummary]:
         frontier = [(start_key, unvisited.pop(start_key))]
         while frontier:
             key, o = frontier.pop()
-            image_keys = [
-                canonical_key(image.alpha, image.beta)
-                for image in (act_h_alpha(o), act_h_beta(o))
-            ]
+            aw, bw = o.alpha.word, o.beta.word
+            gw = commutator_word(aw, bw)
+            image_keys = []
+            for twist, (ta, tb) in zip(
+                ("horizontal", "vertical"), twist_words(aw, bw)
+            ):
+                # The image's commutator word is gw iff tb ta == ta tb gw,
+                # a test that needs no inverse word.
+                if [tb[x] for x in ta] != [ta[tb[y]] for y in gw]:
+                    raise InvariantError(
+                        f"{twist} twist of {key.hex()} changed the "
+                        "commutator word"
+                    )
+                image_keys.append(encode_pair(*canonical_form(ta, tb)))
             h_alpha_next[key] = image_keys[0]
             for image_key in image_keys:
                 if image_key in unvisited:

@@ -143,10 +143,12 @@ def cycle_lengths(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def commutator_word(aw: Sequence[int], bw: Sequence[int]) -> tuple[int, ...]:
-    """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first)."""
-    ai = inverse_word(aw)
-    bi = inverse_word(bw)
-    return tuple(bi[ai[bw[aw[i]]]] for i in range(len(aw)))
+    """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first).
+
+    Built as (alpha beta)^-1 (beta alpha), with one inverse word.
+    """
+    abi = inverse_word([aw[y] for y in bw])
+    return tuple([abi[bw[x]] for x in aw])
 
 
 def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -230,16 +232,40 @@ def conjugator_words(
     gives one b: there are |Z(x)| of them, or none when x and y have
     different cycle types.
     """
-    xcycles, ycycles = word_cycles(xw), word_cycles(yw)
-    if sorted(map(len, xcycles)) != sorted(map(len, ycycles)):
+    return conjugators_onto(xw, cycle_rotations(yw))
+
+
+def cycle_rotations(
+    w: Sequence[int],
+) -> dict[int, list[list[tuple[int, ...]]]]:
+    """The cycles of a word by length, each with all its rotations.
+
+    Lengths and cycles come in the order of :func:`word_cycles`.
+    """
+    rotations: dict[int, list[list[tuple[int, ...]]]] = {}
+    for c in word_cycles(w):
+        rotations.setdefault(len(c), []).append(
+            [c[r:] + c[:r] for r in range(len(c))]
+        )
+    return rotations
+
+
+def conjugators_onto(
+    xw: Sequence[int], y_rotations: dict[int, list[list[tuple[int, ...]]]]
+) -> Iterator[tuple[int, ...]]:
+    """:func:`conjugator_words` with y given as ``cycle_rotations(y)``.
+
+    A caller that solves against one y for many x builds y's cycles
+    once.
+    """
+    xcycles: dict[int, list[tuple[int, ...]]] = {}
+    for c in word_cycles(xw):
+        xcycles.setdefault(len(c), []).append(c)
+    if {n: len(cs) for n, cs in xcycles.items()} != {
+        n: len(cs) for n, cs in y_rotations.items()
+    }:
         return
-    groups = []
-    for length in sorted(set(map(len, xcycles))):
-        rotations = [
-            [c[r:] + c[:r] for r in range(length)]
-            for c in ycycles if len(c) == length
-        ]
-        groups.append(([c for c in xcycles if len(c) == length], rotations))
+    groups = [(xcycles[n], y_rotations[n]) for n in sorted(xcycles)]
     b = [0] * len(xw)
 
     def fill(g: int) -> Iterator[tuple[int, ...]]:

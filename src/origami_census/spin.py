@@ -14,7 +14,9 @@ square side.
   the square sides (a center step and the matching boundary step
   cobound a strip of half-squares).  Crossings then happen only at
   edge midpoints, one per shared coordinate.
-* A greedy symplectic reduction over GF(2) extracts g hyperbolic
+* The pairing is held as one int bitset per fundamental cycle: bit j
+  of row i is the intersection number of cycles i and j.  A greedy
+  symplectic reduction over GF(2) on these rows extracts g hyperbolic
   pairs; the form values follow the quadratic law q(x+y)=q(x)+q(y)+x.y
   along the way.  Face boundaries are checked to lie in the radical
   with q = 0, which is exactly the condition for q to descend to
@@ -56,21 +58,25 @@ def _parity(o: Origami) -> int:
     d = o.degree
     ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
     cotree, walks = _center_walks(o, ai, bi)
-    q = [_walk_turning_q(w) for w in walks]
-    cross = [_walk_cross(w, d, ai, bi) for w in walks]
-    skel = [_walk_skeleton_copy(w, d, ai, bi) for w in walks]
-
-    n = len(walks)
-    pairing = [[_dot(cross[i], skel[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if pairing[i][i]:
+    q, cross = [], []
+    for walk in walks:
+        q_w, cross_w = _walk_q_and_cross(walk)
+        q.append(q_w)
+        cross.append(cross_w)
+    # The skeleton copy of a step right from square x runs along the
+    # bottom side of x, of a step up along the left side of x; a step
+    # back along the same edge runs along the same side.
+    skel_side = [d + bi[x] for x in range(d)] + [ai[x] for x in range(d)]
+    rows = _pairing_rows(walks, skel_side)
+    for i, row in enumerate(rows):
+        if row >> i & 1:
             raise InvariantError("self-pairing must vanish on a surface")
         for j in range(i):
-            if pairing[i][j] != pairing[j][i]:
+            if (row >> j ^ rows[j] >> i) & 1:
                 raise InvariantError("pairing must be symmetric")
 
-    _check_descends(o, cotree, cross, pairing, q)
-    return _arf(pairing, q, genus=o.genus)
+    _check_descends(o, cotree, cross, rows, q)
+    return _arf(rows, q, genus=o.genus)
 
 
 def _center_walks(
@@ -79,34 +85,34 @@ def _center_walks(
     """Fundamental cycles of a breadth-first spanning tree.
 
     Returns the cotree edge ids and, for each, its closed walk: a list
-    of (square, move) steps whose squares are pairwise distinct.  An
-    edge's id is the bit of the side it crosses (see
-    :func:`_walk_cross`).  ``ai`` and ``bi`` are the inverse words of
-    alpha and beta.
+    of (edge id, move) steps through pairwise distinct squares.  An
+    edge's id is the bit of the side it crosses: bit i is the glued
+    vertical side between i and alpha(i), bit d+i the glued
+    horizontal side between i and beta(i).  ``ai`` and ``bi`` are the
+    inverse words of alpha and beta.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
 
-    def neighbors(x: int):
-        # (move, target, edge id)
-        yield R, aw[x], x
-        yield U, bw[x], d + x
-        yield L, ai[x], ai[x]
-        yield D, bi[x], d + bi[x]
-
     parent = [-1] * d
-    parent_move = [-1] * d
+    parent_step = [(-1, -1)] * d  # (edge id, move) from the parent
     depth = [0] * d
     tree_edges: set[int] = set()
     seen = [False] * d
     seen[0] = True
     queue = [0]
     for x in queue:
-        for move, y, edge in neighbors(x):
+        # (move, target, edge id) of the four sides of x
+        for move, y, edge in (
+            (R, aw[x], x),
+            (U, bw[x], d + x),
+            (L, ai[x], ai[x]),
+            (D, bi[x], d + bi[x]),
+        ):
             if not seen[y]:
                 seen[y] = True
                 parent[y] = x
-                parent_move[y] = move
+                parent_step[y] = (edge, move)
                 depth[y] = depth[x] + 1
                 tree_edges.add(edge)
                 queue.append(y)
@@ -114,20 +120,22 @@ def _center_walks(
         raise InvariantError("pair is not transitive")
 
     def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        """Moves walking from src to dst inside the tree."""
+        """Steps walking from src to dst inside the tree."""
         up_src: list[tuple[int, int]] = []
         down_dst: list[tuple[int, int]] = []
         x, y = src, dst
         while depth[x] > depth[y]:
-            up_src.append((x, _OPPOSITE[parent_move[x]]))
+            edge, move = parent_step[x]
+            up_src.append((edge, _OPPOSITE[move]))
             x = parent[x]
         while depth[y] > depth[x]:
-            down_dst.append((parent[y], parent_move[y]))
+            down_dst.append(parent_step[y])
             y = parent[y]
         while x != y:
-            up_src.append((x, _OPPOSITE[parent_move[x]]))
+            edge, move = parent_step[x]
+            up_src.append((edge, _OPPOSITE[move]))
             x = parent[x]
-            down_dst.append((parent[y], parent_move[y]))
+            down_dst.append(parent_step[y])
             y = parent[y]
         return up_src + down_dst[::-1]
 
@@ -139,69 +147,63 @@ def _center_walks(
     walks = []
     for e in cotree:
         if e < d:
-            first, far = (e, R), aw[e]
+            first, near, far = (e, R), e, aw[e]
         else:
-            first, far = (e - d, U), bw[e - d]
-        walks.append([first] + tree_path(far, first[0]))
+            first, near, far = (e, U), e - d, bw[e - d]
+        walks.append([first] + tree_path(far, near))
     return cotree, walks
 
 
-def _walk_turning_q(walk: list[tuple[int, int]]) -> int:
-    """q of an embedded closed center path: turning/4 + 1 mod 2."""
+def _walk_q_and_cross(walk: list[tuple[int, int]]) -> tuple[int, int]:
+    """q and crossing mask of a closed center walk.
+
+    q of an embedded closed center path is turning/4 + 1 mod 2.  The
+    crossing mask holds, mod 2, the sides the path crosses.
+    """
     turn = 0
-    for (_, m1), (_, m2) in zip(walk, walk[1:] + walk[:1]):
-        delta = (m2 - m1) % 4
+    cross = 0
+    prev = walk[-1][1]
+    for edge, move in walk:
+        delta = (move - prev) % 4
         if delta == 2:
             raise InvariantError("backtracking step in a fundamental cycle")
-        turn += 1 if delta == 1 else (-1 if delta == 3 else 0)
+        if delta == 1:
+            turn += 1
+        elif delta == 3:
+            turn -= 1
+        prev = move
+        cross ^= 1 << edge
     if turn % 4:
         raise InvariantError(
             f"turning {turn} of a closed path not divisible by 4"
         )
-    return (turn // 4 + 1) % 2
+    return (turn // 4 + 1) % 2, cross
 
 
-def _walk_cross(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
-    """Bitmask of square sides the center path crosses, mod 2.
+def _pairing_rows(
+    walks: list[list[tuple[int, int]]], skel_side: list[int]
+) -> list[int]:
+    """The intersection pairing of the walks as int rows over GF(2).
 
-    Bit i is the glued vertical side between i and alpha(i); bit d+i
-    the glued horizontal side between i and beta(i).
+    Bit j of row i is cross[i] . skel[j]: the parity of the sides that
+    walk i crosses and that the skeleton copy of walk j runs along.
+    The copy is the homologous path pushed onto the square sides, with
+    its endpoints pinned at lower-left vertices; ``skel_side`` maps
+    each edge id to the side its copy runs along.  Each side's column
+    (the walks whose copy runs along it) is built once, and row i is
+    the sum of the columns of the sides walk i crosses.
     """
-    mask = 0
-    for x, move in walk:
-        if move == R:
-            mask ^= 1 << x
-        elif move == L:
-            mask ^= 1 << ai[x]
-        elif move == U:
-            mask ^= 1 << (d + x)
-        else:
-            mask ^= 1 << (d + bi[x])
-    return mask
-
-
-def _walk_skeleton_copy(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
-    """Sides traversed by the homologous copy pushed onto the skeleton.
-
-    A step right from square x slides to the bottom side of x; a step
-    up slides to the left side of x (and symmetrically for the inverse
-    steps), keeping the endpoints pinned at lower-left vertices.
-    """
-    mask = 0
-    for x, move in walk:
-        if move == R:
-            mask ^= 1 << (d + bi[x])
-        elif move == L:
-            mask ^= 1 << (d + bi[ai[x]])
-        elif move == U:
-            mask ^= 1 << ai[x]
-        else:
-            mask ^= 1 << ai[bi[x]]
-    return mask
-
-
-def _dot(mask_a: int, mask_b: int) -> int:
-    return (mask_a & mask_b).bit_count() & 1
+    column = [0] * len(skel_side)
+    for j, walk in enumerate(walks):
+        for edge, _ in walk:
+            column[skel_side[edge]] ^= 1 << j
+    rows = []
+    for walk in walks:
+        row = 0
+        for edge, _ in walk:
+            row ^= column[edge]
+        rows.append(row)
+    return rows
 
 
 def _face_masks(o: Origami) -> list[int]:
@@ -218,77 +220,81 @@ def _face_masks(o: Origami) -> list[int]:
     for v, cyc in enumerate(cycles):
         for i in cyc:
             vertex[i] = v
-    ai, bi = inverse_word(aw), inverse_word(bw)
     masks = [0] * len(cycles)
     for i in range(d):
         # the sides between i and alpha(i) (bit i) and between i and
-        # beta(i) (bit d+i) both end at the upper-right corner of i
-        masks[vertex[i]] ^= (1 << i) | (1 << (d + i))
-        # the first starts at the upper-right corner of beta^-1(i),
-        # the second at that of alpha^-1(i)
-        masks[vertex[bi[i]]] ^= 1 << i
-        masks[vertex[ai[i]]] ^= 1 << (d + i)
+        # beta(i) (bit d+i) both end at the upper-right corner of i;
+        # the side between beta(i) and alpha(beta(i)) starts there, as
+        # does the one between alpha(i) and beta(alpha(i))
+        masks[vertex[i]] ^= (
+            (1 << i) ^ (1 << (d + i)) ^ (1 << bw[i]) ^ (1 << (d + aw[i]))
+        )
     return masks
 
 
-def _check_descends(o, cotree, cross, pairing, q) -> None:
+def _check_descends(o, cotree, cross, rows, q) -> None:
     """Verify the form is well-defined on homology.
 
     Every vertex-face boundary must decompose over the fundamental
     cycles with induced q = 0 and zero pairing against everything;
     this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
     ``cotree`` holds each fundamental cycle's edge id, the one side it
-    crosses that no other fundamental cycle crosses.
+    crosses that no other fundamental cycle crosses.  ``rows`` is the
+    pairing (see :func:`_pairing_rows`), already checked symmetric.
     """
     n = len(cotree)
     for face in _face_masks(o):
-        coeffs = [(face >> e) & 1 for e in cotree]
+        coeffs = 0  # bit j: fundamental cycle j is in the face
         combo = 0
         for j in range(n):
-            if coeffs[j]:
+            if face >> cotree[j] & 1:
+                coeffs |= 1 << j
                 combo ^= cross[j]
         if combo != face:
             raise InvariantError("face boundary must be a cycle combination")
-        q_face = sum(q[j] for j in range(n) if coeffs[j]) % 2
+        q_face = 0
+        paired = 0  # the face's own pairing row
         for j in range(n):
-            if not coeffs[j]:
-                continue
-            for k in range(j + 1, n):
-                if coeffs[k]:
-                    q_face = (q_face + pairing[j][k]) % 2
-        if q_face:
+            if coeffs >> j & 1:
+                # q of a sum: each cycle's q plus its pairing with the
+                # cycles of the face that come after it
+                q_face ^= q[j] ^ ((rows[j] & coeffs) >> (j + 1)).bit_count()
+                paired ^= rows[j]
+        if q_face & 1:
             raise InvariantError("face boundary must have q = 0 (even zeros)")
-        for i in range(n):
-            dot = sum(pairing[i][j] for j in range(n) if coeffs[j]) % 2
-            if dot:
-                raise InvariantError("face boundary must pair to zero")
+        if paired:
+            raise InvariantError("face boundary must pair to zero")
 
 
-def _arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
-    """Greedy symplectic reduction; returns sum of q(a_i) q(b_i) mod 2."""
+def _arf(rows: list[int], q: list[int], genus: int) -> int:
+    """Greedy symplectic reduction; returns sum of q(a_i) q(b_i) mod 2.
+
+    ``rows`` is a symmetric pairing with zero diagonal as int rows.
+    Adding cycle src to cycle dst adds row src to row dst and column
+    src to column dst, so the form stays symmetric.
+    """
     n = len(q)
-    b = [row[:] for row in pairing]
+    b = rows[:]
     qv = q[:]
     active = list(range(n))
     arf = 0
     pairs = 0
 
     def add(dst: int, src: int) -> None:
-        qv[dst] ^= qv[src] ^ b[dst][src]
+        qv[dst] ^= qv[src] ^ (b[dst] >> src & 1)
+        b[dst] ^= b[src]
+        src_bit, dst_bit = 1 << src, 1 << dst
         for m in range(n):
-            b[dst][m] ^= b[src][m]
-        b[dst][dst] = 0  # the form is alternating
-        for m in range(n):
-            b[m][dst] = b[dst][m]
+            if b[m] & src_bit:
+                b[m] ^= dst_bit
 
+    live = (1 << n) - 1  # the bits of ``active``
     while True:
         hit = None
-        for ii, x in enumerate(active):
-            for y in active[ii + 1:]:
-                if b[x][y]:
-                    hit = (x, y)
-                    break
-            if hit:
+        for x in active:
+            later = b[x] & live & ~((2 << x) - 1)
+            if later:
+                hit = (x, (later & -later).bit_length() - 1)
                 break
         if hit is None:
             break
@@ -296,10 +302,11 @@ def _arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
         arf ^= qv[x] & qv[y]
         pairs += 1
         active = [z for z in active if z not in (x, y)]
+        live &= ~(1 << x | 1 << y)
         for z in active:
-            if b[z][y]:
+            if b[z] >> y & 1:
                 add(z, x)
-            if b[z][x]:
+            if b[z] >> x & 1:
                 add(z, y)
 
     if pairs != genus:
@@ -307,6 +314,6 @@ def _arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
             f"found {pairs} hyperbolic pairs, expected {genus}"
         )
     for z in active:
-        if any(b[z][m] for m in range(n)):
+        if b[z]:
             raise InvariantError("radical must pair to zero")
     return arf

@@ -8,6 +8,7 @@ equivalence realized by :func:`canonical_key`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,10 +188,9 @@ def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
 
 def weight_of(alpha: Perm) -> Fraction:
     """Sum of 1/width over the horizontal cylinders (cycles of alpha)."""
-    total = Fraction(0)
-    for n in cycle_lengths(alpha.word):
-        total += Fraction(1, n)
-    return total
+    parts = cycle_lengths(alpha.word)
+    lcm = math.lcm(*parts)
+    return Fraction(sum(lcm // n for n in parts), lcm)
 
 
 def canonical_form(
@@ -203,36 +203,52 @@ def canonical_form(
     square, and keep the lexicographically least relabeled pair.  The
     result is a class invariant: conjugate pairs give equal forms,
     distinct classes give distinct forms.
+
+    The k-th letter of the relabeled alpha is known at step k of the
+    walk, so a start is dropped as soon as its alpha prefix exceeds
+    the best one; beta is compared only when the alphas tie.
     """
     d = len(aw)
     if d == 0:
         return (), ()
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    best_a: tuple[int, ...] = ()
+    best_b: tuple[int, ...] = ()
     for start in range(d):
         relabel = [-1] * d
         relabel[start] = 0
         order = [start]
+        na: list[int] = []
         n_seen = 1
+        tie = start > 0  # the first start has no best to compare with
         for x in order:
-            for y in (aw[x], bw[x]):
-                if relabel[y] < 0:
-                    relabel[y] = n_seen
-                    n_seen += 1
-                    order.append(y)
-        if n_seen != d:
-            raise DisconnectedCoverError(
-                "disconnected cover: breadth-first walk did not reach "
-                "every square"
-            )
-        na = [0] * d
-        nb = [0] * d
-        for x in range(d):
-            na[relabel[x]] = relabel[aw[x]]
-            nb[relabel[x]] = relabel[bw[x]]
-        cand = (tuple(na), tuple(nb))
-        if best is None or cand < best:
-            best = cand
-    return best
+            y = aw[x]
+            ry = relabel[y]
+            if ry < 0:
+                ry = relabel[y] = n_seen
+                n_seen += 1
+                order.append(y)
+            if tie:
+                b = best_a[len(na)]
+                if ry != b:
+                    if ry > b:
+                        break
+                    tie = False
+            na.append(ry)
+            y = bw[x]
+            if relabel[y] < 0:
+                relabel[y] = n_seen
+                n_seen += 1
+                order.append(y)
+        else:
+            if n_seen != d:
+                raise DisconnectedCoverError(
+                    "disconnected cover: breadth-first walk did not reach "
+                    "every square"
+                )
+            nb = tuple([relabel[bw[x]] for x in order])
+            if not tie or nb < best_b:
+                best_a, best_b = tuple(na), nb
+    return best_a, best_b
 
 
 def encode_pair(aw: tuple[int, ...], bw: tuple[int, ...]) -> bytes:

@@ -33,6 +33,19 @@ def origami(alpha: str, beta: str):
     return make_origami(perm_from_cycles(alpha), perm_from_cycles(beta))
 
 
+def strata_at(degree: int) -> list[tuple[int, ...]]:
+    """Every zero profile mu whose census at this degree can be nonempty:
+    one cycle of length m+1 per zero fits in the degree."""
+    from origami_census.census import partitions_desc
+
+    return [
+        mu
+        for total in range(2, degree, 2)
+        for mu in partitions_desc(total)
+        if total + len(mu) <= degree
+    ]
+
+
 # Ground truth for degree 5 with a single order-4 zero: the forty
 # classes, their split into four twist orbits, and the orbit slopes.
 DEGREE5_PAIRS = {

@@ -1,0 +1,318 @@
+"""Reference kernels: earlier, simpler versions of rewritten hot paths.
+
+``full_scan_canonical_form`` relabels the pair from every start square
+and compares whole relabeled pairs.  ``matrix_spin_parity`` computes
+the spin parity with the intersection pairing as a list-of-lists
+matrix over GF(2), one popcount per entry, and walks that list their
+squares.  The package's versions must agree with them exactly.
+"""
+from __future__ import annotations
+
+from origami_census.perm import commutator_word, inverse_word, word_cycles
+from origami_census.surface import DisconnectedCoverError, InvariantError
+
+R, U, L, D = 0, 1, 2, 3
+_OPPOSITE = {R: L, L: R, U: D, D: U}
+
+
+def full_scan_canonical_form(
+    aw: tuple[int, ...], bw: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least relabeling of a transitive pair of 0-based words.
+
+    For every start square s, relabel squares in first-discovery order
+    of a breadth-first walk that follows alpha then beta from each
+    square, and keep the lexicographically least relabeled pair.  The
+    result is a class invariant: conjugate pairs give equal forms,
+    distinct classes give distinct forms.
+    """
+    d = len(aw)
+    if d == 0:
+        return (), ()
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    for start in range(d):
+        relabel = [-1] * d
+        relabel[start] = 0
+        order = [start]
+        n_seen = 1
+        for x in order:
+            for y in (aw[x], bw[x]):
+                if relabel[y] < 0:
+                    relabel[y] = n_seen
+                    n_seen += 1
+                    order.append(y)
+        if n_seen != d:
+            raise DisconnectedCoverError(
+                "disconnected cover: breadth-first walk did not reach "
+                "every square"
+            )
+        na = [0] * d
+        nb = [0] * d
+        for x in range(d):
+            na[relabel[x]] = relabel[aw[x]]
+            nb[relabel[x]] = relabel[bw[x]]
+        cand = (tuple(na), tuple(nb))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def matrix_spin_parity(o) -> int:
+    """Arf invariant of the surface from the matrix pipeline."""
+    d = o.degree
+    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
+    cotree, walks = _center_walks(o, ai, bi)
+    q = [_walk_turning_q(w) for w in walks]
+    cross = [_walk_cross(w, d, ai, bi) for w in walks]
+    skel = [_walk_skeleton_copy(w, d, ai, bi) for w in walks]
+
+    n = len(walks)
+    pairing = [[_dot(cross[i], skel[j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if pairing[i][i]:
+            raise InvariantError("self-pairing must vanish on a surface")
+        for j in range(i):
+            if pairing[i][j] != pairing[j][i]:
+                raise InvariantError("pairing must be symmetric")
+
+    matrix_check_descends(o, cotree, cross, pairing, q)
+    return matrix_arf(pairing, q, genus=o.genus)
+
+
+def _center_walks(
+    o, ai, bi
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Fundamental cycles of a breadth-first spanning tree.
+
+    Returns the cotree edge ids and, for each, its closed walk: a list
+    of (square, move) steps whose squares are pairwise distinct.  An
+    edge's id is the bit of the side it crosses (see
+    :func:`_walk_cross`).  ``ai`` and ``bi`` are the inverse words of
+    alpha and beta.
+    """
+    d = o.degree
+    aw, bw = o.alpha.word, o.beta.word
+
+    def neighbors(x: int):
+        # (move, target, edge id)
+        yield R, aw[x], x
+        yield U, bw[x], d + x
+        yield L, ai[x], ai[x]
+        yield D, bi[x], d + bi[x]
+
+    parent = [-1] * d
+    parent_move = [-1] * d
+    depth = [0] * d
+    tree_edges: set[int] = set()
+    seen = [False] * d
+    seen[0] = True
+    queue = [0]
+    for x in queue:
+        for move, y, edge in neighbors(x):
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                parent_move[y] = move
+                depth[y] = depth[x] + 1
+                tree_edges.add(edge)
+                queue.append(y)
+    if not all(seen):
+        raise InvariantError("pair is not transitive")
+
+    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
+        """Moves walking from src to dst inside the tree."""
+        up_src: list[tuple[int, int]] = []
+        down_dst: list[tuple[int, int]] = []
+        x, y = src, dst
+        while depth[x] > depth[y]:
+            up_src.append((x, _OPPOSITE[parent_move[x]]))
+            x = parent[x]
+        while depth[y] > depth[x]:
+            down_dst.append((parent[y], parent_move[y]))
+            y = parent[y]
+        while x != y:
+            up_src.append((x, _OPPOSITE[parent_move[x]]))
+            x = parent[x]
+            down_dst.append((parent[y], parent_move[y]))
+            y = parent[y]
+        return up_src + down_dst[::-1]
+
+    cotree = [e for e in range(2 * d) if e not in tree_edges]
+    if len(cotree) != d + 1:
+        raise InvariantError(
+            f"{len(cotree)} fundamental cycles, expected {d + 1}"
+        )
+    walks = []
+    for e in cotree:
+        if e < d:
+            first, far = (e, R), aw[e]
+        else:
+            first, far = (e - d, U), bw[e - d]
+        walks.append([first] + tree_path(far, first[0]))
+    return cotree, walks
+
+
+def _walk_turning_q(walk: list[tuple[int, int]]) -> int:
+    """q of an embedded closed center path: turning/4 + 1 mod 2."""
+    turn = 0
+    for (_, m1), (_, m2) in zip(walk, walk[1:] + walk[:1]):
+        delta = (m2 - m1) % 4
+        if delta == 2:
+            raise InvariantError("backtracking step in a fundamental cycle")
+        turn += 1 if delta == 1 else (-1 if delta == 3 else 0)
+    if turn % 4:
+        raise InvariantError(
+            f"turning {turn} of a closed path not divisible by 4"
+        )
+    return (turn // 4 + 1) % 2
+
+
+def _walk_cross(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
+    """Bitmask of square sides the center path crosses, mod 2.
+
+    Bit i is the glued vertical side between i and alpha(i); bit d+i
+    the glued horizontal side between i and beta(i).
+    """
+    mask = 0
+    for x, move in walk:
+        if move == R:
+            mask ^= 1 << x
+        elif move == L:
+            mask ^= 1 << ai[x]
+        elif move == U:
+            mask ^= 1 << (d + x)
+        else:
+            mask ^= 1 << (d + bi[x])
+    return mask
+
+
+def _walk_skeleton_copy(walk: list[tuple[int, int]], d: int, ai, bi) -> int:
+    """Sides traversed by the homologous copy pushed onto the skeleton.
+
+    A step right from square x slides to the bottom side of x; a step
+    up slides to the left side of x (and symmetrically for the inverse
+    steps), keeping the endpoints pinned at lower-left vertices.
+    """
+    mask = 0
+    for x, move in walk:
+        if move == R:
+            mask ^= 1 << (d + bi[x])
+        elif move == L:
+            mask ^= 1 << (d + bi[ai[x]])
+        elif move == U:
+            mask ^= 1 << ai[x]
+        else:
+            mask ^= 1 << ai[bi[x]]
+    return mask
+
+
+def _dot(mask_a: int, mask_b: int) -> int:
+    return (mask_a & mask_b).bit_count() & 1
+
+
+def _face_masks(o) -> list[int]:
+    """Boundary of the disk around each vertex, in crossing coordinates.
+
+    The upper-right corner of square i lies on the vertex of the
+    commutator cycle through i.  A side whose two ends lie on one
+    vertex enters its mask twice and cancels.
+    """
+    d = o.degree
+    aw, bw = o.alpha.word, o.beta.word
+    cycles = word_cycles(commutator_word(aw, bw))
+    vertex = [0] * d
+    for v, cyc in enumerate(cycles):
+        for i in cyc:
+            vertex[i] = v
+    ai, bi = inverse_word(aw), inverse_word(bw)
+    masks = [0] * len(cycles)
+    for i in range(d):
+        # the sides between i and alpha(i) (bit i) and between i and
+        # beta(i) (bit d+i) both end at the upper-right corner of i
+        masks[vertex[i]] ^= (1 << i) | (1 << (d + i))
+        # the first starts at the upper-right corner of beta^-1(i),
+        # the second at that of alpha^-1(i)
+        masks[vertex[bi[i]]] ^= 1 << i
+        masks[vertex[ai[i]]] ^= 1 << (d + i)
+    return masks
+
+
+def matrix_check_descends(o, cotree, cross, pairing, q) -> None:
+    """Verify the form is well-defined on homology.
+
+    Every vertex-face boundary must decompose over the fundamental
+    cycles with induced q = 0 and zero pairing against everything;
+    this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
+    ``cotree`` holds each fundamental cycle's edge id, the one side it
+    crosses that no other fundamental cycle crosses.
+    """
+    n = len(cotree)
+    for face in _face_masks(o):
+        coeffs = [(face >> e) & 1 for e in cotree]
+        combo = 0
+        for j in range(n):
+            if coeffs[j]:
+                combo ^= cross[j]
+        if combo != face:
+            raise InvariantError("face boundary must be a cycle combination")
+        q_face = sum(q[j] for j in range(n) if coeffs[j]) % 2
+        for j in range(n):
+            if not coeffs[j]:
+                continue
+            for k in range(j + 1, n):
+                if coeffs[k]:
+                    q_face = (q_face + pairing[j][k]) % 2
+        if q_face:
+            raise InvariantError("face boundary must have q = 0 (even zeros)")
+        for i in range(n):
+            dot = sum(pairing[i][j] for j in range(n) if coeffs[j]) % 2
+            if dot:
+                raise InvariantError("face boundary must pair to zero")
+
+
+def matrix_arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
+    """Greedy symplectic reduction; returns sum of q(a_i) q(b_i) mod 2."""
+    n = len(q)
+    b = [row[:] for row in pairing]
+    qv = q[:]
+    active = list(range(n))
+    arf = 0
+    pairs = 0
+
+    def add(dst: int, src: int) -> None:
+        qv[dst] ^= qv[src] ^ b[dst][src]
+        for m in range(n):
+            b[dst][m] ^= b[src][m]
+        b[dst][dst] = 0  # the form is alternating
+        for m in range(n):
+            b[m][dst] = b[dst][m]
+
+    while True:
+        hit = None
+        for ii, x in enumerate(active):
+            for y in active[ii + 1:]:
+                if b[x][y]:
+                    hit = (x, y)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        x, y = hit
+        arf ^= qv[x] & qv[y]
+        pairs += 1
+        active = [z for z in active if z not in (x, y)]
+        for z in active:
+            if b[z][y]:
+                add(z, x)
+            if b[z][x]:
+                add(z, y)
+
+    if pairs != genus:
+        raise InvariantError(
+            f"found {pairs} hyperbolic pairs, expected {genus}"
+        )
+    for z in active:
+        if any(b[z][m] for m in range(n)):
+            raise InvariantError("radical must pair to zero")
+    return arf

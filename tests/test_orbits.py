@@ -15,18 +15,27 @@ from origami_census.orbits import (
     component_slope,
     cusp_data,
     decompose,
+    twist_words,
 )
 from origami_census.perm import (
     CycleType,
     Perm,
     all_perms,
     commutator,
+    commutator_word,
+    compose,
     conjugate,
     cycle_lengths,
     perm_from_cycles,
 )
 from origami_census.surface import StratumSignature, canonical_key, make_origami
-from conftest import DEGREE5_ORBIT_FACTS, DEGREE5_ORBITS, DEGREE5_PAIRS, origami
+from conftest import (
+    DEGREE5_ORBIT_FACTS,
+    DEGREE5_ORBITS,
+    DEGREE5_PAIRS,
+    origami,
+    strata_at,
+)
 
 
 class TestTwists:
@@ -62,6 +71,24 @@ class TestTwists:
                 )
                 img = act(other)
                 assert canonical_key(img.alpha, img.beta) == image_key
+
+
+class TestTwistWords:
+    @pytest.mark.parametrize(
+        "d,mu", [(d, mu) for d in (5, 6, 7) for mu in strata_at(d)]
+    )
+    def test_images_keep_the_commutator_word(self, d, mu, census_of):
+        census = census_of(d, mu)
+        assert census.n_classes > 0
+        for o in census:
+            aw, bw = o.alpha.word, o.beta.word
+            images = twist_words(aw, bw)
+            assert images == (
+                (aw, compose(o.alpha, o.beta).word),
+                (compose(o.beta, o.alpha).word, bw),
+            )
+            for ta, tb in images:
+                assert commutator_word(ta, tb) == commutator_word(aw, bw)
 
 
 class TestDegree5Decomposition:
@@ -321,6 +348,45 @@ class TestInvariantErrors:
             ) as err:
                 twist(o)
             assert "commutator type" in str(err.value)
+
+    @pytest.mark.parametrize("image,twist", [(0, "horizontal"), (1, "vertical")])
+    def test_twist_changing_the_commutator_word_names_the_member(
+        self, monkeypatch, census_of, image, twist
+    ):
+        census = census_of(5, (4,))
+        real = orbits.twist_words
+
+        def swap_01(word):
+            # follow the word with the transposition of letters 0 and 1
+            return tuple(1 - y if y < 2 else y for y in word)
+
+        def bend(images):
+            ta, tb = images[image]
+            bent = (ta, swap_01(tb)) if image == 0 else (swap_01(ta), tb)
+            return images[:image] + (bent,) + images[image + 1:]
+
+        def bending_shows(o):
+            aw, bw = o.alpha.word, o.beta.word
+            bent = bend(real(aw, bw))[image]
+            return commutator_word(*bent) != commutator_word(aw, bw)
+
+        bad_key = next(
+            k for k in census.keys()[len(census) // 2:]
+            if bending_shows(census.members[k])
+        )
+        bad = census.members[bad_key]
+
+        def bent(aw, bw):
+            images = real(aw, bw)
+            if (aw, bw) == (bad.alpha.word, bad.beta.word):
+                return bend(images)
+            return images
+
+        monkeypatch.setattr(orbits, "twist_words", bent)
+        with pytest.raises(InvariantError, match=bad_key.hex()) as err:
+            decompose(census)
+        assert f"{twist} twist" in str(err.value)
+        assert "commutator word" in str(err.value)
 
     def test_cusp_changing_alpha_type_names_the_keys(self, census_of):
         census = census_of(5, (4,))

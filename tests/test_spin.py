@@ -17,7 +17,8 @@ from origami_census.orbits import decompose
 from origami_census.perm import all_perms, conjugate
 from origami_census.spin import ParityUndefinedError, spin_parity
 from origami_census.surface import canonical_key, make_origami
-from conftest import origami
+from conftest import origami, strata_at
+from reference_kernels import matrix_arf, matrix_spin_parity
 
 
 class TestPreconditions:
@@ -165,3 +166,48 @@ class TestFaces:
             faces = spin._face_masks(o)
             assert sorted(faces) == sorted(corner_union_find_masks(o))
             assert len(faces) == len(o.commutator_type.parts)
+
+
+# Every stratum with only even zeros at degrees 3 to 7.
+EVEN_CENSUSES = [
+    (d, mu)
+    for d in range(3, 8)
+    for mu in strata_at(d)
+    if all(m % 2 == 0 for m in mu)
+]
+
+
+class TestMatrixReference:
+    @pytest.mark.parametrize("d,mu", EVEN_CENSUSES)
+    def test_parity_matches_matrix_pipeline(self, d, mu, census_of):
+        census = census_of(d, mu)
+        assert census.n_classes > 0
+        for o in census:
+            assert spin_parity(o) == matrix_spin_parity(o)
+
+    def test_arf_matches_matrix_reduction_on_random_forms(self):
+        # Random alternating forms of every rank, not only the
+        # pairings of surfaces.
+        rng = random.Random(8)
+        for _ in range(2000):
+            n = rng.randrange(1, 12)
+            matrix = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    matrix[i][j] = matrix[j][i] = rng.randrange(2)
+            q = [rng.randrange(2) for _ in range(n)]
+            rows = [sum(bit << j for j, bit in enumerate(r)) for r in matrix]
+            genus = gf2_rank(rows) // 2
+            assert spin._arf(rows, q, genus) == matrix_arf(matrix, q, genus)
+
+
+def gf2_rank(rows: list[int]) -> int:
+    rank = 0
+    rows = list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank

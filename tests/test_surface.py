@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origami_census import census as census_mod
-from origami_census.perm import CycleType, Perm, all_perms, conjugate, perm_from_cycles
+from origami_census.census import partitions_desc
+from origami_census.perm import (
+    CycleType,
+    Perm,
+    all_perms,
+    class_representative,
+    compose,
+    conjugate,
+    perm_from_cycles,
+    words_transitive,
+)
 from origami_census.surface import (
     DisconnectedCoverError,
     InvariantError,
@@ -23,7 +33,8 @@ from origami_census.surface import (
     to_record,
     weight_of,
 )
-from conftest import DEGREE5_PAIRS, origami
+from conftest import DEGREE5_PAIRS, origami, strata_at
+from reference_kernels import full_scan_canonical_form
 
 
 class TestStratumSignature:
@@ -123,6 +134,13 @@ class TestCylindersAndWeight:
         assert weight_of(perm_from_cycles("(1,2,3,5,4)")) == Fraction(1, 5)
         assert weight_of(Perm.identity(7)) == 7
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_weight_equals_sum_of_unit_fractions(self, d):
+        for parts in partitions_desc(d):
+            alpha = class_representative(CycleType(d, parts))
+            want = sum((Fraction(1, n) for n in parts), Fraction(0))
+            assert weight_of(alpha) == want
+
     @given(st.integers(2, 7).flatmap(
         lambda d: st.tuples(
             st.permutations(list(range(d))).map(lambda w: Perm(tuple(w))),
@@ -171,6 +189,53 @@ class TestCanonicalKey:
         # the empty pair is transitive, so it has a (trivial) class
         assert canonical_form((), ()) == ((), ())
         assert canonical_key(Perm(()), Perm(())) == b""
+
+
+# Every census of degree 5 to 7, on which canonical forms are checked
+# against the full-scan reference.
+REFERENCE_CENSUSES = [(d, mu) for d in (5, 6, 7) for mu in strata_at(d)]
+
+
+class TestCanonicalFormReference:
+    @pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
+    def test_members_and_twist_images_match_full_scan(self, d, mu, census_of):
+        census = census_of(d, mu)
+        assert census.n_classes > 0
+        for o in census:
+            for a, b in (
+                (o.alpha, o.beta),
+                (o.alpha, compose(o.alpha, o.beta)),
+                (compose(o.beta, o.alpha), o.beta),
+            ):
+                want = full_scan_canonical_form(a.word, b.word)
+                assert canonical_form(a.word, b.word) == want
+
+    @pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
+    def test_random_relabelings_match_full_scan(self, d, mu, census_of):
+        rng = random.Random(d * 100 + sum(mu))
+        taus = list(all_perms(d))
+        for o in list(census_of(d, mu))[::7]:
+            form = canonical_form(o.alpha.word, o.beta.word)
+            for _ in range(5):
+                tau = taus[rng.randrange(len(taus))]
+                a, b = conjugate(o.alpha, tau).word, conjugate(o.beta, tau).word
+                assert canonical_form(a, b) == form
+                assert full_scan_canonical_form(a, b) == form
+
+    def test_random_pairs_match_full_scan(self):
+        rng = random.Random(6)
+        for d in range(1, 10):
+            for _ in range(300):
+                a = list(range(d))
+                b = list(range(d))
+                rng.shuffle(a)
+                rng.shuffle(b)
+                a, b = tuple(a), tuple(b)
+                if words_transitive(a, b):
+                    assert canonical_form(a, b) == full_scan_canonical_form(a, b)
+                else:
+                    with pytest.raises(DisconnectedCoverError):
+                        canonical_form(a, b)
 
 
 class TestRecords:
