@@ -4,12 +4,32 @@
 and compares whole relabeled pairs.  ``matrix_spin_parity`` computes
 the spin parity with the intersection pairing as a list-of-lists
 matrix over GF(2), one popcount per entry, and walks that list their
-squares.  The package's versions must agree with them exactly.
+squares.  ``seen_sweep_enumerate_alpha_class`` dedups the betas of an
+alpha class by sweeping each transitive beta's whole centralizer
+orbit into one set held for the whole class.  The package's versions
+must agree with them exactly.
 """
 from __future__ import annotations
 
-from origami_census.perm import commutator_word, inverse_word, word_cycles
-from origami_census.surface import DisconnectedCoverError, InvariantError
+from origami_census.perm import (
+    CycleType,
+    centralizer_generators,
+    class_representative,
+    class_words,
+    commutator_word,
+    conjugators_onto,
+    cycle_lengths,
+    cycle_rotations,
+    inverse_word,
+    word_cycles,
+    words_transitive,
+)
+from origami_census.surface import (
+    DisconnectedCoverError,
+    InvariantError,
+    canonical_form,
+    encode_pair,
+)
 
 R, U, L, D = 0, 1, 2, 3
 _OPPOSITE = {R: L, L: R, U: D, D: U}
@@ -316,3 +336,48 @@ def matrix_arf(pairing: list[list[int]], q: list[int], genus: int) -> int:
         if any(b[z][m] for m in range(n)):
             raise InvariantError("radical must pair to zero")
     return arf
+
+
+def seen_sweep_enumerate_alpha_class(
+    degree: int,
+    alpha_parts: tuple[int, ...],
+    target_parts: tuple[int, ...],
+) -> list[tuple[bytes, tuple[int, ...], tuple[int, ...]]]:
+    """All classes whose alpha lies in one conjugacy class.
+
+    Fixing alpha to the class representative, classes correspond to
+    orbits of valid betas under conjugation by the centralizer of
+    alpha.  For each gamma in the target class, the betas with
+    commutator gamma are those conjugating delta = gamma alpha^-1 to
+    alpha^-1.  Each transitive beta not seen yet is canonicalized, and
+    its whole centralizer orbit goes into ``seen``.
+    """
+    alpha = class_representative(CycleType(degree, alpha_parts))
+    aw = alpha.word
+    ai = inverse_word(aw)
+    zgens = [g.word for g in centralizer_generators(alpha)]
+    ai_rotations = cycle_rotations(ai)
+
+    out = []
+    seen: set[tuple[int, ...]] = set()
+    for gw in class_words(target_parts, degree):
+        dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
+        if cycle_lengths(dw) != alpha_parts:
+            continue
+        for bw in conjugators_onto(dw, ai_rotations):
+            if bw in seen or not words_transitive(aw, bw):
+                continue
+            orbit = [bw]
+            seen.add(bw)
+            for cur in orbit:
+                for z in zgens:
+                    img = [0] * degree
+                    for i in range(degree):
+                        img[z[i]] = z[cur[i]]
+                    t = tuple(img)
+                    if t not in seen:
+                        seen.add(t)
+                        orbit.append(t)
+            ca, cb = canonical_form(aw, bw)
+            out.append((encode_pair(ca, cb), ca, cb))
+    return out

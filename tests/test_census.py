@@ -18,6 +18,8 @@ from origami_census.census import (
     target_class,
 )
 from origami_census.surface import StratumSignature
+from conftest import strata_at
+from reference_kernels import seen_sweep_enumerate_alpha_class
 
 
 class TestTargetClass:
@@ -212,6 +214,22 @@ class TestRawPairAccounting:
         # dividing 2g-1; at degree 5 that forces triviality
         for o in census_of(5, (4,)):
             assert self._stabilizer_order(o) == 1
+
+
+REFERENCE_CENSUSES = [
+    (d, mu) for d in range(3, 8) for mu in strata_at(d)
+] + [(8, (2,)), (8, (3, 1))]
+
+
+@pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
+def test_alpha_classes_match_seen_sweep_reference(d, mu):
+    # (8,(2)) has many commutators with a nontrivial stabilizer in the
+    # centralizer of alpha, so one coset holds conjugate betas.
+    target = target_class(d, StratumSignature(mu)).parts
+    for parts in partitions_desc(d):
+        got = census_mod._enumerate_alpha_class(d, parts, target)
+        want = seen_sweep_enumerate_alpha_class(d, parts, target)
+        assert sorted(got) == sorted(want), parts
 
 
 class TestBruteForceOracle:
