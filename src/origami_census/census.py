@@ -133,12 +133,17 @@ def _enumerate_alpha_class(
     """All classes whose alpha lies in one conjugacy class.
 
     Fixing alpha to the class representative, classes correspond to
-    orbits of valid betas under conjugation by the centralizer of
+    orbits of valid betas under conjugation by the centralizer Z of
     alpha.  Betas are solved for, not swept: gamma = beta^-1 alpha^-1
     beta alpha runs over the target class, and the betas with that
     commutator are those conjugating delta = gamma alpha^-1 to
-    alpha^-1, one coset of the centralizer.  Returns (canonical key,
-    canonical pair) triples.
+    alpha^-1, one coset of the centralizer.  Conjugating by z in Z
+    sends beta to z beta z^-1 and gamma to z gamma z^-1, and keeps
+    delta's cycle type, so one gamma per Z-orbit is solved.  Within
+    its coset, two betas are one class exactly when an element of Z
+    fixing gamma conjugates one to the other, that is when their
+    canonical keys are equal; betas of different cosets never share
+    a key.  Returns (canonical key, canonical pair) triples.
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
@@ -147,28 +152,31 @@ def _enumerate_alpha_class(
     ai_rotations = cycle_rotations(ai)
 
     out = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()  # gammas of the orbits solved
     for gw in class_words(target_parts, degree):
+        if gw in seen:
+            continue
         dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
         if cycle_lengths(dw) != alpha_parts:
             continue
+        # sweep the whole centralizer orbit of this gamma
+        orbit = [gw]
+        seen.add(gw)
+        for cur in orbit:
+            for z in zgens:
+                img = [0] * degree
+                for i in range(degree):
+                    img[z[i]] = z[cur[i]]
+                t = tuple(img)
+                if t not in seen:
+                    seen.add(t)
+                    orbit.append(t)
+        coset: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for bw in conjugators_onto(dw, ai_rotations):
-            if bw in seen or not words_transitive(aw, bw):
-                continue
-            # sweep the whole centralizer orbit of this beta
-            orbit = [bw]
-            seen.add(bw)
-            for cur in orbit:
-                for z in zgens:
-                    img = [0] * degree
-                    for i in range(degree):
-                        img[z[i]] = z[cur[i]]
-                    t = tuple(img)
-                    if t not in seen:
-                        seen.add(t)
-                        orbit.append(t)
-            ca, cb = canonical_form(aw, bw)
-            out.append((encode_pair(ca, cb), ca, cb))
+            if words_transitive(aw, bw):
+                ca, cb = canonical_form(aw, bw)
+                coset.setdefault(encode_pair(ca, cb), (ca, cb))
+        out.extend((key, ca, cb) for key, (ca, cb) in coset.items())
     return out
 
 

@@ -270,8 +270,15 @@ def _arf(rows: list[int], q: list[int], genus: int) -> int:
     """Greedy symplectic reduction; returns sum of q(a_i) q(b_i) mod 2.
 
     ``rows`` is a symmetric pairing with zero diagonal as int rows.
-    Adding cycle src to cycle dst adds row src to row dst and column
-    src to column dst, so the form stays symmetric.
+    Adding cycle src to cycle dst adds row src to row dst; columns are
+    not updated, so row i pairs the current cycle i with the original
+    cycles j.  That is still the pairing with the current cycle j
+    wherever it is read: every read is of an active row at a column
+    that is active or in the current pair, such a cycle j differs from
+    the original only by cycles of earlier pairs, and active rows end
+    each step orthogonal to the pair just taken, and so to every
+    earlier pair.  The diagonal stays zero too, whether z gets x, y or
+    both added.
     """
     n = len(q)
     b = rows[:]
@@ -283,10 +290,6 @@ def _arf(rows: list[int], q: list[int], genus: int) -> int:
     def add(dst: int, src: int) -> None:
         qv[dst] ^= qv[src] ^ (b[dst] >> src & 1)
         b[dst] ^= b[src]
-        src_bit, dst_bit = 1 << src, 1 << dst
-        for m in range(n):
-            if b[m] & src_bit:
-                b[m] ^= dst_bit
 
     live = (1 << n) - 1  # the bits of ``active``
     while True:

@@ -223,7 +223,7 @@ def _orbit_size(aw, bw) -> int:
 
 FROBENIUS_CENSUSES = [
     (d, mu) for d in range(3, 8) for mu in strata_at(d)
-] + [(8, (2,)), (8, (3, 1))]
+] + [(8, (2,)), (8, (3, 1)), (9, (4,)), (10, (4,))]
 
 
 @pytest.mark.parametrize("d,mu", FROBENIUS_CENSUSES)

@@ -189,7 +189,7 @@ class TestMatrixReference:
         # Random alternating forms of every rank, not only the
         # pairings of surfaces.
         rng = random.Random(8)
-        for _ in range(2000):
+        for _ in range(20000):
             n = rng.randrange(1, 12)
             matrix = [[0] * n for _ in range(n)]
             for i in range(n):
