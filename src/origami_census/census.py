@@ -171,12 +171,13 @@ def _enumerate_alpha_class(
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        coset: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        coset = {}
         for bw in conjugators_onto(dw, ai_rotations):
             if words_transitive(aw, bw):
                 ca, cb = canonical_form(aw, bw)
-                coset.setdefault(encode_pair(ca, cb), (ca, cb))
-        out.extend((key, ca, cb) for key, (ca, cb) in coset.items())
+                key = encode_pair(ca, cb)
+                coset[key] = (key, ca, cb)
+        out.extend(coset.values())
     return out
 
 

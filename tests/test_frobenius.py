@@ -232,9 +232,3 @@ def test_census_labelings_match_frobenius(d, mu, census_of):
     assert census.n_classes > 0
     nu = tuple(sorted((m + 1 for m in mu), reverse=True))
     assert weighted_labelings(census) == transitive_count(d, nu)
-
-
-def test_automorphisms_of_a_single_zero_cover_are_trivial(census_of):
-    # a translation fixing the only zero is the identity
-    for o in census_of(7, (6,)):
-        assert automorphism_count(o.alpha.word, o.beta.word) == 1
