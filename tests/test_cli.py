@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 
@@ -160,6 +161,77 @@ def test_orbits_golden_output_without_asserts(tmp_path):
     assert b"cache write" in proc.stderr
     digest = hashlib.sha256(proc.stdout).hexdigest()
     assert digest == ORBIT_GOLDEN_SHA256[(6, "4")]
+
+
+# sha256 of stdout for every command and format, fresh cache, one
+# worker.  Covers an empty census, undefined parity, a surface with no
+# compatible involution, a 3x2 cylinder, every `limits` scope, a row
+# whose slope is n/a and a sweep cut short by --budget.  `classify`
+# has no CSV form and prints its text for --format csv.
+CLI_GOLDEN_SHA256 = {
+    ("census --degree 5 --mu 4", "text"): "91f82f88c15b54ba417fb755cb86fcff68d216c799be2171206cb0a68c8907bc",
+    ("census --degree 5 --mu 4", "json"): "68d7ef9a71a51cace914d992ea23e035372a9ee2a235792c7a89002dd4aeeb98",
+    ("census --degree 5 --mu 4", "csv"): "062dfe45f0403b351ede32186d55d8267220384a576f58fc04e3437e709a5bfd",
+    ("census --degree 6 --mu 3,1", "text"): "f463686adc43bd8d01f0efc14fbd8a8c1900ee4369946e06d8756d783c5aeace",
+    ("census --degree 6 --mu 3,1", "json"): "1f9225522536589e0ef312637f78d3cf453e986d593990f4e233e3f5a36c76e9",
+    ("census --degree 6 --mu 3,1", "csv"): "c57a1d4a8c8bf0e10bf1954f6f10c4d00fc9cdf9c0c68c30ed896087b042f680",
+    ("census --degree 2 --mu 2", "text"): "379eacbd3de583360411b411799dfc939f5d3d51f2653e72efa4e556784dfb91",
+    ("census --degree 2 --mu 2", "json"): "89aeca28dd7a3725ec1ba38d1f0ec335e6fedfc77fea550bfce67352fc73d171",
+    ("census --degree 2 --mu 2", "csv"): "42a477be6b1304e9ba87312bb0eab70c658c1089463eb9f2507c45fef4c738aa",
+    ("orbits --degree 5 --mu 4", "text"): "879d46eb75ccabc1bebba99818b875cd001afeec3d8002bc74af61ee878341b6",
+    ("orbits --degree 5 --mu 4", "json"): "6d2bab62d4da1c22c33acd77bb0aac6ce1ecb738d6fca4302fbe0868619fdf9f",
+    ("orbits --degree 5 --mu 4", "csv"): "c00164f34c1d0099c5a4c97f400f02efd0f7885cc1868c753403e63264d8ec33",
+    ("orbits --degree 6 --mu 3,1", "text"): "5613d4e71fa105f83380b143ec5d464804dfc3d9a88b2a05b36ffa1ddb81289e",
+    ("orbits --degree 6 --mu 3,1", "json"): "83d1a8180d416fd56c766a466207a7e8d1879faf95c18cfd14f9862f5d3510a3",
+    ("orbits --degree 6 --mu 3,1", "csv"): "36da3ecb9d4fd5d8a5107a8e39e4124791d29d5ae2c012fc4ffe450f765ba6ec",
+    ("orbits --degree 2 --mu 2", "text"): "1ccdd65cbe57e0cbc0cdeccc773d9b3e068ba99a0f78a8fd308b7fde65afc093",
+    ("orbits --degree 2 --mu 2", "json"): "979166d7892830974525aef94b6167674629e8ac6e3ca3f4581da904729c7484",
+    ("orbits --degree 2 --mu 2", "csv"): "114539e66c9f9032e8cbe9f92bc4d8eb5af151502da3941a2f4bb006e2978d2d",
+    ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "text"): "5c70d61eb7f7d711ec0d39be98b3441f89c31303512fad04f8317e4c48ae93c2",
+    ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "json"): "735e7016a2cae9c4e0eb653b9a5e3aa54ac6bfa9a82c54af8cd21c16ca9b6b4e",
+    ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "csv"): "5c70d61eb7f7d711ec0d39be98b3441f89c31303512fad04f8317e4c48ae93c2",
+    ('classify --alpha "(1,2,4)(3,5,6)" --beta "(1,3)(2,5,4,6)"', "text"): "84634a9939e990f5944ce8a4079f784f8b8d05cc37357680aa025ad6d0dd45f8",
+    ('classify --alpha "(1,2,4)(3,5,6)" --beta "(1,3)(2,5,4,6)"', "json"): "44743eb94eff45623fcd605a57ba1992890785747e75709f084a1985919b9abb",
+    ('classify --alpha "(1,2,4)(3,5,6)" --beta "(1,3)(2,5,4,6)"', "csv"): "84634a9939e990f5944ce8a4079f784f8b8d05cc37357680aa025ad6d0dd45f8",
+    ('classify --alpha "(1)(2,3)(4)(5,6)" --beta "(1,2)(3,4,5)(6)"', "text"): "c844f37b9004a6bbf0e682eb2af07a5d81aaaaccdb073bf647cf687dffd49a47",
+    ('classify --alpha "(1)(2,3)(4)(5,6)" --beta "(1,2)(3,4,5)(6)"', "json"): "1ef06fe97b7ffebd031dff953305b5752edadc5a841590a36bed60751ac5d543",
+    ('classify --alpha "(1)(2,3)(4)(5,6)" --beta "(1,2)(3,4,5)(6)"', "csv"): "c844f37b9004a6bbf0e682eb2af07a5d81aaaaccdb073bf647cf687dffd49a47",
+    ("limits --mu 2 --dmax 5", "text"): "7dbd4ba988ceb04147ee013620236529f3cc2205ebbf0ecba597c62b3a655301",
+    ("limits --mu 2 --dmax 5", "json"): "1ad14e3b6db5d9920e0065cbde88e02093252b1ea9f35bef1066274f89e47b2e",
+    ("limits --mu 2 --dmax 5", "csv"): "6cd53a0ff44fbb9078e3cc51499c26f0be0b9df915d3c3fab2e2bb871cbbb12f",
+    ("limits --mu 4 --dmax 6 --scope classes", "text"): "8d0da417cf47cbe7b9f51ef9b472ea76bc51e9a1bd95e8808d400381506c4259",
+    ("limits --mu 4 --dmax 6 --scope classes", "json"): "e280fc6a807a9229ebe0a70f158c7e56189fff38b5b7909e4bc8c15031c55635",
+    ("limits --mu 4 --dmax 6 --scope classes", "csv"): "c3ec701549609be193c2cbf8724fa21846591662e8681126e6d26e30cc80c359",
+    ("limits --mu 4 --dmax 6 --scope hyperelliptic", "text"): "0e6c817450cfaf17acdeff279ee9d927029469cc6e77134bbf0b554900107c8a",
+    ("limits --mu 4 --dmax 6 --scope hyperelliptic", "json"): "bde21701a21e084b0c3fb64cb42d63bf69b64bf1340b5a94676ebd871c9d9694",
+    ("limits --mu 4 --dmax 6 --scope hyperelliptic", "csv"): "4566e63e5241cb714023a952a8b5e05bc8f1b32a7fdf842b4a6f49e19ed77580",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "text"): "7c220d39ee9426a55e2fe48bb0d145833265984f13f382a8245cd56fc6f962d1",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "json"): "e4808727a04dfb3c4214a57da7ea1c205d76c7816b813a74aa03f2608c41af76",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "csv"): "feaa4423e21b4d93fb362d759e91de41d12174efb926e6e13abb251b0b439437",
+    ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "text"): "4ee77976aad2d7596958b0111cc512e7e3b6b54b51fb6fafe0c07005bcfcd216",
+    ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "json"): "c8c617090e70d0b02e162cd9f87c58eb22c96f565cd4e91bf8804adadcbf7343",
+    ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "csv"): "86d66e2e9fb7dc2447ce3ee93a946b149f70631bd52dc40b5be825e390e47209",
+    ("limits --mu 2 --dmax 6 --budget 20", "text"): "01399101e393e506ef68b1c1de7add26d0626cb02680b17f1af95c35cd70b05c",
+    ("limits --mu 2 --dmax 6 --budget 20", "json"): "6a56d0d2712d2e23376da36ed096402efc3bc407b1d25c7196341aadaad0c279",
+    ("limits --mu 2 --dmax 6 --budget 20", "csv"): "ca4cfbe19ba0be1e6652cbff5aa0a76620760947a23908a60d8d70c400f7251d",
+    ("table --genus 3", "text"): "6098d45b181f8e4d21bd713f26ab502b93418c543427f4cdba93eaf2a732b15a",
+    ("table --genus 3", "json"): "b1a6c211ba1b9c23d182fc495d5d923e313aaae1a24d524ad4839b4197b859ee",
+    ("table --genus 3", "csv"): "8a3699a297b142018a7cf613e5753916da90331052eee2c49a38c08372eaf737",
+    ("table --genus 4 --mu 6", "text"): "2f10d61e7bf1021cda3f9db5f6f2befcfacec07bc27dab73bf9d2be472f939d2",
+    ("table --genus 4 --mu 6", "json"): "b24ed0e9a39c2101e4a7a3290e3fc8ec4bdb37cdf75dafcfdecd67d40674f0a8",
+    ("table --genus 4 --mu 6", "csv"): "387ab91bed13415a3313b7bbd152f63c52438693c834439f2e170643abf860e8",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(CLI_GOLDEN_SHA256))
+def test_cli_golden_output(capsys, tmp_path, command, fmt):
+    code, out, _ = run(
+        capsys, *shlex.split(command), "--format", fmt, "--workers", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CLI_GOLDEN_SHA256[(command, fmt)]
 
 
 class TestClassifyCommand:
