@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,14 +26,9 @@ from .census import (
     save_census,
 )
 from .involutions import find_anti_involutions, is_hyperelliptic
-from .limits import (
-    reference_rows,
-    row_slope,
-    stratum_constants,
-    sweep,
-)
-from .orbits import ComponentSummary, decompose
-from .perm import perm_from_cycles
+from .limits import reference_rows, row_slope, stratum_constants, sweep
+from .orbits import decompose
+from .perm import DegreeMismatchError, perm_from_cycles
 from .spin import ParityUndefinedError, spin_parity
 from .surface import (
     OrigamiError,
@@ -121,119 +116,122 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def frac_text(x: Fraction) -> str:
+def frac_text(x: Fraction | None) -> str:
     """Exact value plus a clearly approximate 6-place decimal."""
+    if x is None:
+        return "n/a"
     return f"{frac_str(x)} (~{float(x):.6f})"
 
 
-def emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def num_den(x: Fraction | None) -> tuple:
+    """The two CSV cells of a fraction; both empty when it is undefined."""
+    return (None, None) if x is None else (x.numerator, x.denominator)
+
+
+def emit(
+    cfg: RunConfig, doc, text: list[str], csv_header: str | None = None, csv_rows=()
+) -> None:
+    """Write one result in the chosen format; the only reader of cfg.fmt.
+
+    JSON is ``doc`` with fractions as "p/q".  CSV is the header and one
+    line per row of cells, None as an empty cell; a command without a
+    CSV header prints its text.  Text is one line per item.
+    """
+    if cfg.fmt == "json":
+        # Streamed: an encoded copy of a large report beside doc adds to peak RSS.
+        json.dump(doc, sys.stdout, sort_keys=True, default=frac_str)
+        print()
+        return
+    if cfg.fmt == "csv" and csv_header is not None:
+        text = [csv_header]
+        text += [
+            ",".join("" if c is None else str(c) for c in row) for row in csv_rows
+        ]
+    for line in text:
+        print(line)
+
+
+def census_from_args(args, cfg: RunConfig) -> Census:
+    stratum = parse_mu(args.mu)
+    if args.degree < 1:
+        raise UsageError("degree must be positive")
+    return get_census(cfg, args.degree, stratum)
 
 
 # ---------------------------------------------------------------- census
 
 
-def cmd_census(args, cfg: RunConfig) -> int:
-    stratum = parse_mu(args.mu)
-    census = get_census(cfg, args.degree, stratum)
-    m = census.total_weight
-    if cfg.fmt == "json":
-        emit(
-            json.dumps(
-                {
-                    "degree": census.degree,
-                    "mu": list(stratum.mu),
-                    "n": census.n_classes,
-                    "m": frac_str(m),
-                },
-                sort_keys=True,
-            )
-        )
-    elif cfg.fmt == "csv":
-        emit("degree,mu,n,m_num,m_den")
-        mu_tag = " ".join(str(x) for x in stratum.mu)
-        emit(
-            f"{census.degree},{mu_tag},{census.n_classes},"
-            f"{m.numerator},{m.denominator}"
-        )
-    else:
-        emit(
-            f"d={census.degree} mu={stratum} N={census.n_classes} "
-            f"M={frac_text(m)}"
-        )
-    return 0
+def cmd_census(args, cfg: RunConfig) -> None:
+    c = census_from_args(args, cfg)
+    m, mu = c.total_weight, c.stratum.mu
+    emit(
+        cfg,
+        {"degree": c.degree, "mu": list(mu), "n": c.n_classes, "m": m},
+        [f"d={c.degree} mu={c.stratum} N={c.n_classes} M={frac_text(m)}"],
+        "degree,mu,n,m_num,m_den",
+        [(c.degree, " ".join(map(str, mu)), c.n_classes, *num_den(m))],
+    )
 
 
 # ---------------------------------------------------------------- orbits
 
 
-def _component_dict(comp: ComponentSummary) -> dict:
-    return {
-        "component_id": comp.component_id,
-        "size": comp.n_classes,
-        "n": comp.n_classes,
-        "m": frac_str(comp.total_weight),
-        "slope": frac_str(comp.slope),
-        "hyperelliptic": comp.hyperelliptic,
-        "parity": comp.parity,
-        "cusp_count": comp.cusp_count,
-        "member_keys": [k.hex() for k in comp.member_keys],
-    }
-
-
-def cmd_orbits(args, cfg: RunConfig) -> int:
-    stratum = parse_mu(args.mu)
-    census = get_census(cfg, args.degree, stratum)
+def cmd_orbits(args, cfg: RunConfig) -> None:
+    census = census_from_args(args, cfg)
     components = decompose(census) if census.n_classes else []
-    if cfg.fmt == "json":
-        emit(
-            json.dumps(
-                {
-                    "degree": census.degree,
-                    "mu": list(stratum.mu),
-                    "n": census.n_classes,
-                    "m": frac_str(census.total_weight),
-                    "components": [_component_dict(c) for c in components],
-                },
-                sort_keys=True,
-            )
+    doc = {
+        "degree": census.degree,
+        "mu": list(census.stratum.mu),
+        "n": census.n_classes,
+        "m": census.total_weight,
+        "components": [
+            {
+                "component_id": c.component_id,
+                "size": c.n_classes,
+                "n": c.n_classes,
+                "m": c.total_weight,
+                "slope": c.slope,
+                "hyperelliptic": c.hyperelliptic,
+                "parity": c.parity,
+                "cusp_count": c.cusp_count,
+                "member_keys": [k.hex() for k in c.member_keys],
+            }
+            for c in components
+        ],
+    }
+    text = [
+        f"d={census.degree} mu={census.stratum} N={census.n_classes} "
+        f"M={frac_text(census.total_weight)} components={len(components)}"
+    ]
+    for c in components:
+        parity = "-" if c.parity is None else ("odd" if c.parity else "even")
+        text.append(
+            f"  component {c.component_id}: size={c.n_classes} "
+            f"M={frac_text(c.total_weight)} slope={frac_text(c.slope)} "
+            f"hyperelliptic={'yes' if c.hyperelliptic else 'no'} "
+            f"parity={parity} cusps={c.cusp_count}"
         )
-    elif cfg.fmt == "csv":
-        emit(
-            "component_id,size,n,m_num,m_den,slope_num,slope_den,"
-            "hyperelliptic,parity,cusp_count"
-        )
-        for c in components:
-            parity = "" if c.parity is None else c.parity
-            emit(
-                f"{c.component_id},{c.n_classes},{c.n_classes},"
-                f"{c.total_weight.numerator},{c.total_weight.denominator},"
-                f"{c.slope.numerator},{c.slope.denominator},"
-                f"{str(c.hyperelliptic).lower()},{parity},{c.cusp_count}"
+    emit(
+        cfg,
+        doc,
+        text,
+        "component_id,size,n,m_num,m_den,slope_num,slope_den,"
+        "hyperelliptic,parity,cusp_count",
+        [
+            (
+                c.component_id, c.n_classes, c.n_classes,
+                *num_den(c.total_weight), *num_den(c.slope),
+                str(c.hyperelliptic).lower(), c.parity, c.cusp_count,
             )
-    else:
-        emit(
-            f"d={census.degree} mu={stratum} N={census.n_classes} "
-            f"M={frac_text(census.total_weight)} "
-            f"components={len(components)}"
-        )
-        for c in components:
-            parity = "-" if c.parity is None else ("odd" if c.parity else "even")
-            emit(
-                f"  component {c.component_id}: size={c.n_classes} "
-                f"M={frac_text(c.total_weight)} slope={frac_text(c.slope)} "
-                f"hyperelliptic={'yes' if c.hyperelliptic else 'no'} "
-                f"parity={parity} cusps={c.cusp_count}"
-            )
-    return 0
+            for c in components
+        ],
+    )
 
 
 # ---------------------------------------------------------------- classify
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
+def cmd_classify(args, cfg: RunConfig) -> None:
     try:
         alpha = perm_from_cycles(args.alpha)
         beta = perm_from_cycles(args.beta)
@@ -241,198 +239,143 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         raise UsageError(f"bad permutation: {exc}") from exc
     try:
         o = make_origami(alpha, beta)
-    except OrigamiError as exc:
+    except (OrigamiError, DegreeMismatchError) as exc:
         raise UsageError(str(exc)) from exc
 
     try:
         parity = spin_parity(o)
     except ParityUndefinedError:
         parity = None
-    involutions = [
-        {
-            "tau": str(r.tau),
-            "square_centers": r.square_centers,
-            "vertical_edges": r.vertical_edges,
-            "horizontal_edges": r.horizontal_edges,
-            "regular_vertices": r.regular_vertices,
-            "fixed_zeros": r.fixed_zeros,
-            "total_fixed": r.total_fixed,
-        }
-        for r in find_anti_involutions(o)
-    ]
-    report = {
+    involutions = find_anti_involutions(o)
+    doc = {
         "degree": o.degree,
         "alpha": str(o.alpha),
         "beta": str(o.beta),
         "mu": list(o.stratum.mu),
         "genus": o.genus,
-        "weight": frac_str(o.weight),
+        "weight": o.weight,
         "cylinders": horizontal_cylinders(o),
-        "involutions": involutions,
+        "involutions": [
+            {**asdict(r), "tau": str(r.tau), "total_fixed": r.total_fixed}
+            for r in involutions
+        ],
         "hyperelliptic": is_hyperelliptic(o),
         "parity": parity,
         "key": canonical_key(alpha, beta).hex(),
     }
-    if cfg.fmt == "json":
-        emit(json.dumps(report, sort_keys=True))
-    else:
-        emit(f"alpha = {o.alpha}")
-        emit(f"beta  = {o.beta}")
-        emit(f"mu = {o.stratum}, genus {o.genus}")
-        emit(f"weight = {frac_text(o.weight)}")
-        emit(
-            "cylinders = "
-            + " ".join(f"{w}x{h}" for w, h in horizontal_cylinders(o))
-        )
-        for r in involutions:
-            emit(
-                f"involution tau={r['tau']} fixes: centers={r['square_centers']} "
-                f"vertical={r['vertical_edges']} horizontal={r['horizontal_edges']} "
-                f"vertices={r['regular_vertices']} zeros={r['fixed_zeros']} "
-                f"total={r['total_fixed']}"
-            )
-        if not involutions:
-            emit("no compatible involutions")
-        emit(f"hyperelliptic = {'yes' if report['hyperelliptic'] else 'no'}")
-        emit(
-            "parity = "
-            + ("undefined" if parity is None else ("odd" if parity else "even"))
-        )
-        emit(f"key = {report['key']}")
-    return 0
+    text = [
+        f"alpha = {o.alpha}",
+        f"beta  = {o.beta}",
+        f"mu = {o.stratum}, genus {o.genus}",
+        f"weight = {frac_text(o.weight)}",
+        "cylinders = " + " ".join(f"{w}x{h}" for w, h in doc["cylinders"]),
+    ]
+    text += [
+        f"involution tau={r.tau} fixes: centers={r.square_centers} "
+        f"vertical={r.vertical_edges} horizontal={r.horizontal_edges} "
+        f"vertices={r.regular_vertices} zeros={r.fixed_zeros} "
+        f"total={r.total_fixed}"
+        for r in involutions
+    ]
+    if not involutions:
+        text.append("no compatible involutions")
+    text += [
+        f"hyperelliptic = {'yes' if doc['hyperelliptic'] else 'no'}",
+        "parity = "
+        + ("undefined" if parity is None else ("odd" if parity else "even")),
+        f"key = {doc['key']}",
+    ]
+    emit(cfg, doc, text)
 
 
 # ---------------------------------------------------------------- limits
 
 
-def _sweep_csv_rows(report, stratum) -> list[str]:
-    lines = [
-        "stratum,component_label,d,N,M_num,M_den,slope_num,slope_den"
-    ]
-    mu_tag = " ".join(str(x) for x in stratum.mu)
-    for r in report.rows:
-        slope = row_slope(r, stratum)
-        s_num = slope.numerator if slope is not None else ""
-        s_den = slope.denominator if slope is not None else ""
-        lines.append(
-            f"{mu_tag},{r.label},{r.degree},{r.n_classes},"
-            f"{r.total_weight.numerator},{r.total_weight.denominator},"
-            f"{s_num},{s_den}"
-        )
-    return lines
-
-
-def cmd_limits(args, cfg: RunConfig) -> int:
-    if args.table or args.genus is not None:
-        if args.genus is None:
-            raise UsageError("--table requires --genus")
-        return _emit_table(args.genus, cfg, mu_filter=args.mu)
-    if args.mu is None:
-        raise UsageError("limits needs --mu with --dmax, or --genus --table")
+def cmd_limits(args, cfg: RunConfig) -> None:
     stratum = parse_mu(args.mu)
-    if args.dmax is None:
-        raise UsageError("limits --mu needs --dmax")
     report = sweep(
         stratum,
         args.dmax,
         scope=args.scope,
         provider=lambda d, s: get_census(cfg, d, s),
     )
-    if cfg.fmt == "json":
-        rows = [
+    rows = [(r, row_slope(r, stratum)) for r in report.rows]
+    doc = {
+        "mu": list(stratum.mu),
+        "scope": report.scope,
+        "rows": [
             {
                 "d": r.degree,
                 "scope": r.scope,
                 "label": r.label,
                 "n": r.n_classes,
-                "m": frac_str(r.total_weight),
-                "ratio": frac_str(r.ratio) if r.ratio is not None else None,
-                "slope": (
-                    frac_str(row_slope(r, stratum))
-                    if row_slope(r, stratum) is not None
-                    else None
-                ),
+                "m": r.total_weight,
+                "ratio": r.ratio,
+                "slope": slope,
             }
-            for r in report.rows
-        ]
-        emit(
-            json.dumps(
-                {
-                    "mu": list(stratum.mu),
-                    "scope": report.scope,
-                    "rows": rows,
-                    "truncated_at": report.truncated_at,
-                },
-                sort_keys=True,
-            )
+            for r, slope in rows
+        ],
+        "truncated_at": report.truncated_at,
+    }
+    text = [f"mu={stratum} scope={report.scope} kappa={frac_text(stratum.kappa)}"]
+    consts = stratum_constants(stratum)
+    if consts.exact_s is not None:
+        text.append(
+            f"exact hyperelliptic values: c={frac_text(consts.exact_c)} "
+            f"L={frac_text(consts.exact_l)} s={frac_text(consts.exact_s)}"
         )
-    elif cfg.fmt == "csv":
-        lines = _sweep_csv_rows(report, stratum)
-        if report.truncated_at is not None:
-            lines.append(f"# truncated at degree {report.truncated_at}")
-        emit("\n".join(lines))
-    else:
-        emit(f"mu={stratum} scope={report.scope} kappa={frac_text(stratum.kappa)}")
-        consts = stratum_constants(stratum)
-        if consts.exact_s is not None:
-            emit(
-                f"exact hyperelliptic values: c={frac_text(consts.exact_c)} "
-                f"L={frac_text(consts.exact_l)} s={frac_text(consts.exact_s)}"
-            )
-        for r in report.rows:
-            slope = row_slope(r, stratum)
-            ratio = frac_text(r.ratio) if r.ratio is not None else "n/a"
-            emit(
-                f"  d={r.degree} [{r.label}] N={r.n_classes} "
-                f"M={frac_text(r.total_weight)} M/N={ratio} "
-                f"slope={frac_text(slope) if slope is not None else 'n/a'}"
-            )
-        if report.truncated_at is not None:
-            emit(f"  truncated at degree {report.truncated_at} (budget)")
-    return 0
+    text += [
+        f"  d={r.degree} [{r.label}] N={r.n_classes} "
+        f"M={frac_text(r.total_weight)} M/N={frac_text(r.ratio)} "
+        f"slope={frac_text(slope)}"
+        for r, slope in rows
+    ]
+    csv_rows = [
+        (
+            " ".join(map(str, stratum.mu)), r.label, r.degree, r.n_classes,
+            *num_den(r.total_weight), *num_den(slope),
+        )
+        for r, slope in rows
+    ]
+    if report.truncated_at is not None:
+        text.append(f"  truncated at degree {report.truncated_at} (budget)")
+        csv_rows.append((f"# truncated at degree {report.truncated_at}",))
+    emit(
+        cfg,
+        doc,
+        text,
+        "stratum,component_label,d,N,M_num,M_den,slope_num,slope_den",
+        csv_rows,
+    )
 
 
-def _emit_table(genus: int, cfg: RunConfig, mu_filter: str | None = None) -> int:
+# ---------------------------------------------------------------- table
+
+
+def cmd_table(args, cfg: RunConfig) -> None:
     try:
-        rows = reference_rows(genus)
+        rows = reference_rows(args.genus)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if mu_filter is not None:
-        mu = parse_mu(mu_filter).mu
+    if args.mu is not None:
+        mu = parse_mu(args.mu).mu
         rows = [r for r in rows if r.mu == mu]
-    if cfg.fmt == "json":
-        emit(
-            json.dumps(
-                [
-                    {
-                        "genus": r.genus,
-                        "mu": list(r.mu),
-                        "label": r.label,
-                        "slope": frac_str(r.slope),
-                    }
-                    for r in rows
-                ],
-                sort_keys=True,
-            )
+    text = []
+    for r in rows:
+        mu = "(" + ",".join(str(x) for x in r.mu) + ")"
+        text.append(
+            f"genus {r.genus}  mu={mu:<20} {r.label:<7} s={frac_text(r.slope)}"
         )
-    elif cfg.fmt == "csv":
-        lines = ["genus,mu,label,s_num,s_den"]
-        for r in rows:
-            mu_tag = " ".join(str(x) for x in r.mu)
-            lines.append(
-                f"{r.genus},{mu_tag},{r.label},"
-                f"{r.slope.numerator},{r.slope.denominator}"
-            )
-        emit("\n".join(lines))
-    else:
-        for r in rows:
-            mu = "(" + ",".join(str(x) for x in r.mu) + ")"
-            emit(f"genus {r.genus}  mu={mu:<20} {r.label:<7} s={frac_text(r.slope)}")
-    return 0
-
-
-def cmd_table(args, cfg: RunConfig) -> int:
-    return _emit_table(args.genus, cfg, mu_filter=args.mu)
+    emit(
+        cfg,
+        [
+            {"genus": r.genus, "mu": list(r.mu), "label": r.label, "slope": r.slope}
+            for r in rows
+        ],
+        text,
+        "genus,mu,label,s_num,s_den",
+        [(r.genus, " ".join(map(str, r.mu)), r.label, *num_den(r.slope)) for r in rows],
+    )
 
 
 # ---------------------------------------------------------------- main
@@ -487,15 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("limits", parents=[common], help="slope sweeps and limits")
-    p.add_argument("--mu")
-    p.add_argument("--dmax", type=int)
+    p.add_argument("--mu", required=True)
+    p.add_argument("--dmax", type=int, required=True)
     p.add_argument(
         "--scope",
         choices=("stratum", "hyperelliptic", "classes"),
         default="stratum",
     )
-    p.add_argument("--genus", type=int)
-    p.add_argument("--table", action="store_true", help="print reference rows")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("table", parents=[common], help="reference slope table")
@@ -507,28 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     cfg = RunConfig(
         fmt=args.format,
         cache_dir=args.cache_dir or default_cache_dir(),
         workers=max(1, args.workers),
         budget=args.budget,
     )
-    if args.budget is not None and args.budget < 1:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     try:
-        return args.func(args, cfg)
+        if args.budget is not None and args.budget < 1:
+            raise UsageError("--budget must be positive")
+        args.func(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceBudgetError as exc:
+    except (
+        ResourceBudgetError, OrigamiError, CensusFileError, OSError, RuntimeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OrigamiError, CensusFileError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

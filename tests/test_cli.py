@@ -50,6 +50,20 @@ class TestCensusCommand:
             "degree": 5, "mu": [4], "n": 40, "m": "258/5",
         }
 
+    @pytest.mark.parametrize("command", ["census", "orbits"])
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_nonpositive_degree_is_usage_error(
+        self, capsys, tmp_path, command, degree
+    ):
+        code, out, err = run(
+            capsys, command, "--degree", degree, "--mu", "2",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree must be positive\n"
+        assert not list(tmp_path.iterdir())
+
     def test_budget_exceeded_exits_one_without_partial_file(
         self, capsys, tmp_path
     ):
@@ -260,6 +274,15 @@ class TestClassifyCommand:
         assert code == 2
         assert "disconnected" in err
 
+    def test_degree_mismatch_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "classify", "--alpha", "(1,2)", "--beta", "(1,2,3)",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree mismatch: 2 vs 3\n"
+
 
 class TestLimitsCommand:
     def test_sweep_shows_forced_ratio(self, capsys, tmp_path):
@@ -274,7 +297,7 @@ class TestLimitsCommand:
 
     def test_reference_table_genus3(self, capsys, tmp_path):
         code, out, _ = run(
-            capsys, "limits", "--genus", "3", "--table",
+            capsys, "table", "--genus", "3",
             "--cache-dir", str(tmp_path), "--format", "json",
         )
         assert code == 0
@@ -285,11 +308,23 @@ class TestLimitsCommand:
 
     def test_genus_outside_table(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "limits", "--genus", "9", "--table",
+            capsys, "table", "--genus", "9",
             "--cache-dir", str(tmp_path),
         )
         assert code == 2
         assert "outside table range" in err
+
+    @pytest.mark.parametrize("sweep_args", [(), ("--mu", "2", "--dmax", "5")])
+    def test_table_options_are_gone(self, capsys, tmp_path, sweep_args):
+        # `table --genus` is the one reference-table command.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "limits", *sweep_args, "--genus", "3", "--table",
+                "--cache-dir", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_csv_columns(self, capsys, tmp_path):
         code, out, _ = run(
