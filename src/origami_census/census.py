@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Iterator
 
 from .perm import (
     CycleType,
@@ -21,6 +22,7 @@ from .perm import (
     centralizer_generators,
     class_representative,
     class_words,
+    commutator_word,
     conjugators_onto,
     cycle_lengths,
     cycle_rotations,
@@ -32,11 +34,11 @@ from .surface import (
     Origami,
     StratumSignature,
     canonical_form,
-    canonical_key,
+    decode_pair,
     encode_pair,
-    make_origami,
-    to_record,
-    from_record,
+    record_words,
+    weight_of_parts,
+    words_record,
 )
 
 SCHEMA_VERSION = 1
@@ -65,26 +67,38 @@ class CensusSchemaError(CensusFileError):
 
 
 class Census:
-    """All classes for one (degree, stratum), keyed by canonical key."""
+    """All classes for one (degree, stratum), held as sorted canonical keys.
+
+    A key is ``encode_pair`` of the class's canonical pair, so it holds
+    the member's words; the commutator type and the stratum are shared
+    by every member and stored once.  ``members`` maps each key to its
+    member, built as an :class:`Origami` when read and not kept.
+    """
 
     def __init__(self, degree: int, stratum: StratumSignature,
-                 members: dict[bytes, Origami]):
+                 keys: Iterable[bytes]):
         self.degree = degree
         self.stratum = stratum
-        self.members = dict(sorted(members.items()))
-        self.n_classes = len(self.members)
-        self.total_weight = sum(
-            (o.weight for o in self.members.values()), Fraction(0)
-        )
+        self.commutator_type = target_class(degree, stratum)
+        self._keys = sorted(keys)
+        self.members = CensusMembers(self)
+        self.n_classes = len(self._keys)
+        self.total_weight = weight_of_keys(self._keys, degree)
+
+    def member(self, aw: tuple[int, ...], bw: tuple[int, ...]) -> Origami:
+        """The member whose canonical pair is (aw, bw), a pair of this
+        census that is not checked again."""
+        return Origami(Perm(aw), Perm(bw), self.commutator_type, self.stratum)
 
     def __len__(self) -> int:
         return self.n_classes
 
     def __iter__(self) -> Iterator[Origami]:
-        return iter(self.members.values())
+        d = self.degree
+        return (self.member(*decode_pair(k, d)) for k in self._keys)
 
     def keys(self) -> list[bytes]:
-        return list(self.members)
+        return list(self._keys)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Census):
@@ -92,7 +106,7 @@ class Census:
         return (
             self.degree == other.degree
             and self.stratum == other.stratum
-            and self.keys() == other.keys()
+            and self._keys == other._keys
         )
 
     def __repr__(self) -> str:
@@ -100,6 +114,43 @@ class Census:
             f"Census(d={self.degree}, mu={self.stratum}, "
             f"N={self.n_classes}, M={self.total_weight})"
         )
+
+
+class CensusMembers(Mapping):
+    """Read-only view of a census: canonical key -> member, in key order."""
+
+    def __init__(self, census: Census):
+        self._census = census
+
+    def __getitem__(self, key: bytes) -> Origami:
+        if key not in self:
+            raise KeyError(key)
+        return self._census.member(*decode_pair(key, self._census.degree))
+
+    def __contains__(self, key) -> bool:
+        if not isinstance(key, bytes):
+            return False
+        keys = self._census._keys
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._census._keys)
+
+    def __len__(self) -> int:
+        return self._census.n_classes
+
+
+def weight_of_keys(keys: Iterable[bytes], degree: int) -> Fraction:
+    """Total weight of the members with these keys.
+
+    A member's weight depends only on the cycle type of its alpha, so
+    one weight is computed per type.
+    """
+    counts = Counter(cycle_lengths(decode_pair(k, degree)[0]) for k in keys)
+    return sum(
+        (n * weight_of_parts(parts) for parts, n in counts.items()), Fraction(0)
+    )
 
 
 def target_class(degree: int, stratum: StratumSignature) -> CycleType | None:
@@ -198,44 +249,54 @@ def enumerate_census(
     :class:`ResourceBudgetError` as soon as the alpha class that holds
     the extra member is read; alpha classes not yet started are then
     cancelled.  ``workers`` is clamped to the number of alpha classes
-    and of CPUs.
+    and of CPUs.  Every member is checked to be a transitive pair whose
+    commutator has the stratum's type.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
     target = target_class(degree, stratum)
     if target is None:
-        return Census(degree, stratum, {})
+        return Census(degree, stratum, ())
 
     tasks = [
         (degree, parts, target.parts) for parts in partitions_desc(degree)
     ]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    members: dict[bytes, Origami] = {}
+    pool = None
+    if workers > 1:
+        # Imported here: the import alone costs a one-worker run about
+        # 30 ms and 2.6 MB.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    keys: set[bytes] = set()
     try:
         mapper = pool.map if pool is not None else map
         for chunk in mapper(_class_task, tasks):
             for key, aw, bw in chunk:
-                if key in members:
+                if key in keys:
                     raise InvariantError(
                         f"canonical key {key.hex()} found twice"
                     )
-                o = make_origami(Perm(aw), Perm(bw))
-                if o.commutator_type != target or o.stratum != stratum:
+                if not words_transitive(aw, bw):
+                    raise InvariantError(
+                        f"key {key.hex()} is not a transitive pair"
+                    )
+                ctype = cycle_lengths(commutator_word(aw, bw))
+                if ctype != target.parts:
                     raise InvariantError(
                         f"key {key.hex()} has commutator type "
-                        f"{o.commutator_type} and stratum {o.stratum}, "
-                        f"expected {target} and {stratum}"
+                        f"{CycleType(degree, ctype)}, expected {target}"
                     )
-                members[key] = o
-                if budget is not None and len(members) > budget:
+                keys.add(key)
+                if budget is not None and len(keys) > budget:
                     raise ResourceBudgetError(
                         f"census exceeds budget of {budget} members"
                     )
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return Census(degree, stratum, members)
+    return Census(degree, stratum, keys)
 
 
 def brute_force_census(
@@ -254,9 +315,9 @@ def brute_force_census(
         )
     target = target_class(degree, stratum)
     if target is None:
-        return Census(degree, stratum, {})
+        return Census(degree, stratum, ())
 
-    members: dict[bytes, Origami] = {}
+    keys: set[bytes] = set()
     words = list(permutations(range(degree)))
     for aw in words:
         ai = inverse_word(aw)
@@ -267,50 +328,44 @@ def brute_force_census(
                 continue
             if not words_transitive(aw, bw):
                 continue
-            ca, cb = canonical_form(aw, bw)
-            key = encode_pair(ca, cb)
-            if key not in members:
-                members[key] = make_origami(Perm(ca), Perm(cb))
-    return Census(degree, stratum, members)
+            keys.add(encode_pair(*canonical_form(aw, bw)))
+    return Census(degree, stratum, keys)
+
+
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_census(census: Census, path: str | Path) -> None:
     """Write JSON lines: header, one record per member, totals trailer."""
-    path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "degree": census.degree,
-                "mu": list(census.stratum.mu),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for o in census:
-        lines.append(
-            json.dumps(to_record(o), sort_keys=True, separators=(",", ":"))
-        )
     m = census.total_weight
-    lines.append(
-        json.dumps(
-            {"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    d = census.degree
+    with open(path, "w", encoding="ascii") as f:
+        f.write(_json_line(
+            {"schema": SCHEMA_VERSION, "degree": d, "mu": list(census.stratum.mu)}
+        ))
+        for key in census.members:
+            f.write(_json_line(words_record(*decode_pair(key, d))))
+        f.write(_json_line(
+            {"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"}
+        ))
 
 
 def load_census(path: str | Path) -> Census:
-    """Read a census file back, verifying totals against the trailer."""
+    """Read a census file back, checking each record once, on its words.
+
+    A record's cycles must give a transitive pair of the header's
+    degree and commutator type that is its own canonical pair and comes
+    after the previous record in key order.  No ``Perm`` or ``Origami``
+    is built.  The class count and total weight must match the trailer.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
+    del text
     if len(lines) < 2:
         raise CensusCorruptError(f"{path}: truncated census file")
 
@@ -341,27 +396,37 @@ def load_census(path: str | Path) -> Census:
     if set(trailer) != {"n", "m"}:
         raise CensusCorruptError(f"{path}: missing totals trailer")
 
-    members: dict[bytes, Origami] = {}
-    prev_key: bytes | None = None
+    target = target_class(degree, stratum)
+    keys: list[bytes] = []
     for line in lines[1:-1]:
         rec = parse(line, "record")
         try:
-            o = from_record(rec)
+            aw, bw = record_words(rec)
+            # canonical_form raises DisconnectedCoverError, a ValueError,
+            # unless the pair is transitive.
+            canonical = canonical_form(aw, bw) == (aw, bw)
         except (KeyError, TypeError, ValueError) as exc:
             raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
-        if o.degree != degree or o.stratum != stratum:
+        if (
+            len(aw) != degree
+            or target is None
+            or cycle_lengths(commutator_word(aw, bw)) != target.parts
+        ):
             raise CensusSchemaError(
                 f"{path}: record does not match header degree/mu"
             )
-        key = canonical_key(o.alpha, o.beta)
-        if prev_key is not None and key <= prev_key:
+        if not canonical:
+            raise CensusSchemaError(
+                f"{path}: record is not its own canonical pair"
+            )
+        key = encode_pair(aw, bw)
+        if keys and key <= keys[-1]:
             raise CensusSchemaError(
                 f"{path}: records out of canonical-key order"
             )
-        prev_key = key
-        members[key] = o
+        keys.append(key)
 
-    census = Census(degree, stratum, members)
+    census = Census(degree, stratum, keys)
     m = census.total_weight
     if (
         trailer["n"] != census.n_classes

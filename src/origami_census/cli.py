@@ -358,8 +358,12 @@ def cmd_table(args, cfg: RunConfig) -> None:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.mu is not None:
-        mu = parse_mu(args.mu).mu
-        rows = [r for r in rows if r.mu == mu]
+        stratum = parse_mu(args.mu)
+        if stratum.genus != args.genus:
+            raise UsageError(
+                f"mu {stratum} has genus {stratum.genus}, not {args.genus}"
+            )
+        rows = [r for r in rows if r.mu == stratum.mu]
     text = []
     for r in rows:
         mu = "(" + ",".join(str(x) for x in r.mu) + ")"
@@ -452,10 +456,12 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(
         fmt=args.format,
         cache_dir=args.cache_dir or default_cache_dir(),
-        workers=max(1, args.workers),
+        workers=args.workers,
         budget=args.budget,
     )
     try:
+        if args.workers < 1:
+            raise UsageError("--workers must be positive")
         if args.budget is not None and args.budget < 1:
             raise UsageError("--budget must be positive")
         args.func(args, cfg)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import Census, InvariantError
+from .census import Census, InvariantError, weight_of_keys
 from .involutions import is_hyperelliptic
 from .perm import Perm, commutator_word, compose, cycle_lengths
 from .spin import spin_parity
@@ -21,6 +21,7 @@ from .surface import (
     StratumSignature,
     canonical_form,
     canonical_key,
+    decode_pair,
     encode_pair,
     make_origami,
 )
@@ -108,28 +109,32 @@ def decompose(census: Census) -> list[ComponentSummary]:
 
     Orbits are closed with the two forward twists only: each is a
     bijection of the finite census, so its inverse is one of its
-    powers.  The twist images are built and canonicalized as words,
-    and each must keep the member's commutator word exactly.  The walk
-    records every member's horizontal-twist image, from which
-    :func:`cusp_data` reads the cusps.  The hyperelliptic
-    flag (and spin parity, on even strata) is computed for every
-    member and checked to be constant per orbit, and the orbits are
+    powers.  The walk runs on the members' keys and words: the twist
+    images are built and canonicalized as words, and each must keep
+    the member's commutator word exactly.  The walk records every
+    member's horizontal-twist image, from which :func:`cusp_data`
+    reads the cusps.  Each member is then built once, in key order,
+    for its hyperelliptic flag (and spin parity, on even strata), which
+    must equal that of the orbit's least member.  The orbits are
     checked to add up to the census; a failed check raises
     :class:`InvariantError`.
     """
+    d = census.degree
     members = census.members
-    unvisited = dict(members)
+    unvisited = set(members)
+    even = census.stratum.all_even()
     out = []
     # Start keys come in sorted order, so each orbit starts at its
     # least key and the orbits come out already ordered.
-    for start_key in census.keys():
+    for start_key in members:
         if start_key not in unvisited:
             continue
+        unvisited.remove(start_key)
         h_alpha_next: dict[bytes, bytes] = {}
-        frontier = [(start_key, unvisited.pop(start_key))]
+        frontier = [start_key]
         while frontier:
-            key, o = frontier.pop()
-            aw, bw = o.alpha.word, o.beta.word
+            key = frontier.pop()
+            aw, bw = decode_pair(key, d)
             gw = commutator_word(aw, bw)
             image_keys = []
             for twist, (ta, tb) in zip(
@@ -146,23 +151,31 @@ def decompose(census: Census) -> list[ComponentSummary]:
             h_alpha_next[key] = image_keys[0]
             for image_key in image_keys:
                 if image_key in unvisited:
-                    frontier.append((image_key, unvisited.pop(image_key)))
+                    unvisited.remove(image_key)
+                    frontier.append(image_key)
                 elif image_key not in members:
                     raise OrbitClosureError(
                         "twist image left the census; enumeration is "
                         "incomplete or inconsistent"
                     )
         keys = sorted(h_alpha_next)
-        orbit = [members[k] for k in keys]
-        weight = sum((o.weight for o in orbit), Fraction(0))
-        hyperelliptic = _orbit_constant(
-            "hyperelliptic flag", keys, [is_hyperelliptic(o) for o in orbit]
-        )
-        parity: int | None = None
-        if census.stratum.all_even():
-            parity = _orbit_constant(
-                "spin parity", keys, [spin_parity(o) for o in orbit]
-            )
+        first = None
+        for key in keys:
+            o = census.member(*decode_pair(key, d))
+            labels = (is_hyperelliptic(o), spin_parity(o) if even else None)
+            if first is None:
+                first = labels
+            elif labels != first:
+                for name, want, got in zip(
+                    ("hyperelliptic flag", "spin parity"), first, labels
+                ):
+                    if got != want:
+                        raise InvariantError(
+                            f"{name} is not orbit-constant: {keys[0].hex()} "
+                            f"gives {want!r}, {key.hex()} gives {got!r}"
+                        )
+        hyperelliptic, parity = first
+        weight = weight_of_keys(keys, d)
         out.append(
             ComponentSummary(
                 component_id=len(out) + 1,
@@ -188,21 +201,6 @@ def decompose(census: Census) -> list[ComponentSummary]:
     return out
 
 
-def _orbit_constant(label: str, keys: list[bytes], values: list):
-    """The value every member of an orbit shares.
-
-    Raises :class:`InvariantError` naming the first member whose value
-    differs from that of the least key.
-    """
-    for key, value in zip(keys, values):
-        if value != values[0]:
-            raise InvariantError(
-                f"{label} is not orbit-constant: {keys[0].hex()} gives "
-                f"{values[0]!r}, {key.hex()} gives {value!r}"
-            )
-    return values[0]
-
-
 def cusp_data(
     component_keys, census: Census, h_alpha_next: dict[bytes, bytes]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -213,19 +211,19 @@ def cusp_data(
     cycle type of alpha is constant along it (the twist fixes alpha)
     and is reported per cusp.
     """
-    members = census.members
+    d = census.degree
     remaining = set(component_keys)
     cusps = []
     for key in sorted(component_keys):
         if key not in remaining:
             continue
         orbit_size = 0
-        alpha_parts = cycle_lengths(members[key].alpha.word)
+        alpha_parts = cycle_lengths(decode_pair(key, d)[0])
         cur_key = key
         while cur_key in remaining:
             remaining.remove(cur_key)
             orbit_size += 1
-            if cycle_lengths(members[cur_key].alpha.word) != alpha_parts:
+            if cycle_lengths(decode_pair(cur_key, d)[0]) != alpha_parts:
                 raise InvariantError(
                     f"alpha's cycle type is not constant on the cusp of "
                     f"{key.hex()}: {cur_key.hex()} differs"

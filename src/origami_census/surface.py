@@ -188,7 +188,11 @@ def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
 
 def weight_of(alpha: Perm) -> Fraction:
     """Sum of 1/width over the horizontal cylinders (cycles of alpha)."""
-    parts = cycle_lengths(alpha.word)
+    return weight_of_parts(cycle_lengths(alpha.word))
+
+
+def weight_of_parts(parts: tuple[int, ...]) -> Fraction:
+    """:func:`weight_of` for an alpha of cycle type ``parts``."""
     lcm = math.lcm(*parts)
     return Fraction(sum(lcm // n for n in parts), lcm)
 
@@ -261,6 +265,18 @@ def encode_pair(aw: tuple[int, ...], bw: tuple[int, ...]) -> bytes:
     return bytes(out)
 
 
+def decode_pair(
+    key: bytes, degree: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair of words that :func:`encode_pair` turned into ``key``."""
+    if degree < 256:
+        return tuple(key[:degree]), tuple(key[degree:])
+    word = tuple(
+        int.from_bytes(key[i:i + 4], "big") for i in range(0, len(key), 4)
+    )
+    return word[:degree], word[degree:]
+
+
 def canonical_key(alpha: Perm, beta: Perm) -> bytes:
     """Byte key identifying the simultaneous-conjugation class."""
     return encode_pair(*canonical_form(alpha.word, beta.word))
@@ -268,17 +284,27 @@ def canonical_key(alpha: Perm, beta: Perm) -> bytes:
 
 def to_record(o: Origami) -> dict:
     """JSON-able record with 1-based cycles in canonical cycle order."""
+    return words_record(o.alpha.word, o.beta.word)
+
+
+def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
+    """:func:`to_record` of the pair of 0-based words (aw, bw)."""
     return {
-        "degree": o.degree,
-        "alpha": [list(c) for c in o.alpha.cycles()],
-        "beta": [list(c) for c in o.beta.cycles()],
+        "degree": len(aw),
+        "alpha": [[x + 1 for x in c] for c in word_cycles(aw)],
+        "beta": [[x + 1 for x in c] for c in word_cycles(bw)],
     }
 
 
-def from_record(rec: dict) -> Origami:
-    """Inverse of :func:`to_record`; validates the pair."""
+def record_words(rec: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 0-based words of a record's alpha and beta.
+
+    Each field's cycles must hold every letter 1..degree exactly once;
+    raises ValueError otherwise, and KeyError or TypeError on a record
+    of the wrong shape.
+    """
     d = rec["degree"]
-    perms = []
+    words = []
     for field in ("alpha", "beta"):
         seen: set[int] = set()
         for cyc in rec[field]:
@@ -288,7 +314,13 @@ def from_record(rec: dict) -> Origami:
                 seen.add(x)
         if len(seen) != d:
             raise ValueError(f"{field} cycles do not cover 1..{d}: {rec!r}")
-        perms.append(Perm(word_from_cycles(rec[field], d)))
-    return make_origami(perms[0], perms[1])
+        words.append(word_from_cycles(rec[field], d))
+    return words[0], words[1]
+
+
+def from_record(rec: dict) -> Origami:
+    """Inverse of :func:`to_record`; validates the pair."""
+    aw, bw = record_words(rec)
+    return make_origami(Perm(aw), Perm(bw))
 
 

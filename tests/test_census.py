@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,13 @@ from origami_census.census import (
     save_census,
     target_class,
 )
-from origami_census.surface import StratumSignature
+from origami_census.perm import Perm
+from origami_census.surface import (
+    Origami,
+    StratumSignature,
+    decode_pair,
+    words_record,
+)
 from conftest import strata_at
 from reference_kernels import seen_sweep_enumerate_alpha_class
 
@@ -103,7 +111,10 @@ class TestEnumerate:
             def shutdown(self, wait=True, cancel_futures=False):
                 self.cancel_futures = cancel_futures
 
-        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", SerialPool)
+        # enumerate_census imports the pool only when it uses one.
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", SerialPool
+        )
         monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 4)
         n_alpha = len(list(partitions_desc(5)))  # 7 alpha classes
         stratum = StratumSignature((4,))
@@ -135,6 +146,20 @@ class TestEnumerate:
         first = real(5, (5,), (5,))[0][0]
         with pytest.raises(census_mod.InvariantError, match=first.hex()):
             enumerate_census(5, StratumSignature((4,)))
+
+    def test_pair_of_another_stratum_names_the_key(self, monkeypatch):
+        real = census_mod._enumerate_alpha_class
+        stray = real(5, (5,), (3, 1, 1))[0]  # a (5,(2)) class
+
+        def with_stray(*args):
+            return real(*args) + [stray]
+
+        monkeypatch.setattr(census_mod, "_enumerate_alpha_class", with_stray)
+        with pytest.raises(
+            census_mod.InvariantError, match=stray[0].hex()
+        ) as err:
+            enumerate_census(5, StratumSignature((4,)))
+        assert "commutator type [3,1,1]" in str(err.value)
 
     def test_deterministic_across_workers(self, tmp_path):
         seq = enumerate_census(5, StratumSignature((4,)))
@@ -307,6 +332,62 @@ class TestSaveLoad:
         with pytest.raises(CensusSchemaError):
             load_census(path)
 
+    @staticmethod
+    def _replace_record(path, index, rec):
+        lines = path.read_text().splitlines()
+        lines[index] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_relabeled_record(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        aw, bw = decode_pair(census_of(5, (4,)).keys()[0], 5)
+        swap = (1, 0, 2, 3, 4)  # relabel squares 1 and 2
+        ra = tuple(swap[aw[swap[i]]] for i in range(5))
+        rb = tuple(swap[bw[swap[i]]] for i in range(5))
+        assert (ra, rb) != (aw, bw)
+        self._replace_record(path, 1, words_record(ra, rb))
+        with pytest.raises(CensusSchemaError, match="own canonical pair"):
+            load_census(path)
+
+    @pytest.mark.parametrize("other", [(5, (2,)), (4, (2,))])
+    def test_record_of_another_census(self, census_of, tmp_path, other):
+        # a record of another stratum, then of another degree
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        stray = census_of(*other).keys()[0]
+        self._replace_record(
+            path, 1, words_record(*decode_pair(stray, other[0]))
+        )
+        with pytest.raises(CensusSchemaError, match="header degree/mu"):
+            load_census(path)
+
+    def test_disconnected_record(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        rec = {"degree": 5, "alpha": [[1, 2], [3, 4, 5]], "beta": [[1], [2], [3, 4, 5]]}
+        self._replace_record(path, 1, rec)
+        with pytest.raises(CensusSchemaError, match="disconnected"):
+            load_census(path)
+
+    def test_records_out_of_order(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        lines = path.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CensusSchemaError, match="key order"):
+            load_census(path)
+
+    def test_non_ascii_byte(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        path.write_bytes(
+            path.read_bytes().replace(b"alpha", "alph\u00e9".encode(), 1)
+        )
+        with pytest.raises(CensusCorruptError):
+            load_census(path)
+
     def test_tampered_totals(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
@@ -315,3 +396,57 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CensusCorruptError):
             load_census(path)
+
+
+class TestCompactMembers:
+    """A census holds its members as canonical keys, not as objects."""
+
+    def test_loaded_census_holds_no_member_objects(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(7, (4,)), path)
+
+        def n_objects():
+            gc.collect()
+            return sum(type(o) in (Origami, Perm) for o in gc.get_objects())
+
+        before = n_objects()
+        tracemalloc.start()
+        try:
+            census = load_census(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_objects() == before
+        assert len(census) == 775
+        # a member held as an Origami took about 800 bytes
+        assert held / len(census) < 200
+
+    @pytest.mark.parametrize(
+        "d,mu", [(d, mu) for d in (5, 6, 7) for mu in strata_at(d)]
+    )
+    def test_weight_by_alpha_type_is_the_sum_of_member_weights(
+        self, d, mu, census_of
+    ):
+        census = census_of(d, mu)
+        assert census.total_weight == sum(
+            (o.weight for o in census), Fraction(0)
+        )
+
+    def test_members_view(self, census_of):
+        census = census_of(5, (4,))
+        keys = census.keys()
+        assert list(census.members) == keys == sorted(keys)
+        assert len(census.members) == 40
+        o = census.members[keys[3]]
+        assert (o.alpha.word, o.beta.word) == decode_pair(keys[3], 5)
+        assert o.commutator_type == census.commutator_type
+        assert o.stratum == census.stratum
+        assert [m.alpha for m in census] == [
+            census.members[k].alpha for k in keys
+        ]
+        absent = keys[0][:-1] + bytes([keys[0][-1] ^ 1])
+        assert absent not in census.members
+        with pytest.raises(KeyError):
+            census.members[absent]
+        with pytest.raises(TypeError):
+            census.members[keys[0]] = o

@@ -76,6 +76,33 @@ class TestCensusCommand:
         assert not list(tmp_path.rglob("*.jsonl"))
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("workers", ["0", "-7"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, tmp_path, workers):
+        code, out, err = run(
+            capsys, "census", "--degree", "4", "--mu", "2",
+            "--cache-dir", str(tmp_path), "--workers", workers,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --workers must be positive\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_non_ascii_cache_is_recomputed_and_rewritten(
+        self, capsys, tmp_path
+    ):
+        args = ("census", "--degree", "8", "--mu", "2", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        path = tmp_path / "v1" / "census-d8-mu2.jsonl"
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"schema", "sch\u00e9ma".encode(), 1))
+        code, again, err = run(capsys, *args)
+        assert code == 0
+        assert again == out
+        assert "cache invalid" in err and "recomputing" in err
+        assert "cache write" in err
+        assert path.read_bytes() == good
+
 
 class TestOrbitsCommand:
     def test_four_components(self, capsys, tmp_path):
@@ -348,6 +375,17 @@ class TestTableCommand:
         assert rows[0]["slope"] == "9/1"
 
 
+    def test_stratum_of_another_genus_is_usage_error(self, capsys, tmp_path):
+        # H(6) has genus 4, so no genus-3 row can match it.
+        code, out, err = run(
+            capsys, "table", "--genus", "3", "--mu", "6",
+            "--cache-dir", str(tmp_path), "--format", "csv",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: mu (6) has genus 4, not 3\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
@@ -360,6 +398,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "N=9" in proc.stdout
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # A one-worker run never pays for importing the process pool.
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, origami_census.cli; "
+                "print('concurrent.futures.process' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_usage_error_from_argparse(self):
         proc = subprocess.run(

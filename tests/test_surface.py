@@ -26,6 +26,8 @@ from origami_census.surface import (
     TrivialStratumError,
     canonical_form,
     canonical_key,
+    decode_pair,
+    encode_pair,
     from_record,
     genus_of,
     horizontal_cylinders,
@@ -236,6 +238,25 @@ class TestCanonicalFormReference:
                 else:
                     with pytest.raises(DisconnectedCoverError):
                         canonical_form(a, b)
+
+
+class TestKeyCodec:
+    @pytest.mark.parametrize("d", [1, 5, 255, 256, 300])
+    def test_decode_inverts_encode(self, d):
+        rng = random.Random(d)
+        a, b = list(range(d)), list(range(d))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        a, b = tuple(a), tuple(b)
+        key = encode_pair(a, b)
+        assert len(key) == (2 * d if d < 256 else 8 * d)
+        assert decode_pair(key, d) == (a, b)
+
+    def test_key_of_every_member_decodes_to_its_pair(self, census_of):
+        census = census_of(6, (2, 2))
+        for key, o in census.members.items():
+            assert decode_pair(key, 6) == (o.alpha.word, o.beta.word)
+            assert canonical_key(o.alpha, o.beta) == key
 
 
 class TestRecords:
