@@ -10,8 +10,10 @@ this convention, so do not change it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -185,8 +187,8 @@ def class_words(
     """Every 0-based word of cycle type ``parts``, each exactly once.
 
     The cycle through the least letter not yet placed is chosen first:
-    its length, then its other letters in order.  There are d!/z of
-    them, z the order of the centralizer of one.
+    its length, then its other letters in order.  There are
+    :func:`class_size` of them.
     """
     if sum(parts) != degree or any(p < 1 for p in parts):
         raise ValueError(f"parts {tuple(parts)} do not partition {degree}")
@@ -219,6 +221,16 @@ def class_words(
             left[length] += 1
 
     yield from place(list(range(degree)))
+
+
+def class_size(parts: Sequence[int]) -> int:
+    """Number of words of cycle type ``parts``: d!/z, z the order of the
+    centralizer of one, the product of length^m m! over the lengths
+    that occur m times."""
+    z = 1
+    for length, m in Counter(parts).items():
+        z *= length**m * factorial(m)
+    return factorial(sum(parts)) // z
 
 
 def conjugator_words(

@@ -19,7 +19,7 @@ from origami_census.census import (
     save_census,
     target_class,
 )
-from origami_census.perm import Perm
+from origami_census.perm import Perm, class_size, cycle_lengths
 from origami_census.surface import (
     Origami,
     StratumSignature,
@@ -71,6 +71,23 @@ class TestEnumerate:
     def test_genus2_ratio_identity(self, d, census_of):
         census = census_of(d, (2,))
         assert census.total_weight / census.n_classes == Fraction(10, 9)
+
+    def test_target_class_built_once_per_census(self, monkeypatch):
+        built = []
+        real = census_mod.class_words
+
+        def counted(parts, degree):
+            built.append(tuple(parts))
+            return real(parts, degree)
+
+        monkeypatch.setattr(census_mod, "class_words", counted)
+        for _ in range(2):
+            built.clear()
+            enumerate_census(6, StratumSignature((2,)))
+            # Alpha class (3,1,1,1) ties with the target class, so it
+            # walks the target class too and draws no words of its own.
+            assert built.count((3, 1, 1, 1)) == 1
+            assert census_mod._class_bytes.cache_info().currsize == 0
 
     def test_budget_exceeded(self):
         with pytest.raises(ResourceBudgetError):
@@ -255,6 +272,23 @@ def test_alpha_classes_match_seen_sweep_reference(d, mu):
         got = census_mod._enumerate_alpha_class(d, parts, target)
         want = seen_sweep_enumerate_alpha_class(d, parts, target)
         assert sorted(got) == sorted(want), parts
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_reference_comparison_covers_both_walks(d, census_of):
+    # An alpha class walks its own class when that is smaller than the
+    # target class, and the target class otherwise.  At every degree
+    # the comparison above checks classes with members taken each way.
+    walks = set()
+    for dd, mu in REFERENCE_CENSUSES:
+        if dd != d:
+            continue
+        target = target_class(d, StratumSignature(mu)).parts
+        for parts in {
+            cycle_lengths(decode_pair(k, d)[0]) for k in census_of(d, mu).keys()
+        }:
+            walks.add(class_size(parts) < class_size(target))
+    assert walks == {True, False}
 
 
 class TestBruteForceOracle:

@@ -11,6 +11,7 @@ from origami_census.perm import (
     all_perms,
     centralizer_generators,
     class_representative,
+    class_size,
     class_words,
     commutator,
     commutator_word,
@@ -321,6 +322,13 @@ class TestClassWords:
             assert all(cycle_lengths(w) == parts for w in words)
             union.update(words)
         assert union == {p.word for p in all_perms(d)}
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_class_size_counts_the_class(self, d):
+        from origami_census.census import partitions_desc
+
+        for parts in partitions_desc(d):
+            assert class_size(parts) == len(list(class_words(parts, d))), parts
 
     @pytest.mark.parametrize("parts", [(3, 1, 1, 1, 1, 1), (4, 2, 1, 1), (8,)])
     def test_degree8_class_sizes(self, parts):
