@@ -133,11 +133,15 @@ def emit(
 ) -> None:
     """Write one result in the chosen format; the only reader of cfg.fmt.
 
-    JSON is ``doc`` with fractions as "p/q".  CSV is the header and one
-    line per row of cells, None as an empty cell; a command without a
-    CSV header prints its text.  Text is one line per item.
+    JSON is ``doc`` with fractions as "p/q"; a callable ``doc`` is called
+    for it, so a document only JSON prints is built only for JSON.  CSV
+    is the header and one line per row of cells, None as an empty cell;
+    a command without a CSV header prints its text.  Text is one line
+    per item.
     """
     if cfg.fmt == "json":
+        if callable(doc):
+            doc = doc()
         # Streamed: an encoded copy of a large report beside doc adds to peak RSS.
         json.dump(doc, sys.stdout, sort_keys=True, default=frac_str)
         print()
@@ -179,26 +183,30 @@ def cmd_census(args, cfg: RunConfig) -> None:
 def cmd_orbits(args, cfg: RunConfig) -> None:
     census = census_from_args(args, cfg)
     components = decompose(census) if census.n_classes else []
-    doc = {
-        "degree": census.degree,
-        "mu": list(census.stratum.mu),
-        "n": census.n_classes,
-        "m": census.total_weight,
-        "components": [
-            {
-                "component_id": c.component_id,
-                "size": c.n_classes,
-                "n": c.n_classes,
-                "m": c.total_weight,
-                "slope": c.slope,
-                "hyperelliptic": c.hyperelliptic,
-                "parity": c.parity,
-                "cusp_count": c.cusp_count,
-                "member_keys": [k.hex() for k in c.member_keys],
-            }
-            for c in components
-        ],
-    }
+
+    def doc():
+        # Built only for JSON, the one format that prints the member keys.
+        return {
+            "degree": census.degree,
+            "mu": list(census.stratum.mu),
+            "n": census.n_classes,
+            "m": census.total_weight,
+            "components": [
+                {
+                    "component_id": c.component_id,
+                    "size": c.n_classes,
+                    "n": c.n_classes,
+                    "m": c.total_weight,
+                    "slope": c.slope,
+                    "hyperelliptic": c.hyperelliptic,
+                    "parity": c.parity,
+                    "cusp_count": c.cusp_count,
+                    "member_keys": [k.hex() for k in c.member_keys],
+                }
+                for c in components
+            ],
+        }
+
     text = [
         f"d={census.degree} mu={census.stratum} N={census.n_classes} "
         f"M={frac_text(census.total_weight)} components={len(components)}"

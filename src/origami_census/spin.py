@@ -6,30 +6,37 @@ smooth closed curve avoiding the zeros.  The computation runs on the
 graph through square centers: one node per square, one edge per glued
 square side.
 
-* Homology generators are the fundamental cycles of a spanning tree.
-  Such a cycle visits each square at most once, so its center path is
-  embedded and q = turning/4 + 1 needs no self-crossing correction.
+* Homology generators are the fundamental cycles of the breadth-first
+  spanning tree: cotree edge e from near to far, then the tree path
+  back to near.  Such a cycle visits each square at most once, so its
+  center path is embedded and q = turning/4 + 1 needs no self-crossing
+  correction.  One pass down the tree gives each square the crossing
+  mask R and the turning sum of its root path; a cycle's crossing mask
+  is e ^ R[far] ^ R[near], its turning a difference of those sums plus
+  the turns where its pieces meet.
 * The intersection number of two classes pairs the edge crossings of
   one center path against a homologous copy of the other pushed onto
   the square sides (a center step and the matching boundary step
-  cobound a strip of half-squares).  Crossings then happen only at
-  edge midpoints, one per shared coordinate.
-* The pairing is held as one int bitset per fundamental cycle: bit j
-  of row i is the intersection number of cycles i and j.  A greedy
-  symplectic reduction over GF(2) on these rows extracts g hyperbolic
-  pairs; the form values follow the quadratic law q(x+y)=q(x)+q(y)+x.y
-  along the way.  Face boundaries are checked to lie in the radical
-  with q = 0, which is exactly the condition for q to descend to
-  homology.  The vertices of the surface, one face each, are the cycles
-  of the commutator beta^-1 alpha^-1 beta alpha.
+  cobound a strip of half-squares); sigma maps each edge to the side
+  its copy runs along.  Bit j of pairing row i is the intersection
+  number of cycles i and j.  One pass up the tree gives each side the
+  cycles crossing it; row i is a root-path prefix XOR of those sets
+  read through sigma^-1, transposed row i the same read through sigma,
+  so the pairing is symmetric exactly when each row equals its
+  transposed row.
+* A greedy symplectic reduction over GF(2) on the rows extracts g
+  hyperbolic pairs; the form values follow the quadratic law
+  q(x+y)=q(x)+q(y)+x.y along the way.  Face boundaries are checked to
+  lie in the radical with q = 0, which is exactly the condition for q
+  to descend to homology.  The vertices of the surface, one face each,
+  are the cycles of the commutator beta^-1 alpha^-1 beta alpha.
 """
 from __future__ import annotations
 
-from .perm import commutator_word, inverse_word, word_cycles
+from .perm import commutator_word, inverse_word
 from .surface import InvariantError, Origami, canonical_key
 
 R, U, L, D = 0, 1, 2, 3
-_OPPOSITE = {R: L, L: R, U: D, D: U}
 
 
 class ParityUndefinedError(ValueError):
@@ -55,155 +62,142 @@ def spin_parity(o: Origami) -> int:
 
 
 def _parity(o: Origami) -> int:
-    d = o.degree
-    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
-    cotree, walks = _center_walks(o, ai, bi)
-    q, cross = [], []
-    for walk in walks:
-        q_w, cross_w = _walk_q_and_cross(walk)
-        q.append(q_w)
-        cross.append(cross_w)
-    # The skeleton copy of a step right from square x runs along the
-    # bottom side of x, of a step up along the left side of x; a step
-    # back along the same edge runs along the same side.
-    skel_side = [d + bi[x] for x in range(d)] + [ai[x] for x in range(d)]
-    rows = _pairing_rows(walks, skel_side)
-    for i, row in enumerate(rows):
-        if row >> i & 1:
-            raise InvariantError("self-pairing must vanish on a surface")
-        for j in range(i):
-            if (row >> j ^ rows[j] >> i) & 1:
-                raise InvariantError("pairing must be symmetric")
-
+    cotree, q, cross, rows = _cycle_data(o)
     _check_descends(o, cotree, cross, rows, q)
     return _arf(rows, q, genus=o.genus)
 
 
-def _center_walks(
-    o: Origami, ai, bi
-) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """Fundamental cycles of a breadth-first spanning tree.
+def _cycle_data(o: Origami) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Cotree edge ids, q, crossing masks and pairing rows of the cycles.
 
-    Returns the cotree edge ids and, for each, its closed walk: a list
-    of (edge id, move) steps through pairwise distinct squares.  An
-    edge's id is the bit of the side it crosses: bit i is the glued
-    vertical side between i and alpha(i), bit d+i the glued
-    horizontal side between i and beta(i).  ``ai`` and ``bi`` are the
-    inverse words of alpha and beta.
+    The tree grows from square 0 with neighbours in the order R, U, L,
+    D.  An edge's id is the bit of the side it crosses: bit i is the
+    glued vertical side between i and alpha(i), bit d+i the glued
+    horizontal side between i and beta(i).
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
+    ai, bi = inverse_word(aw), inverse_word(bw)
 
+    # Per square: parent, move and edge id from the parent, depth, and
+    # the crossing mask and turning sum of the path down from the root.
     parent = [-1] * d
-    parent_step = [(-1, -1)] * d  # (edge id, move) from the parent
+    move = [-1] * d
+    edge = [-1] * d
     depth = [0] * d
-    tree_edges: set[int] = set()
+    cross_to = [0] * d
+    turn_to = [0] * d
+    tree = 0
     seen = [False] * d
     seen[0] = True
-    queue = [0]
-    for x in queue:
+    order = [0]
+    for x in order:
         # (move, target, edge id) of the four sides of x
-        for move, y, edge in (
-            (R, aw[x], x),
-            (U, bw[x], d + x),
-            (L, ai[x], ai[x]),
-            (D, bi[x], d + bi[x]),
-        ):
+        for m, y, e in ((R, aw[x], x), (U, bw[x], d + x),
+                        (L, ai[x], ai[x]), (D, bi[x], d + bi[x])):
             if not seen[y]:
                 seen[y] = True
-                parent[y] = x
-                parent_step[y] = (edge, move)
+                parent[y], move[y], edge[y] = x, m, e
                 depth[y] = depth[x] + 1
-                tree_edges.add(edge)
-                queue.append(y)
-    if not all(seen):
+                cross_to[y] = cross_to[x] ^ 1 << e
+                if x:
+                    turn_to[y] = turn_to[x] + _turn(move[x], m)
+                tree |= 1 << e
+                order.append(y)
+    if len(order) != d:
         raise InvariantError("pair is not transitive")
-
-    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        """Steps walking from src to dst inside the tree."""
-        up_src: list[tuple[int, int]] = []
-        down_dst: list[tuple[int, int]] = []
-        x, y = src, dst
-        while depth[x] > depth[y]:
-            edge, move = parent_step[x]
-            up_src.append((edge, _OPPOSITE[move]))
-            x = parent[x]
-        while depth[y] > depth[x]:
-            down_dst.append(parent_step[y])
-            y = parent[y]
-        while x != y:
-            edge, move = parent_step[x]
-            up_src.append((edge, _OPPOSITE[move]))
-            x = parent[x]
-            down_dst.append(parent_step[y])
-            y = parent[y]
-        return up_src + down_dst[::-1]
-
-    cotree = [e for e in range(2 * d) if e not in tree_edges]
+    cotree = [e for e in range(2 * d) if not tree >> e & 1]
     if len(cotree) != d + 1:
         raise InvariantError(
             f"{len(cotree)} fundamental cycles, expected {d + 1}"
         )
-    walks = []
-    for e in cotree:
+
+    # Cycle i steps across cotree[i] from near to far, climbs the tree
+    # from far to the lowest common ancestor and descends to near.
+    q, cross, ends = [], [], []
+    cycles_at = [0] * d  # bit i: the square is an end of cycle i
+    for i, e in enumerate(cotree):
         if e < d:
-            first, near, far = (e, R), e, aw[e]
+            first, near, far = R, e, aw[e]
         else:
-            first, near, far = (e, U), e - d, bw[e - d]
-        walks.append([first] + tree_path(far, near))
-    return cotree, walks
+            first, near, far = U, e - d, bw[e - d]
+        # x and y climb to the ancestor; cx and cy stop on its children
+        # towards far and near, or on far and near when they are it.
+        x, y, cx, cy = far, near, far, near
+        while depth[x] > depth[y]:
+            cx, x = x, parent[x]
+        while depth[y] > depth[x]:
+            cy, y = y, parent[y]
+        while x != y:
+            cx, x, cy, y = x, parent[x], y, parent[y]
+        # Climbing reverses each move (m ^ 2) and so negates each turn.
+        turn = turn_to[near] - turn_to[cy] - turn_to[far] + turn_to[cx]
+        last = first
+        if cx != x:
+            turn += _turn(last, move[far] ^ 2)
+            last = move[cx] ^ 2
+        if cy != x:
+            turn += _turn(last, move[cy])
+            last = move[near]
+        turn += _turn(last, first)
+        if turn % 4:
+            raise InvariantError(
+                f"turning {turn} of a closed path not divisible by 4"
+            )
+        q.append((turn // 4 + 1) % 2)
+        cross.append(1 << e ^ cross_to[far] ^ cross_to[near])
+        ends.append((near, far))
+        cycles_at[near] ^= 1 << i
+        cycles_at[far] ^= 1 << i
 
+    # A cycle crosses the tree edge above y when one of its ends lies
+    # below y: subtree XORs, children before parents.
+    crossing = [0] * (2 * d)  # bit i: cycle i crosses the side
+    for i, e in enumerate(cotree):
+        crossing[e] = 1 << i
+    for y in reversed(order[1:]):
+        crossing[edge[y]] = cycles_at[y]
+        cycles_at[parent[y]] ^= cycles_at[y]
 
-def _walk_q_and_cross(walk: list[tuple[int, int]]) -> tuple[int, int]:
-    """q and crossing mask of a closed center walk.
-
-    q of an embedded closed center path is turning/4 + 1 mod 2.  The
-    crossing mask holds, mod 2, the sides the path crosses.
-    """
-    turn = 0
-    cross = 0
-    prev = walk[-1][1]
-    for edge, move in walk:
-        delta = (move - prev) % 4
-        if delta == 2:
-            raise InvariantError("backtracking step in a fundamental cycle")
-        if delta == 1:
-            turn += 1
-        elif delta == 3:
-            turn -= 1
-        prev = move
-        cross ^= 1 << edge
-    if turn % 4:
-        raise InvariantError(
-            f"turning {turn} of a closed path not divisible by 4"
-        )
-    return (turn // 4 + 1) % 2, cross
-
-
-def _pairing_rows(
-    walks: list[list[tuple[int, int]]], skel_side: list[int]
-) -> list[int]:
-    """The intersection pairing of the walks as int rows over GF(2).
-
-    Bit j of row i is cross[i] . skel[j]: the parity of the sides that
-    walk i crosses and that the skeleton copy of walk j runs along.
-    The copy is the homologous path pushed onto the square sides, with
-    its endpoints pinned at lower-left vertices; ``skel_side`` maps
-    each edge id to the side its copy runs along.  Each side's column
-    (the walks whose copy runs along it) is built once, and row i is
-    the sum of the columns of the sides walk i crosses.
-    """
-    column = [0] * len(skel_side)
-    for j, walk in enumerate(walks):
-        for edge, _ in walk:
-            column[skel_side[edge]] ^= 1 << j
+    # Bit j of row i is the parity of the sides cycle i crosses that the
+    # skeleton copy of cycle j runs along; ``along`` reads ``crossing``
+    # through sigma^-1 and gives the rows, ``crossing`` through sigma
+    # gives the transposed rows.  Both are root-path prefix XORs.
+    sigma = _skeleton_sides(d, ai, bi)
+    along = [0] * (2 * d)  # bit j: the copy of cycle j runs along the side
+    for e in range(2 * d):
+        along[sigma[e]] = crossing[e]
+    row_to, col_to = [0] * d, [0] * d
+    for y in order[1:]:
+        e, p = edge[y], parent[y]
+        row_to[y] = row_to[p] ^ along[e]
+        col_to[y] = col_to[p] ^ crossing[sigma[e]]
     rows = []
-    for walk in walks:
-        row = 0
-        for edge, _ in walk:
-            row ^= column[edge]
+    for i, (e, (near, far)) in enumerate(zip(cotree, ends)):
+        row = along[e] ^ row_to[far] ^ row_to[near]
+        if row >> i & 1:
+            raise InvariantError("self-pairing must vanish on a surface")
+        if row != crossing[sigma[e]] ^ col_to[far] ^ col_to[near]:
+            raise InvariantError("pairing must be symmetric")
         rows.append(row)
-    return rows
+    return cotree, q, cross, rows
+
+
+def _turn(a: int, b: int) -> int:
+    """Turn from move a to move b: +1 left, -1 right, 0 straight."""
+    delta = (b - a) % 4
+    if delta == 2:
+        raise InvariantError("backtracking step in a fundamental cycle")
+    return (0, 1, 0, -1)[delta]
+
+
+def _skeleton_sides(d: int, ai, bi) -> list[int]:
+    """sigma: each edge id to the side its skeleton copy runs along.
+
+    A step right from square x runs along the bottom side of x, a step
+    up along the left side of x, a step back along the same side.
+    """
+    return [d + b for b in bi] + list(ai)
 
 
 def _face_masks(o: Origami) -> list[int]:
@@ -215,20 +209,23 @@ def _face_masks(o: Origami) -> list[int]:
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    cycles = word_cycles(commutator_word(aw, bw))
-    vertex = [0] * d
-    for v, cyc in enumerate(cycles):
-        for i in cyc:
-            vertex[i] = v
-    masks = [0] * len(cycles)
-    for i in range(d):
-        # the sides between i and alpha(i) (bit i) and between i and
-        # beta(i) (bit d+i) both end at the upper-right corner of i;
-        # the side between beta(i) and alpha(beta(i)) starts there, as
-        # does the one between alpha(i) and beta(alpha(i))
-        masks[vertex[i]] ^= (
-            (1 << i) ^ (1 << (d + i)) ^ (1 << bw[i]) ^ (1 << (d + aw[i]))
-        )
+    gw = commutator_word(aw, bw)
+    seen = [False] * d
+    masks = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        mask = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            # the sides between i and alpha(i) (bit i) and between i and
+            # beta(i) (bit d+i) both end at the upper-right corner of i;
+            # the side between beta(i) and alpha(beta(i)) starts there,
+            # as does the one between alpha(i) and beta(alpha(i))
+            mask ^= (1 << i) ^ (1 << (d + i)) ^ (1 << bw[i]) ^ (1 << (d + aw[i]))
+            i = gw[i]
+        masks.append(mask)
     return masks
 
 
@@ -240,26 +237,27 @@ def _check_descends(o, cotree, cross, rows, q) -> None:
     this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
     ``cotree`` holds each fundamental cycle's edge id, the one side it
     crosses that no other fundamental cycle crosses.  ``rows`` is the
-    pairing (see :func:`_pairing_rows`), already checked symmetric.
+    pairing (see :func:`_cycle_data`), already checked symmetric.
     """
-    n = len(cotree)
     for face in _face_masks(o):
         coeffs = 0  # bit j: fundamental cycle j is in the face
         combo = 0
-        for j in range(n):
-            if face >> cotree[j] & 1:
+        for j, e in enumerate(cotree):
+            if face >> e & 1:
                 coeffs |= 1 << j
                 combo ^= cross[j]
         if combo != face:
             raise InvariantError("face boundary must be a cycle combination")
         q_face = 0
         paired = 0  # the face's own pairing row
-        for j in range(n):
-            if coeffs >> j & 1:
-                # q of a sum: each cycle's q plus its pairing with the
-                # cycles of the face that come after it
-                q_face ^= q[j] ^ ((rows[j] & coeffs) >> (j + 1)).bit_count()
-                paired ^= rows[j]
+        rest = coeffs
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            # q of a sum: each cycle's q plus its pairing with the
+            # cycles of the face that come after it
+            q_face ^= q[j] ^ (rows[j] & rest).bit_count()
+            paired ^= rows[j]
         if q_face & 1:
             raise InvariantError("face boundary must have q = 0 (even zeros)")
         if paired:
@@ -270,53 +268,55 @@ def _arf(rows: list[int], q: list[int], genus: int) -> int:
     """Greedy symplectic reduction; returns sum of q(a_i) q(b_i) mod 2.
 
     ``rows`` is a symmetric pairing with zero diagonal as int rows.
-    Adding cycle src to cycle dst adds row src to row dst; columns are
-    not updated, so row i pairs the current cycle i with the original
-    cycles j.  That is still the pairing with the current cycle j
-    wherever it is read: every read is of an active row at a column
-    that is active or in the current pair, such a cycle j differs from
-    the original only by cycles of earlier pairs, and active rows end
-    each step orthogonal to the pair just taken, and so to every
+    The cycles not yet in a pair are the bits of ``live``; each step
+    pairs the least live x that has a live partner y > x with the
+    least such y, then adds x and y to the live cycles z that pair with
+    y and x.  Adding cycle src to cycle dst adds row src to row dst;
+    columns are not updated, so row z pairs the current cycle z with
+    the original cycles j.  That is still the pairing with the current
+    cycle j wherever it is read: every read is of a live row at a
+    column that is live or in the current pair, such a cycle j differs
+    from the original only by cycles of earlier pairs, and live rows
+    end each step orthogonal to the pair just taken, and so to every
     earlier pair.  The diagonal stays zero too, whether z gets x, y or
     both added.
     """
-    n = len(q)
     b = rows[:]
     qv = q[:]
-    active = list(range(n))
+    live = (1 << len(q)) - 1
     arf = 0
     pairs = 0
-
-    def add(dst: int, src: int) -> None:
-        qv[dst] ^= qv[src] ^ (b[dst] >> src & 1)
-        b[dst] ^= b[src]
-
-    live = (1 << n) - 1  # the bits of ``active``
     while True:
-        hit = None
-        for x in active:
+        rest = live
+        while rest:
+            x = (rest & -rest).bit_length() - 1
             later = b[x] & live & ~((2 << x) - 1)
             if later:
-                hit = (x, (later & -later).bit_length() - 1)
                 break
-        if hit is None:
+            rest &= rest - 1
+        if not rest:
             break
-        x, y = hit
+        y = (later & -later).bit_length() - 1
         arf ^= qv[x] & qv[y]
         pairs += 1
-        active = [z for z in active if z not in (x, y)]
         live &= ~(1 << x | 1 << y)
-        for z in active:
+        rest = live
+        while rest:
+            z = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             if b[z] >> y & 1:
-                add(z, x)
+                qv[z] ^= qv[x] ^ (b[z] >> x & 1)
+                b[z] ^= b[x]
             if b[z] >> x & 1:
-                add(z, y)
+                qv[z] ^= qv[y] ^ (b[z] >> y & 1)
+                b[z] ^= b[y]
 
     if pairs != genus:
         raise InvariantError(
             f"found {pairs} hyperbolic pairs, expected {genus}"
         )
-    for z in active:
-        if b[z]:
+    while live:
+        if b[(live & -live).bit_length() - 1]:
             raise InvariantError("radical must pair to zero")
+        live &= live - 1
     return arf

@@ -4,10 +4,12 @@
 and compares whole relabeled pairs.  ``matrix_spin_parity`` computes
 the spin parity with the intersection pairing as a list-of-lists
 matrix over GF(2), one popcount per entry, and walks that list their
-squares.  ``seen_sweep_enumerate_alpha_class`` dedups the betas of an
-alpha class by sweeping each transitive beta's whole centralizer
-orbit into one set held for the whole class.  The package's versions
-must agree with them exactly.
+squares.  ``walk_cycle_data`` builds each fundamental cycle of the
+spin computation as a list of steps and walks it for q, its crossing
+mask and its pairing row.  ``seen_sweep_enumerate_alpha_class``
+dedups the betas of an alpha class by sweeping each transitive beta's
+whole centralizer orbit into one set held for the whole class.  The
+package's versions must agree with them exactly.
 """
 from __future__ import annotations
 
@@ -170,6 +172,121 @@ def _center_walks(
             first, far = (e - d, U), bw[e - d]
         walks.append([first] + tree_path(far, first[0]))
     return cotree, walks
+
+
+def walk_cycle_data(o) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Cotree edge ids, q, crossing masks and pairing rows from walks.
+
+    Each fundamental cycle of the breadth-first spanning tree is built
+    as a closed walk of (edge id, move) steps: across its cotree edge
+    e from ``near`` to ``far``, then inside the tree from far back to
+    near.  q and the crossing mask come from one walk over the steps.
+    Bit j of row i is the parity of the sides that walk i crosses and
+    that the skeleton copy of walk j runs along; each side's column
+    (the walks whose copy runs along it) is built once, and row i is
+    the sum of the columns of the sides walk i crosses.  The pairing
+    is checked symmetric with zero diagonal bit by bit.
+    """
+    d = o.degree
+    aw, bw = o.alpha.word, o.beta.word
+    ai, bi = inverse_word(aw), inverse_word(bw)
+
+    parent = [-1] * d
+    parent_step = [(-1, -1)] * d  # (edge id, move) from the parent
+    depth = [0] * d
+    tree_edges: set[int] = set()
+    seen = [False] * d
+    seen[0] = True
+    queue = [0]
+    for x in queue:
+        for move, y, edge in (
+            (R, aw[x], x),
+            (U, bw[x], d + x),
+            (L, ai[x], ai[x]),
+            (D, bi[x], d + bi[x]),
+        ):
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                parent_step[y] = (edge, move)
+                depth[y] = depth[x] + 1
+                tree_edges.add(edge)
+                queue.append(y)
+    if not all(seen):
+        raise InvariantError("pair is not transitive")
+
+    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
+        up_src: list[tuple[int, int]] = []
+        down_dst: list[tuple[int, int]] = []
+        x, y = src, dst
+        while depth[x] > depth[y]:
+            edge, move = parent_step[x]
+            up_src.append((edge, _OPPOSITE[move]))
+            x = parent[x]
+        while depth[y] > depth[x]:
+            down_dst.append(parent_step[y])
+            y = parent[y]
+        while x != y:
+            edge, move = parent_step[x]
+            up_src.append((edge, _OPPOSITE[move]))
+            x = parent[x]
+            down_dst.append(parent_step[y])
+            y = parent[y]
+        return up_src + down_dst[::-1]
+
+    cotree = [e for e in range(2 * d) if e not in tree_edges]
+    if len(cotree) != d + 1:
+        raise InvariantError(
+            f"{len(cotree)} fundamental cycles, expected {d + 1}"
+        )
+    walks = []
+    for e in cotree:
+        if e < d:
+            first, near, far = (e, R), e, aw[e]
+        else:
+            first, near, far = (e, U), e - d, bw[e - d]
+        walks.append([first] + tree_path(far, near))
+
+    q, cross = [], []
+    for walk in walks:
+        turn = 0
+        mask = 0
+        prev = walk[-1][1]
+        for edge, move in walk:
+            delta = (move - prev) % 4
+            if delta == 2:
+                raise InvariantError("backtracking step in a fundamental cycle")
+            turn += 1 if delta == 1 else (-1 if delta == 3 else 0)
+            prev = move
+            mask ^= 1 << edge
+        if turn % 4:
+            raise InvariantError(
+                f"turning {turn} of a closed path not divisible by 4"
+            )
+        q.append((turn // 4 + 1) % 2)
+        cross.append(mask)
+
+    # The skeleton copy of a step right from square x runs along the
+    # bottom side of x, of a step up along the left side of x; a step
+    # back along the same edge runs along the same side.
+    skel_side = [d + bi[x] for x in range(d)] + [ai[x] for x in range(d)]
+    column = [0] * (2 * d)
+    for j, walk in enumerate(walks):
+        for edge, _ in walk:
+            column[skel_side[edge]] ^= 1 << j
+    rows = []
+    for walk in walks:
+        row = 0
+        for edge, _ in walk:
+            row ^= column[edge]
+        rows.append(row)
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise InvariantError("self-pairing must vanish on a surface")
+        for j in range(i):
+            if (row >> j ^ rows[j] >> i) & 1:
+                raise InvariantError("pairing must be symmetric")
+    return cotree, q, cross, rows
 
 
 def _walk_turning_q(walk: list[tuple[int, int]]) -> int:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from origami_census import cli
 from origami_census.cli import main
 
 
@@ -186,6 +187,31 @@ def test_orbits_json_golden_output(capsys, tmp_path, degree, mu):
     assert "cache write" in err
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ORBIT_GOLDEN_SHA256[(degree, mu)]
+
+
+@pytest.mark.parametrize("fmt,builds", [("text", 0), ("csv", 0), ("json", 1)])
+def test_orbits_builds_member_keys_only_for_json(
+    monkeypatch, capsys, tmp_path, fmt, builds
+):
+    # Only JSON prints the member keys; text and CSV never build the
+    # document that holds them as hex strings.
+    calls = []
+    real = cli.emit
+
+    def spy(cfg, doc, *rest):
+        def counted():
+            calls.append(fmt)
+            return doc()
+
+        real(cfg, counted, *rest)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    code, _, _ = run(
+        capsys, "orbits", "--degree", "5", "--mu", "4", "--format", fmt,
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert len(calls) == builds
 
 
 def test_orbits_golden_output_without_asserts(tmp_path):

@@ -312,6 +312,33 @@ class TestForwardClosure:
                     assert canonical_key(image.alpha, image.beta) in keys
 
 
+class TestLabelCalls:
+    def test_each_member_labelled_once(self, monkeypatch, census_of):
+        # The benchmark's per-layer counts (spin.spin_parity_calls and
+        # involutions.is_hyperelliptic_calls) read one call per member.
+        calls = {}
+
+        def counted(name):
+            real = getattr(orbits, name)
+
+            def wrapper(o):
+                calls[name] = calls.get(name, 0) + 1
+                return real(o)
+
+            monkeypatch.setattr(orbits, name, wrapper)
+
+        counted("spin_parity")
+        counted("is_hyperelliptic")
+        even = census_of(6, (4,))
+        decompose(even)
+        n = even.n_classes
+        assert calls == {"spin_parity": n, "is_hyperelliptic": n}
+        calls.clear()
+        odd = census_of(6, (3, 1))
+        decompose(odd)
+        assert calls == {"is_hyperelliptic": odd.n_classes}
+
+
 class TestInvariantErrors:
     def test_flag_not_orbit_constant_names_the_key(
         self, monkeypatch, census_of

@@ -1,10 +1,12 @@
 """Parity anchors: classification labels for small strata are known.
 
 Genus 2 single-zero surfaces are all odd.  In genus 3 (both even
-strata) the hyperelliptic orbits are even and the rest odd, which
-pins every sign convention in the construction.  In genus 4 the
-single-zero stratum has non-hyperelliptic components of both parities,
-told apart by their limiting slopes.
+strata, degrees 5 to 8) the hyperelliptic orbits are even and the rest
+odd, which pins every sign convention in the construction.  In genus 4
+the single-zero stratum has non-hyperelliptic components of both
+parities, told apart by their limiting slopes, and hyperelliptic ones
+that are even: a hyperelliptic component of H(2g-2) has parity
+floor((g+1)/2) mod 2 (Kontsevich-Zorich).
 """
 import random
 
@@ -14,11 +16,11 @@ from origami_census import spin
 from origami_census.census import InvariantError
 from origami_census.limits import component_label, reference_rows
 from origami_census.orbits import decompose
-from origami_census.perm import all_perms, conjugate
+from origami_census.perm import all_perms, conjugate, inverse_word
 from origami_census.spin import ParityUndefinedError, spin_parity
 from origami_census.surface import canonical_key, make_origami
 from conftest import origami, strata_at
-from reference_kernels import matrix_arf, matrix_spin_parity
+from reference_kernels import matrix_arf, matrix_spin_parity, walk_cycle_data
 
 
 class TestPreconditions:
@@ -39,12 +41,22 @@ class TestAnchors:
             want = 0 if comp.hyperelliptic else 1
             assert comp.parity == want
 
-    @pytest.mark.parametrize("d,mu", [(5, (4,)), (6, (4,)), (6, (2, 2))])
+    @pytest.mark.parametrize(
+        "d,mu",
+        [(5, (4,)), (6, (4,)), (6, (2, 2)), (7, (4,)), (8, (4,)), (7, (2, 2)),
+         (8, (2, 2))],
+    )
     def test_hyperelliptic_even_others_odd(self, d, mu, census_of):
         census = census_of(d, mu)
         assert census.n_classes > 0
         for comp in decompose(census):
             assert comp.parity == (0 if comp.hyperelliptic else 1)
+
+    def test_genus4_single_zero_hyperelliptic_orbits_even(self, census_of):
+        comps = decompose(census_of(8, (6,)))
+        hyperelliptic = [c for c in comps if c.hyperelliptic]
+        assert (len(comps), len(hyperelliptic)) == (16, 5)
+        assert all(c.parity == 0 for c in hyperelliptic)
 
     def test_genus4_single_zero_slopes_match_labels(self, census_of):
         want = {r.label: r.slope for r in reference_rows(4) if r.mu == (6,)}
@@ -111,6 +123,40 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match=key) as err:
             spin_parity(o)
         assert "face boundary" in str(err.value)
+
+    def test_self_pairing_and_asymmetry_are_caught(self, monkeypatch, census_of):
+        # Swapping the sides of two edges in sigma changes the pairing
+        # matrix to some M'.  The rows read it through sigma^-1 and the
+        # transposed rows through sigma, so a nonzero diagonal and an
+        # asymmetric M' must each be caught.
+        o = list(census_of(6, (2, 2)))[5]
+        d = o.degree
+        _, _, cross, _ = spin._cycle_data(o)
+        sigma = spin._skeleton_sides(
+            d, inverse_word(o.alpha.word), inverse_word(o.beta.word)
+        )
+        caught = set()
+        for a in range(2 * d):
+            for b in range(a):
+                swapped = list(sigma)
+                swapped[a], swapped[b] = sigma[b], sigma[a]
+                copies = [
+                    sum(1 << swapped[e] for e in range(2 * d) if c >> e & 1)
+                    for c in cross
+                ]
+                m = [[(c & k).bit_count() & 1 for k in copies] for c in cross]
+                diagonal = any(m[i][i] for i in range(len(m)))
+                symmetric = m == [list(col) for col in zip(*m)]
+                if diagonal != symmetric:
+                    continue  # neither or both checks apply
+                monkeypatch.setattr(
+                    spin, "_skeleton_sides", lambda *_, s=swapped: s
+                )
+                want = "self-pairing" if diagonal else "pairing must be symmetric"
+                with pytest.raises(InvariantError, match=want):
+                    spin_parity(o)
+                caught.add(want)
+        assert len(caught) == 2
 
 
 def corner_union_find_masks(o):
@@ -199,6 +245,16 @@ class TestMatrixReference:
             rows = [sum(bit << j for j, bit in enumerate(r)) for r in matrix]
             genus = gf2_rank(rows) // 2
             assert spin._arf(rows, q, genus) == matrix_arf(matrix, q, genus)
+
+
+# The walk reference runs on every census of EVEN_CENSUSES and on two
+# degree-8 censuses the Frobenius tests also build.
+@pytest.mark.parametrize("d,mu", EVEN_CENSUSES + [(8, (2, 2)), (8, (6,))])
+def test_tree_pass_matches_walks(d, mu, census_of):
+    census = census_of(d, mu)
+    assert census.n_classes > 0
+    for o in census:
+        assert spin._cycle_data(o) == walk_cycle_data(o)
 
 
 def gf2_rank(rows: list[int]) -> int:
