@@ -9,7 +9,6 @@ from .perm import (
     commutator,
     compose,
     conjugate,
-    is_transitive,
     perm_from_cycles,
 )
 from .surface import (
@@ -20,7 +19,6 @@ from .surface import (
     TrivialStratumError,
     canonical_form,
     canonical_key,
-    genus_of,
     horizontal_cylinders,
     make_origami,
     weight_of,
@@ -53,12 +51,10 @@ from .orbits import (
     decompose,
 )
 from .limits import (
-    ComparisonRow,
     ReferenceRow,
     StratumConstants,
     SweepReport,
     SweepRow,
-    compare_with_reference,
     hyperelliptic_constants,
     kappa,
     l_from_s_kappa,

@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .census import (
     Census,
     CensusFileError,
+    CensusSchemaError,
     ResourceBudgetError,
     SCHEMA_VERSION,
     enumerate_census,
@@ -43,14 +44,6 @@ class UsageError(ValueError):
     """Bad arguments; mapped to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    fmt: str
-    cache_dir: Path
-    workers: int
-    budget: int | None
-
-
 def parse_mu(text: str) -> StratumSignature:
     try:
         parts = [int(x) for x in text.split(",")]
@@ -71,10 +64,10 @@ def default_cache_dir() -> Path:
     return root / "origami-census"
 
 
-def cache_path(cfg: RunConfig, degree: int, stratum: StratumSignature) -> Path:
+def cache_path(cache_dir: Path, degree: int, stratum: StratumSignature) -> Path:
     mu_tag = "-".join(str(m) for m in stratum.mu)
     return (
-        cfg.cache_dir
+        cache_dir
         / f"v{SCHEMA_VERSION}"
         / f"census-d{degree}-mu{mu_tag}.jsonl"
     )
@@ -84,20 +77,33 @@ def log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def get_census(
-    cfg: RunConfig, degree: int, stratum: StratumSignature
-) -> Census:
-    """Load from cache when possible, else enumerate and cache."""
-    path = cache_path(cfg, degree, stratum)
+def get_census(args, degree: int, stratum: StratumSignature) -> Census:
+    """Load from cache when possible, else enumerate and cache.
+
+    A cache file that fails to load or holds another census is
+    recomputed; ``--budget`` bounds a cache hit as it bounds the
+    enumeration.
+    """
+    path = cache_path(args.cache_dir, degree, stratum)
     if path.exists():
         try:
             census = load_census(path)
-            log(f"cache hit: {path}")
-            return census
+            if (census.degree, census.stratum) != (degree, stratum):
+                raise CensusSchemaError(
+                    f"{path} holds the census of d={census.degree} "
+                    f"mu={census.stratum}"
+                )
         except CensusFileError as exc:
             log(f"cache invalid ({exc}); recomputing")
+        else:
+            log(f"cache hit: {path}")
+            if args.budget is not None and census.n_classes > args.budget:
+                raise ResourceBudgetError(
+                    f"census exceeds budget of {args.budget} members"
+                )
+            return census
     census = enumerate_census(
-        degree, stratum, workers=cfg.workers, budget=cfg.budget
+        degree, stratum, workers=args.workers, budget=args.budget
     )
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -129,9 +135,9 @@ def num_den(x: Fraction | None) -> tuple:
 
 
 def emit(
-    cfg: RunConfig, doc, text: list[str], csv_header: str | None = None, csv_rows=()
+    args, doc, text: list[str], csv_header: str | None = None, csv_rows=()
 ) -> None:
-    """Write one result in the chosen format; the only reader of cfg.fmt.
+    """Write one result in the chosen format; the only reader of --format.
 
     JSON is ``doc`` with fractions as "p/q"; a callable ``doc`` is called
     for it, so a document only JSON prints is built only for JSON.  CSV
@@ -139,14 +145,14 @@ def emit(
     a command without a CSV header prints its text.  Text is one line
     per item.
     """
-    if cfg.fmt == "json":
+    if args.format == "json":
         if callable(doc):
             doc = doc()
         # Streamed: an encoded copy of a large report beside doc adds to peak RSS.
         json.dump(doc, sys.stdout, sort_keys=True, default=frac_str)
         print()
         return
-    if cfg.fmt == "csv" and csv_header is not None:
+    if args.format == "csv" and csv_header is not None:
         text = [csv_header]
         text += [
             ",".join("" if c is None else str(c) for c in row) for row in csv_rows
@@ -155,21 +161,21 @@ def emit(
         print(line)
 
 
-def census_from_args(args, cfg: RunConfig) -> Census:
+def census_from_args(args) -> Census:
     stratum = parse_mu(args.mu)
     if args.degree < 1:
         raise UsageError("degree must be positive")
-    return get_census(cfg, args.degree, stratum)
+    return get_census(args, args.degree, stratum)
 
 
 # ---------------------------------------------------------------- census
 
 
-def cmd_census(args, cfg: RunConfig) -> None:
-    c = census_from_args(args, cfg)
+def cmd_census(args) -> None:
+    c = census_from_args(args)
     m, mu = c.total_weight, c.stratum.mu
     emit(
-        cfg,
+        args,
         {"degree": c.degree, "mu": list(mu), "n": c.n_classes, "m": m},
         [f"d={c.degree} mu={c.stratum} N={c.n_classes} M={frac_text(m)}"],
         "degree,mu,n,m_num,m_den",
@@ -180,9 +186,9 @@ def cmd_census(args, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------- orbits
 
 
-def cmd_orbits(args, cfg: RunConfig) -> None:
-    census = census_from_args(args, cfg)
-    components = decompose(census) if census.n_classes else []
+def cmd_orbits(args) -> None:
+    census = census_from_args(args)
+    components = decompose(census)
 
     def doc():
         # Built only for JSON, the one format that prints the member keys.
@@ -220,7 +226,7 @@ def cmd_orbits(args, cfg: RunConfig) -> None:
             f"parity={parity} cusps={c.cusp_count}"
         )
     emit(
-        cfg,
+        args,
         doc,
         text,
         "component_id,size,n,m_num,m_den,slope_num,slope_den,"
@@ -239,7 +245,7 @@ def cmd_orbits(args, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------- classify
 
 
-def cmd_classify(args, cfg: RunConfig) -> None:
+def cmd_classify(args) -> None:
     try:
         alpha = perm_from_cycles(args.alpha)
         beta = perm_from_cycles(args.beta)
@@ -293,19 +299,21 @@ def cmd_classify(args, cfg: RunConfig) -> None:
         + ("undefined" if parity is None else ("odd" if parity else "even")),
         f"key = {doc['key']}",
     ]
-    emit(cfg, doc, text)
+    emit(args, doc, text)
 
 
 # ---------------------------------------------------------------- limits
 
 
-def cmd_limits(args, cfg: RunConfig) -> None:
+def cmd_limits(args) -> None:
     stratum = parse_mu(args.mu)
+    if args.dmax < 1:
+        raise UsageError("--dmax must be positive")
     report = sweep(
         stratum,
         args.dmax,
         scope=args.scope,
-        provider=lambda d, s: get_census(cfg, d, s),
+        provider=lambda d, s: get_census(args, d, s),
     )
     rows = [(r, row_slope(r, stratum)) for r in report.rows]
     doc = {
@@ -349,7 +357,7 @@ def cmd_limits(args, cfg: RunConfig) -> None:
         text.append(f"  truncated at degree {report.truncated_at} (budget)")
         csv_rows.append((f"# truncated at degree {report.truncated_at}",))
     emit(
-        cfg,
+        args,
         doc,
         text,
         "stratum,component_label,d,N,M_num,M_den,slope_num,slope_den",
@@ -360,7 +368,7 @@ def cmd_limits(args, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------- table
 
 
-def cmd_table(args, cfg: RunConfig) -> None:
+def cmd_table(args) -> None:
     try:
         rows = reference_rows(args.genus)
     except ValueError as exc:
@@ -379,7 +387,7 @@ def cmd_table(args, cfg: RunConfig) -> None:
             f"genus {r.genus}  mu={mu:<20} {r.label:<7} s={frac_text(r.slope)}"
         )
     emit(
-        cfg,
+        args,
         [
             {"genus": r.genus, "mu": list(r.mu), "label": r.label, "slope": r.slope}
             for r in rows
@@ -461,18 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        fmt=args.format,
-        cache_dir=args.cache_dir or default_cache_dir(),
-        workers=args.workers,
-        budget=args.budget,
-    )
+    args.cache_dir = args.cache_dir or default_cache_dir()
     try:
         if args.workers < 1:
             raise UsageError("--workers must be positive")
         if args.budget is not None and args.budget < 1:
             raise UsageError("--budget must be positive")
-        args.func(args, cfg)
+        args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -179,9 +179,7 @@ def sweep(
     stratum: StratumSignature,
     d_max: int,
     scope: str = "stratum",
-    workers: int = 1,
-    budget: int | None = None,
-    provider: CensusProvider | None = None,
+    provider: CensusProvider = enumerate_census,
 ) -> SweepReport:
     """One row per nonempty degree up to d_max, per requested scope.
 
@@ -192,10 +190,6 @@ def sweep(
     """
     if scope not in ("stratum", "hyperelliptic", "classes"):
         raise ValueError(f"unknown scope {scope!r}")
-    if provider is None:
-        provider = lambda d, s: enumerate_census(
-            d, s, workers=workers, budget=budget
-        )
     rows: list[SweepRow] = []
     d_min = sum(m + 1 for m in stratum.mu)
     truncated = None
@@ -246,55 +240,3 @@ def row_slope(row: SweepRow, stratum: StratumSignature) -> Fraction | None:
     if row.n_classes == 0 or row.total_weight <= 0:
         return None
     return component_slope(row.n_classes, row.total_weight, stratum)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    mu: tuple[int, ...]
-    label: str
-    reference_slope: Fraction
-    exact_slope: Fraction | None  # closed form, hyperelliptic rows only
-    estimate_degree: int | None
-    estimate_slope: Fraction | None
-
-    @property
-    def exact_match(self) -> bool | None:
-        if self.estimate_slope is None:
-            return None
-        return self.estimate_slope == self.reference_slope
-
-
-def compare_with_reference(
-    genus: int, reports: dict[tuple[int, ...], SweepReport]
-) -> list[ComparisonRow]:
-    """Join reference rows for one genus against the largest-d estimates.
-
-    Deviations are reported, not judged: the table holds limits and no
-    convergence rate is available for finite degrees.
-    """
-    out = []
-    for ref in reference_rows(genus):
-        stratum = StratumSignature(ref.mu)
-        exact = None
-        if ref.label == "hyp":
-            exact = 8 + Fraction(4, genus)
-        est_degree = est_slope = None
-        report = reports.get(ref.mu)
-        if report is not None:
-            want = "all" if ref.label == "all" else ref.label
-            matches = [r for r in report.rows if r.label == want and r.n_classes]
-            if matches:
-                best = max(matches, key=lambda r: r.degree)
-                est_degree = best.degree
-                est_slope = row_slope(best, stratum)
-        out.append(
-            ComparisonRow(
-                mu=ref.mu,
-                label=ref.label,
-                reference_slope=ref.slope,
-                exact_slope=exact,
-                estimate_degree=est_degree,
-                estimate_slope=est_slope,
-            )
-        )
-    return out

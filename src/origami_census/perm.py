@@ -233,20 +233,6 @@ def class_size(parts: Sequence[int]) -> int:
     return factorial(sum(parts)) // z
 
 
-def conjugator_words(
-    xw: Sequence[int], yw: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Every word b with b x b^-1 == y, that is b[x[i]] == y[b[i]].
-
-    Each such b maps every cycle (c, x c, ...) of x onto a cycle
-    (e, y e, ...) of y of the same length, with b[x^k c] == y^k e.
-    Every matching of equal-length cycles, each with every rotation,
-    gives one b: there are |Z(x)| of them, or none when x and y have
-    different cycle types.
-    """
-    return conjugators_onto(xw, cycle_rotations(yw))
-
-
 def cycle_rotations(
     w: Sequence[int],
 ) -> dict[int, list[list[tuple[int, ...]]]]:
@@ -265,10 +251,15 @@ def cycle_rotations(
 def conjugators_onto(
     xw: Sequence[int], y_rotations: dict[int, list[list[tuple[int, ...]]]]
 ) -> Iterator[tuple[int, ...]]:
-    """:func:`conjugator_words` with y given as ``cycle_rotations(y)``.
+    """Every word b with b x b^-1 == y, that is b[x[i]] == y[b[i]], with
+    y given as ``cycle_rotations(y)``.
 
-    A caller that solves against one y for many x builds y's cycles
-    once.
+    Each such b maps every cycle (c, x c, ...) of x onto a cycle
+    (e, y e, ...) of y of the same length, with b[x^k c] == y^k e.
+    Every matching of equal-length cycles, each with every rotation,
+    gives one b: there are |Z(x)| of them, or none when x and y have
+    different cycle types.  A caller that solves against one y for
+    many x builds y's cycles once.
     """
     xcycles: dict[int, list[tuple[int, ...]]] = {}
     for c in word_cycles(xw):
@@ -324,15 +315,6 @@ def commutator(alpha: Perm, beta: Perm) -> Perm:
             f"degree mismatch: {alpha.degree} vs {beta.degree}"
         )
     return Perm(commutator_word(alpha.word, beta.word))
-
-
-def is_transitive(alpha: Perm, beta: Perm) -> bool:
-    """True iff <alpha, beta> has a single orbit on the letters."""
-    if alpha.degree != beta.degree:
-        raise DegreeMismatchError(
-            f"degree mismatch: {alpha.degree} vs {beta.degree}"
-        )
-    return words_transitive(alpha.word, beta.word)
 
 
 def class_representative(t: CycleType) -> Perm:
@@ -430,11 +412,3 @@ def perm_from_cycles(text: str) -> Perm:
             f"letters {missing} missing; write fixed points as (i)"
         )
     return Perm(word_from_cycles(cycles, degree))
-
-
-def all_perms(degree: int) -> Iterator[Perm]:
-    """All of S_d in lexicographic word order."""
-    from itertools import permutations
-
-    for w in permutations(range(degree)):
-        yield Perm(w)

@@ -83,20 +83,6 @@ class StratumSignature:
         return "(" + ",".join(str(m) for m in self.mu) + ")"
 
 
-def genus_of(commutator_type: CycleType) -> int:
-    """Genus of the cover whose branching has the given cycle type.
-
-    Total ramification sum(c_j - 1) is even for genuine commutators.
-    """
-    ram = sum(c - 1 for c in commutator_type.parts)
-    if ram % 2:
-        raise InvariantError(
-            f"odd total ramification {ram}: {commutator_type} is not a "
-            "commutator type"
-        )
-    return ram // 2 + 1
-
-
 def stratum_of(commutator_type: CycleType) -> StratumSignature:
     """Zero profile read off the commutator: parts c >= 2 give zeros c-1."""
     mu = tuple(c - 1 for c in commutator_type.parts if c >= 2)
@@ -282,13 +268,8 @@ def canonical_key(alpha: Perm, beta: Perm) -> bytes:
     return encode_pair(*canonical_form(alpha.word, beta.word))
 
 
-def to_record(o: Origami) -> dict:
-    """JSON-able record with 1-based cycles in canonical cycle order."""
-    return words_record(o.alpha.word, o.beta.word)
-
-
 def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
-    """:func:`to_record` of the pair of 0-based words (aw, bw)."""
+    """JSON-able record with 1-based cycles in canonical cycle order."""
     return {
         "degree": len(aw),
         "alpha": [[x + 1 for x in c] for c in word_cycles(aw)],
@@ -319,7 +300,7 @@ def record_words(rec: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def from_record(rec: dict) -> Origami:
-    """Inverse of :func:`to_record`; validates the pair."""
+    """Inverse of :func:`words_record`; validates the pair."""
     aw, bw = record_words(rec)
     return make_origami(Perm(aw), Perm(bw))
 

@@ -1,10 +1,14 @@
 """Shared fixtures: memoized censuses and ground-truth degree-5 data."""
 from __future__ import annotations
 
+from itertools import permutations
+from typing import Iterator
+
 import pytest
 
 from origami_census import (
     Census,
+    Perm,
     StratumSignature,
     enumerate_census,
     make_origami,
@@ -31,6 +35,12 @@ def census_of():
 
 def origami(alpha: str, beta: str):
     return make_origami(perm_from_cycles(alpha), perm_from_cycles(beta))
+
+
+def all_perms(degree: int) -> Iterator[Perm]:
+    """All of S_d in lexicographic word order, for brute-force oracles."""
+    for w in permutations(range(degree)):
+        yield Perm(w)
 
 
 def strata_at(degree: int) -> list[tuple[int, ...]]:

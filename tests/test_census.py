@@ -26,7 +26,7 @@ from origami_census.surface import (
     decode_pair,
     words_record,
 )
-from conftest import strata_at
+from conftest import all_perms, strata_at
 from reference_kernels import seen_sweep_enumerate_alpha_class
 
 
@@ -219,7 +219,7 @@ class TestRawPairAccounting:
     @staticmethod
     def _raw_count(d, mu):
         from origami_census.census import target_class
-        from origami_census.perm import all_perms, commutator, is_transitive
+        from origami_census.perm import commutator, words_transitive
 
         target = target_class(d, StratumSignature(mu))
         perms = list(all_perms(d))
@@ -227,12 +227,13 @@ class TestRawPairAccounting:
             1
             for a in perms
             for b in perms
-            if commutator(a, b).cycle_type() == target and is_transitive(a, b)
+            if commutator(a, b).cycle_type() == target
+            and words_transitive(a.word, b.word)
         )
 
     @staticmethod
     def _stabilizer_order(o):
-        from origami_census.perm import all_perms, conjugate
+        from origami_census.perm import conjugate
 
         return sum(
             1

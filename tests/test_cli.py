@@ -104,6 +104,41 @@ class TestCensusCommand:
         assert "cache write" in err
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize(
+        "command,degree,mu", [("census", "6", "4"), ("orbits", "5", "2")]
+    )
+    def test_cache_file_of_another_census_is_recomputed(
+        self, capsys, tmp_path, command, degree, mu
+    ):
+        run(capsys, "census", "--degree", "5", "--mu", "4",
+            "--cache-dir", str(tmp_path / "a"))
+        fresh_args = (command, "--degree", degree, "--mu", mu, "--cache-dir")
+        code, want, _ = run(capsys, *fresh_args, str(tmp_path / "b"))
+        assert code == 0
+        cache = tmp_path / "a" / "v1"
+        path = cache / f"census-d{degree}-mu{mu}.jsonl"
+        path.write_bytes((cache / "census-d5-mu4.jsonl").read_bytes())
+        code, out, err = run(capsys, *fresh_args, str(tmp_path / "a"))
+        assert code == 0
+        assert out == want
+        assert "holds the census of d=5 mu=(4)" in err
+        assert "cache hit" not in err and "cache write" in err
+        assert path.read_bytes() == (
+            tmp_path / "b" / "v1" / path.name
+        ).read_bytes()
+
+    def test_budget_bounds_a_cache_hit(self, capsys, tmp_path):
+        args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
+        assert run(capsys, *args)[0] == 0
+        code, out, err = run(capsys, *args, "--budget", "10")
+        assert code == 1
+        assert out == ""
+        assert "cache hit" in err
+        assert err.endswith("error: census exceeds budget of 10 members\n")
+        code, out, _ = run(capsys, *args, "--budget", "40")
+        assert code == 0
+        assert "N=40" in out
+
 
 class TestOrbitsCommand:
     def test_four_components(self, capsys, tmp_path):
@@ -377,6 +412,17 @@ class TestLimitsCommand:
             ])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dmax", ["0", "-2"])
+    def test_nonpositive_dmax_is_usage_error(self, capsys, tmp_path, dmax):
+        code, out, err = run(
+            capsys, "limits", "--mu", "2", "--dmax", dmax,
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --dmax must be positive\n"
         assert not list(tmp_path.iterdir())
 
     def test_csv_columns(self, capsys, tmp_path):

@@ -7,9 +7,9 @@ from origami_census.involutions import (
     has_order_two_automorphism,
     is_hyperelliptic,
 )
-from origami_census.perm import Perm, all_perms, commutator, compose, conjugate
+from origami_census.perm import Perm, commutator, compose, conjugate
 from origami_census.surface import Origami
-from conftest import origami
+from conftest import all_perms, origami
 
 
 def brute_force_anti_involutions(o: Origami) -> list[Perm]:

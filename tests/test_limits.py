@@ -5,7 +5,6 @@ import pytest
 from origami_census import limits
 from origami_census.census import enumerate_census
 from origami_census.limits import (
-    compare_with_reference,
     hyperelliptic_constants,
     kappa,
     l_from_s_kappa,
@@ -208,27 +207,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(StratumSignature((2,)), 4, scope="everything")
 
-
-class TestCompare:
-    def test_genus3_join(self, cached_provider):
-        reports = {
-            (4,): sweep(
-                StratumSignature((4,)), 5, scope="classes",
-                provider=cached_provider,
-            )
-        }
-        rows = compare_with_reference(3, reports)
-        assert [r.label for r in rows[:2]] == ["hyp", "odd"]
-        hyp, odd = rows[0], rows[1]
-        assert hyp.exact_slope == Fraction(28, 3)
-        assert hyp.estimate_slope == Fraction(28, 3)
-        assert hyp.exact_match is True
-        assert odd.estimate_slope == Fraction(9)
-        assert odd.exact_match is True
-        # strata without sweeps are reported with empty estimates
-        rest = rows[2:]
-        assert all(r.estimate_slope is None for r in rest)
-
-    def test_outside_range(self):
-        with pytest.raises(ValueError):
-            compare_with_reference(9, {})

@@ -20,7 +20,6 @@ from origami_census.orbits import (
 from origami_census.perm import (
     CycleType,
     Perm,
-    all_perms,
     commutator,
     commutator_word,
     compose,
@@ -33,6 +32,7 @@ from conftest import (
     DEGREE5_ORBIT_FACTS,
     DEGREE5_ORBITS,
     DEGREE5_PAIRS,
+    all_perms,
     origami,
     strata_at,
 )
@@ -163,11 +163,13 @@ def brute_force_orbit_count(degree: int, mu: tuple[int, ...]) -> int:
     target = target_class(degree, stratum)
     words = [Perm(w) for w in permutations(range(degree))]
     valid = set()
-    from origami_census.perm import is_transitive
+    from origami_census.perm import words_transitive
 
     for a in words:
         for b in words:
-            if commutator(a, b).cycle_type() == target and is_transitive(a, b):
+            if commutator(a, b).cycle_type() == target and words_transitive(
+                a.word, b.word
+            ):
                 valid.add((a.word, b.word))
     seen = set()
     orbits = 0

@@ -1,6 +1,5 @@
 import json
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from origami_census.census import partitions_desc
 from origami_census.perm import (
     CycleType,
     Perm,
-    all_perms,
     class_representative,
     compose,
     conjugate,
@@ -29,13 +27,13 @@ from origami_census.surface import (
     decode_pair,
     encode_pair,
     from_record,
-    genus_of,
     horizontal_cylinders,
     make_origami,
-    to_record,
+    stratum_of,
     weight_of,
+    words_record,
 )
-from conftest import DEGREE5_PAIRS, origami, strata_at
+from conftest import DEGREE5_PAIRS, all_perms, origami, strata_at
 from reference_kernels import full_scan_canonical_form
 
 
@@ -78,18 +76,18 @@ class TestMakeOrigami:
 
 class TestGenus:
     def test_examples(self):
-        assert genus_of(CycleType(5, (3, 1, 1))) == 2
-        assert genus_of(CycleType(5, (5,))) == 3
-        assert genus_of(CycleType(4, (1, 1, 1, 1))) == 1
+        assert stratum_of(CycleType(5, (3, 1, 1))).genus == 2
+        assert stratum_of(CycleType(5, (5,))).genus == 3
+        with pytest.raises(TrivialStratumError):
+            stratum_of(CycleType(4, (1, 1, 1, 1)))
 
     def test_matches_stratum_sum(self, census_of):
         for o in census_of(5, (4,)):
-            assert genus_of(o.commutator_type) == sum(o.stratum.mu) // 2 + 1
+            assert stratum_of(o.commutator_type).genus == (
+                sum(o.stratum.mu) // 2 + 1
+            )
 
-    def test_odd_ramification_names_the_type(self):
-        # one transposition is never a commutator: it is an odd permutation
-        with pytest.raises(InvariantError, match=re.escape("[2,1,1]")):
-            genus_of(CycleType(4, (2, 1, 1)))
+    def test_census_raises_the_surface_invariant_error(self):
         assert InvariantError is census_mod.InvariantError
 
 
@@ -262,14 +260,14 @@ class TestKeyCodec:
 class TestRecords:
     def test_round_trip(self, census_of):
         for o in census_of(5, (4,)):
-            rec = to_record(o)
+            rec = words_record(o.alpha.word, o.beta.word)
             text = json.dumps(rec)
             back = from_record(json.loads(text))
             assert back.alpha == o.alpha and back.beta == o.beta
 
     def test_record_shape(self):
         o = origami("(1,2,3,4)(5)", "(1,5)(2)(3)(4)")
-        rec = to_record(o)
+        rec = words_record(o.alpha.word, o.beta.word)
         assert rec == {
             "degree": 5,
             "alpha": [[1, 2, 3, 4], [5]],
