@@ -353,19 +353,12 @@ def enumerate_census(
     return Census(degree, stratum, keys)
 
 
-def brute_force_census(
-    degree: int,
-    stratum: StratumSignature,
-    force: bool = False,
-) -> Census:
-    """Reference enumeration over all of S_d x S_d (test oracle).
-
-    Guarded to degree <= 6; pass force=True to override.
-    """
-    if degree > BRUTE_FORCE_MAX_DEGREE and not force:
+def brute_force_census(degree: int, stratum: StratumSignature) -> Census:
+    """Reference enumeration over all of S_d x S_d (test oracle), up to
+    degree 6."""
+    if degree > BRUTE_FORCE_MAX_DEGREE:
         raise ValueError(
-            f"brute force beyond degree {BRUTE_FORCE_MAX_DEGREE} "
-            "requires force=True"
+            f"brute force stops at degree {BRUTE_FORCE_MAX_DEGREE}"
         )
     target = target_class(degree, stratum)
     if target is None:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import Census, InvariantError, weight_of_keys
+from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
 from .perm import Perm, commutator_word, compose, cycle_lengths
 from .spin import spin_parity
@@ -24,11 +24,8 @@ from .surface import (
     decode_pair,
     encode_pair,
     make_origami,
+    weight_of_parts,
 )
-
-
-class OrbitClosureError(RuntimeError):
-    """A twist image fell outside the census (indicates a census bug)."""
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,9 @@ def decompose(census: Census) -> list[ComponentSummary]:
     images are built and canonicalized as words, and each must keep
     the member's commutator word exactly.  The walk records every
     member's horizontal-twist image, from which :func:`cusp_data`
-    reads the cusps.  Each member is then built once, in key order,
-    for its hyperelliptic flag (and spin parity, on even strata), which
+    reads the cusps and their alpha cycle types, and from those the
+    orbit's weight.  Each member is then built once, in key order, for
+    its hyperelliptic flag (and spin parity, on even strata), which
     must equal that of the orbit's least member.  The orbits are
     checked to add up to the census; a failed check raises
     :class:`InvariantError`.
@@ -136,7 +134,6 @@ def decompose(census: Census) -> list[ComponentSummary]:
             key = frontier.pop()
             aw, bw = decode_pair(key, d)
             gw = commutator_word(aw, bw)
-            image_keys = []
             for twist, (ta, tb) in zip(
                 ("horizontal", "vertical"), twist_words(aw, bw)
             ):
@@ -147,16 +144,16 @@ def decompose(census: Census) -> list[ComponentSummary]:
                         f"{twist} twist of {key.hex()} changed the "
                         "commutator word"
                     )
-                image_keys.append(encode_pair(*canonical_form(ta, tb)))
-            h_alpha_next[key] = image_keys[0]
-            for image_key in image_keys:
+                image_key = encode_pair(*canonical_form(ta, tb))
+                # The horizontal image comes first and is the one kept.
+                h_alpha_next.setdefault(key, image_key)
                 if image_key in unvisited:
                     unvisited.remove(image_key)
                     frontier.append(image_key)
                 elif image_key not in members:
-                    raise OrbitClosureError(
-                        "twist image left the census; enumeration is "
-                        "incomplete or inconsistent"
+                    raise InvariantError(
+                        f"{twist} twist of {key.hex()} gives "
+                        f"{image_key.hex()}, which is not in the census"
                     )
         keys = sorted(h_alpha_next)
         first = None
@@ -175,7 +172,10 @@ def decompose(census: Census) -> list[ComponentSummary]:
                             f"gives {want!r}, {key.hex()} gives {got!r}"
                         )
         hyperelliptic, parity = first
-        weight = weight_of_keys(keys, d)
+        cusps = cusp_data(keys, census, h_alpha_next)
+        weight = sum(
+            (n * weight_of_parts(parts) for n, parts in cusps), Fraction(0)
+        )
         out.append(
             ComponentSummary(
                 component_id=len(out) + 1,
@@ -185,7 +185,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
                 slope=component_slope(len(keys), weight, census.stratum),
                 hyperelliptic=hyperelliptic,
                 parity=parity,
-                cusps=cusp_data(keys, census, h_alpha_next),
+                cusps=cusps,
             )
         )
     n_total = sum(c.n_classes for c in out)

@@ -289,11 +289,24 @@ def conjugators_onto(
 def word_from_cycles(
     cycles: Iterable[Sequence[int]], degree: int
 ) -> tuple[int, ...]:
-    """0-based word of disjoint 1-based cycles; unlisted letters are fixed."""
+    """0-based word of disjoint 1-based cycles; unlisted letters are fixed.
+
+    Raises ValueError unless every letter is an int in 1..degree that
+    appears once.  Each letter is checked before it is used.
+    """
     word = list(range(degree))
+    seen = [False] * degree
     for cyc in cycles:
-        for k in range(len(cyc)):
-            word[cyc[k] - 1] = cyc[(k + 1) % len(cyc)] - 1
+        for k, x in enumerate(cyc):
+            if not isinstance(x, int) or not 0 < x <= degree:
+                raise ValueError(f"letter {x!r} is not an int in 1..{degree}")
+            if seen[x - 1]:
+                raise ValueError(f"letter {x} repeated in 1..{degree}")
+            seen[x - 1] = True
+            if k:
+                word[cyc[k - 1] - 1] = x - 1
+        if cyc:
+            word[cyc[-1] - 1] = cyc[0] - 1
     return tuple(word)
 
 
@@ -382,7 +395,6 @@ def perm_from_cycles(text: str) -> Perm:
     if not text:
         raise ValueError("empty cycle string")
     cycles: list[list[int]] = []
-    seen: set[int] = set()
     pos = 0
     while pos < len(text):
         if text[pos] != "(":
@@ -397,18 +409,14 @@ def perm_from_cycles(text: str) -> Perm:
             letters = [int(x) for x in body.split(",")]
         except ValueError:
             raise ValueError(f"bad letter in cycle {body!r}") from None
-        for x in letters:
-            if x < 1:
-                raise ValueError(f"letters must be positive, got {x}")
-            if x in seen:
-                raise ValueError(f"letter {x} repeated in {text!r}")
-            seen.add(x)
         cycles.append(letters)
         pos = end + 1
+    seen = {x for c in cycles for x in c}
     degree = max(seen)
-    if seen != set(range(1, degree + 1)):
+    word = word_from_cycles(cycles, degree)
+    if len(seen) != degree:
         missing = sorted(set(range(1, degree + 1)) - seen)
         raise ValueError(
             f"letters {missing} missing; write fixed points as (i)"
         )
-    return Perm(word_from_cycles(cycles, degree))
+    return Perm(word)

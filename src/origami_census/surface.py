@@ -199,8 +199,6 @@ def canonical_form(
     the best one; beta is compared only when the alphas tie.
     """
     d = len(aw)
-    if d == 0:
-        return (), ()
     best_a: tuple[int, ...] = ()
     best_b: tuple[int, ...] = ()
     for start in range(d):
@@ -280,20 +278,14 @@ def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
 def record_words(rec: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The 0-based words of a record's alpha and beta.
 
-    Each field's cycles must hold every letter 1..degree exactly once;
-    raises ValueError otherwise, and KeyError or TypeError on a record
-    of the wrong shape.
+    Each field must hold ``degree`` letters, which
+    :func:`word_from_cycles` checks; raises ValueError otherwise, and
+    KeyError or TypeError on a record of the wrong shape.
     """
     d = rec["degree"]
     words = []
     for field in ("alpha", "beta"):
-        seen: set[int] = set()
-        for cyc in rec[field]:
-            for x in cyc:
-                if not isinstance(x, int) or x < 1 or x > d or x in seen:
-                    raise ValueError(f"bad {field} cycles in record: {rec!r}")
-                seen.add(x)
-        if len(seen) != d:
+        if sum(len(cyc) for cyc in rec[field]) != d:
             raise ValueError(f"{field} cycles do not cover 1..{d}: {rec!r}")
         words.append(word_from_cycles(rec[field], d))
     return words[0], words[1]

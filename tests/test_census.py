@@ -359,13 +359,16 @@ class TestSaveLoad:
     def test_schema_violation_in_record(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["alpha"] = [[1, 2]]
-        lines[1] = json.dumps(rec)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CensusSchemaError):
-            load_census(path)
+        saved = path.read_text().splitlines()
+        # too few letters, then five letters with one repeated
+        for alpha in ([[1, 2]], [[1, 2, 3, 4, 4]]):
+            lines = list(saved)
+            rec = json.loads(lines[1])
+            rec["alpha"] = alpha
+            lines[1] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CensusSchemaError):
+                load_census(path)
 
     @staticmethod
     def _replace_record(path, index, rec):

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from origami_census import orbits
-from origami_census.census import InvariantError, enumerate_census
+from origami_census.census import Census, InvariantError, enumerate_census
 from origami_census.orbits import (
     act_h_alpha,
     act_h_alpha_inverse,
@@ -416,6 +416,19 @@ class TestInvariantErrors:
             decompose(census)
         assert f"{twist} twist" in str(err.value)
         assert "commutator word" in str(err.value)
+
+    def test_twist_image_outside_the_census_names_the_key(self, census_of):
+        census = census_of(5, (4,))
+        orbit = next(
+            c.member_keys for c in decompose(census) if c.n_classes == 15
+        )
+        dropped = orbit[len(orbit) // 2]
+        holed = Census(
+            5, census.stratum, [k for k in census.keys() if k != dropped]
+        )
+        with pytest.raises(InvariantError, match=dropped.hex()) as err:
+            decompose(holed)
+        assert "not in the census" in str(err.value)
 
     def test_cusp_changing_alpha_type_names_the_keys(self, census_of):
         census = census_of(5, (4,))

@@ -280,6 +280,9 @@ class TestRecords:
             {"degree": 3, "alpha": [[1, 2]], "beta": [[1, 2, 3]]},
             {"degree": 3, "alpha": [[1, 2, 2]], "beta": [[1, 2, 3]]},
             {"degree": 3, "alpha": [[1, 2, 4]], "beta": [[1, 2, 3]]},
+            {"degree": 3, "alpha": [[0, 1, 2]], "beta": [[1, 2, 3]]},
+            {"degree": 3, "alpha": [["1", 2, 3]], "beta": [[1, 2, 3]]},
+            {"degree": 3, "alpha": [[1.0, 2, 3]], "beta": [[1, 2, 3]]},
         ],
     )
     def test_bad_records_rejected(self, bad):
