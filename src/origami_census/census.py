@@ -68,13 +68,14 @@ class CensusSchemaError(CensusFileError):
     """The file parses but violates the census schema."""
 
 
-class Census:
-    """All classes for one (degree, stratum), held as sorted canonical keys.
+class Census(Mapping):
+    """All classes for one (degree, stratum): a read-only mapping from
+    canonical key to member, in key order.
 
     A key is ``encode_pair`` of the class's canonical pair, so it holds
     the member's words; the commutator type and the stratum are shared
-    by every member and stored once.  ``members`` maps each key to its
-    member, built as an :class:`Origami` when read and not kept.
+    by every member and stored once.  A member is built as an
+    :class:`Origami` when it is read and is not kept.
     """
 
     def __init__(self, degree: int, stratum: StratumSignature,
@@ -83,26 +84,30 @@ class Census:
         self.stratum = stratum
         self.commutator_type = target_class(degree, stratum)
         self._keys = sorted(keys)
-        self.members = CensusMembers(self)
         self.n_classes = len(self._keys)
         self.total_weight = weight_of_keys(self._keys, degree)
 
-    def member(self, aw: tuple[int, ...], bw: tuple[int, ...]) -> Origami:
-        """The member whose canonical pair is (aw, bw), a pair of this
-        census that is not checked again."""
+    def __getitem__(self, key: bytes) -> Origami:
+        if key not in self:
+            raise KeyError(key)
+        aw, bw = decode_pair(key, self.degree)
         return Origami(Perm(aw), Perm(bw), self.commutator_type, self.stratum)
+
+    def __contains__(self, key) -> bool:
+        if not isinstance(key, bytes):
+            return False
+        keys = self._keys
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._keys)
 
     def __len__(self) -> int:
         return self.n_classes
 
-    def __iter__(self) -> Iterator[Origami]:
-        d = self.degree
-        return (self.member(*decode_pair(k, d)) for k in self._keys)
-
-    def keys(self) -> list[bytes]:
-        return list(self._keys)
-
     def __eq__(self, other) -> bool:
+        # Compares the keys; Mapping's __eq__ would build every member.
         if not isinstance(other, Census):
             return NotImplemented
         return (
@@ -116,31 +121,6 @@ class Census:
             f"Census(d={self.degree}, mu={self.stratum}, "
             f"N={self.n_classes}, M={self.total_weight})"
         )
-
-
-class CensusMembers(Mapping):
-    """Read-only view of a census: canonical key -> member, in key order."""
-
-    def __init__(self, census: Census):
-        self._census = census
-
-    def __getitem__(self, key: bytes) -> Origami:
-        if key not in self:
-            raise KeyError(key)
-        return self._census.member(*decode_pair(key, self._census.degree))
-
-    def __contains__(self, key) -> bool:
-        if not isinstance(key, bytes):
-            return False
-        keys = self._census._keys
-        i = bisect_left(keys, key)
-        return i < len(keys) and keys[i] == key
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self._census._keys)
-
-    def __len__(self) -> int:
-        return self._census.n_classes
 
 
 def weight_of_keys(keys: Iterable[bytes], degree: int) -> Fraction:
@@ -391,7 +371,7 @@ def save_census(census: Census, path: str | Path) -> None:
         f.write(_json_line(
             {"schema": SCHEMA_VERSION, "degree": d, "mu": list(census.stratum.mu)}
         ))
-        for key in census.members:
+        for key in census:
             f.write(_json_line(words_record(*decode_pair(key, d))))
         f.write(_json_line(
             {"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"}
@@ -407,7 +387,7 @@ def _file_lines(f, path: Path) -> Iterator[str]:
         raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
 
 
-def load_census(path: str | Path) -> Census:
+def load_census(path: str | Path, budget: int | None = None) -> Census:
     """Read a census file back, checking each record once, on its words.
 
     A record's cycles must give a transitive pair of the header's
@@ -416,6 +396,8 @@ def load_census(path: str | Path) -> Census:
     is built.  The class count and total weight must match the trailer.
     Lines are read one at a time, with one line of lookahead to tell
     the trailer from the records, so the file is never held whole.
+    Holding more than ``budget`` records raises
+    :class:`ResourceBudgetError` at once, as in :func:`enumerate_census`.
     """
     path = Path(path)
     try:
@@ -483,6 +465,10 @@ def load_census(path: str | Path) -> Census:
                     f"{path}: records out of canonical-key order"
                 )
             keys.append(key)
+            if budget is not None and len(keys) > budget:
+                raise ResourceBudgetError(
+                    f"census exceeds budget of {budget} members"
+                )
 
     trailer = parse(last, "trailer")
     if set(trailer) != {"n", "m"}:

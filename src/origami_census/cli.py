@@ -82,12 +82,12 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
 
     A cache file that fails to load or holds another census is
     recomputed; ``--budget`` bounds a cache hit as it bounds the
-    enumeration.
+    enumeration, stopping the read at the first record past it.
     """
     path = cache_path(args.cache_dir, degree, stratum)
     if path.exists():
         try:
-            census = load_census(path)
+            census = load_census(path, budget=args.budget)
             if (census.degree, census.stratum) != (degree, stratum):
                 raise CensusSchemaError(
                     f"{path} holds the census of d={census.degree} "
@@ -95,12 +95,11 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
                 )
         except CensusFileError as exc:
             log(f"cache invalid ({exc}); recomputing")
+        except ResourceBudgetError:
+            log(f"cache hit: {path}")
+            raise
         else:
             log(f"cache hit: {path}")
-            if args.budget is not None and census.n_classes > args.budget:
-                raise ResourceBudgetError(
-                    f"census exceeds budget of {args.budget} members"
-                )
             return census
     census = enumerate_census(
         degree, stratum, workers=args.workers, budget=args.budget

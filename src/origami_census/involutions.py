@@ -47,21 +47,18 @@ class InvolutionReport:
         )
 
 
-def _propagate(o: Origami, target: int, ea, eb) -> Perm | None:
+def _propagate(aw, bw, target: int, ea, eb) -> list[int] | None:
     """Extend tau(square 1) = target to all squares, or return None.
 
     The intertwining relation determines tau along every alpha/beta
     edge: tau(alpha(x)) = ea(tau(x)) and tau(beta(x)) = eb(tau(x)).
     The target words (ea, eb) are the inverses of alpha and beta for
     an anti-involution, alpha and beta themselves for a plain
-    automorphism.  Transitivity makes the extension total; the
-    candidate is then checked for consistency and tau^2 = id.
+    automorphism.  The pair is transitive, so the walk reaches every
+    square and tests both of its out-edges; the extension is then
+    checked for tau^2 = id.
     """
-    d = o.degree
-    aw = o.alpha.word
-    bw = o.beta.word
-
-    tau = [-1] * d
+    tau = [-1] * len(aw)
     tau[0] = target
     stack = [0]
     while stack:
@@ -74,13 +71,9 @@ def _propagate(o: Origami, target: int, ea, eb) -> Perm | None:
                 stack.append(y)
             elif tau[y] != img:
                 return None
-    # consistency on every edge, not only the spanning ones
-    for x in range(d):
-        if tau[aw[x]] != ea[tau[x]] or tau[bw[x]] != eb[tau[x]]:
-            return None
-        if tau[tau[x]] != x:
-            return None
-    return Perm(tuple(tau))
+    if any(tau[t] != x for x, t in enumerate(tau)):
+        return None
+    return tau
 
 
 def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
@@ -88,59 +81,52 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
 
     Returns one report per involution, ordered by tau's word.
     """
-    aw, bw = o.alpha.word, o.beta.word
-    gamma_cycles = word_cycles(commutator_word(aw, bw))
-    ai, bi = inverse_word(aw), inverse_word(bw)
-    reports = []
-    for target in range(o.degree):
-        tau = _propagate(o, target, ai, bi)
-        if tau is not None:
-            reports.append(_report(o, tau, gamma_cycles, ai, bi))
-    return reports
-
-
-def has_order_two_automorphism(o: Origami) -> bool:
-    """True iff a non-identity involution commutes with both alpha and beta."""
-    for target in range(o.degree):
-        tau = _propagate(o, target, o.alpha.word, o.beta.word)
-        if tau is not None and not tau.is_identity():
-            return True
-    return False
-
-
-def _report(
-    o: Origami, tau: Perm, gamma_cycles: list[tuple[int, ...]], ai, bi
-) -> InvolutionReport:
-    """Fixed points of tau; ``ai`` and ``bi`` are the inverse words of
-    alpha and beta."""
     d = o.degree
-    aw = o.alpha.word
-    bw = o.beta.word
-    tw = tau.word
-
-    centers = sum(1 for i in range(d) if tw[i] == i)
-    vert = sum(1 for i in range(d) if tw[aw[i]] == i)
-    horiz = sum(1 for i in range(d) if tw[bw[i]] == i)
-
-    # The involution sends the vertex through the lower-left corner of
-    # square i to the one through the lower-left corner of sigma(i),
-    # where sigma = (beta alpha)^-1 tau = alpha^-1 beta^-1 tau.
-    sigma = [ai[bi[tw[i]]] for i in range(d)]
-
+    aw, bw = o.alpha.word, o.beta.word
+    ai, bi = inverse_word(aw), inverse_word(bw)
+    taus = [_propagate(aw, bw, target, ai, bi) for target in range(d)]
+    taus = [tw for tw in taus if tw is not None]
+    if not taus:
+        return []
+    # The surface's vertices are the cycles of the commutator.
+    gamma_cycles = word_cycles(commutator_word(aw, bw))
     cycle_of = [0] * d
     for idx, cyc in enumerate(gamma_cycles):
         for x in cyc:
             cycle_of[x] = idx
+    reports = []
+    for tw in taus:
+        centers = sum(1 for i in range(d) if tw[i] == i)
+        vert = sum(1 for i in range(d) if tw[aw[i]] == i)
+        horiz = sum(1 for i in range(d) if tw[bw[i]] == i)
+        # The involution sends the vertex through the lower-left corner
+        # of square i to the one through the lower-left corner of
+        # sigma(i), where sigma = (beta alpha)^-1 tau = alpha^-1 beta^-1 tau.
+        sigma = [ai[bi[tw[i]]] for i in range(d)]
+        regular = sum(
+            1 for cyc in gamma_cycles
+            if len(cyc) == 1 and sigma[cyc[0]] == cyc[0]
+        )
+        zeros = sum(
+            1 for cyc in gamma_cycles
+            if len(cyc) >= 2 and cycle_of[sigma[cyc[0]]] == cycle_of[cyc[0]]
+        )
+        reports.append(InvolutionReport(
+            Perm(tuple(tw)), centers, vert, horiz, regular, zeros
+        ))
+    return reports
 
-    regular = sum(
-        1 for cyc in gamma_cycles if len(cyc) == 1 and sigma[cyc[0]] == cyc[0]
+
+def has_order_two_automorphism(o: Origami) -> bool:
+    """True iff a non-identity involution commutes with both alpha and beta.
+
+    Target 0 can only extend to the identity, so it is skipped.
+    """
+    aw, bw = o.alpha.word, o.beta.word
+    return any(
+        _propagate(aw, bw, target, aw, bw) is not None
+        for target in range(1, o.degree)
     )
-    zeros = sum(
-        1
-        for cyc in gamma_cycles
-        if len(cyc) >= 2 and cycle_of[sigma[cyc[0]]] == cycle_of[cyc[0]]
-    )
-    return InvolutionReport(tau, centers, vert, horiz, regular, zeros)
 
 
 def is_hyperelliptic(o: Origami) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .census import Census, ResourceBudgetError, enumerate_census, target_class
+from .census import Census, ResourceBudgetError, enumerate_census
 from .involutions import is_hyperelliptic
 from .orbits import ComponentSummary, component_slope, decompose
 from .surface import InvariantError, StratumSignature
@@ -194,8 +194,6 @@ def sweep(
     d_min = sum(m + 1 for m in stratum.mu)
     truncated = None
     for d in range(d_min, d_max + 1):
-        if target_class(d, stratum) is None:
-            continue
         try:
             census = provider(d, stratum)
         except ResourceBudgetError:
@@ -208,7 +206,7 @@ def sweep(
                 SweepRow(d, scope, "all", census.n_classes, census.total_weight)
             )
         elif scope == "hyperelliptic":
-            flagged = [o for o in census if is_hyperelliptic(o)]
+            flagged = [o for o in census.values() if is_hyperelliptic(o)]
             rows.append(
                 SweepRow(
                     d,

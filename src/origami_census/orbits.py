@@ -118,13 +118,12 @@ def decompose(census: Census) -> list[ComponentSummary]:
     :class:`InvariantError`.
     """
     d = census.degree
-    members = census.members
-    unvisited = set(members)
+    unvisited = set(census)
     even = census.stratum.all_even()
     out = []
     # Start keys come in sorted order, so each orbit starts at its
     # least key and the orbits come out already ordered.
-    for start_key in members:
+    for start_key in census:
         if start_key not in unvisited:
             continue
         unvisited.remove(start_key)
@@ -150,7 +149,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
                 if image_key in unvisited:
                     unvisited.remove(image_key)
                     frontier.append(image_key)
-                elif image_key not in members:
+                elif image_key not in census:
                     raise InvariantError(
                         f"{twist} twist of {key.hex()} gives "
                         f"{image_key.hex()}, which is not in the census"
@@ -158,7 +157,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
         keys = sorted(h_alpha_next)
         first = None
         for key in keys:
-            o = census.member(*decode_pair(key, d))
+            o = census[key]
             labels = (is_hyperelliptic(o), spin_parity(o) if even else None)
             if first is None:
                 first = labels
@@ -196,7 +195,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
             f"orbits hold {n_total} classes of weight {m_total}, the "
             f"census {census.n_classes} of weight {census.total_weight}; "
             "keys not in exactly one orbit: "
-            + ", ".join(k.hex() for k in members if counts[k] != 1)
+            + ", ".join(k.hex() for k in census if counts[k] != 1)
         )
     return out
 

@@ -193,7 +193,7 @@ def test_criterion_08_no_order_two_automorphisms(census_of):
     with criterion(8, "single-zero covers admit no order-two automorphism"):
         cases = [(d, (2,)) for d in range(3, 7)] + [(5, (4,)), (6, (4,))]
         for d, mu in cases:
-            for o in census_of(d, mu):
+            for o in census_of(d, mu).values():
                 assert not has_order_two_automorphism(o)
 
 
@@ -206,11 +206,11 @@ def test_criterion_09_orbit_constant_labels(census_of):
                     continue
                 for comp in decompose(census):
                     flags = {
-                        is_hyperelliptic(census.members[k])
+                        is_hyperelliptic(census[k])
                         for k in comp.member_keys
                     }
                     parities = {
-                        spin_parity(census.members[k])
+                        spin_parity(census[k])
                         for k in comp.member_keys
                     }
                     assert flags == {comp.hyperelliptic}

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ class TestEnumerate:
 
     def test_commutator_class_exhaustively_checked(self, census_of):
         target = target_class(5, StratumSignature((4,)))
-        for o in census_of(5, (4,)):
+        for o in census_of(5, (4,)).values():
             assert o.commutator_type == target
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -248,14 +249,14 @@ class TestRawPairAccounting:
 
         total = sum(
             math.factorial(d) // self._stabilizer_order(o)
-            for o in census_of(d, mu)
+            for o in census_of(d, mu).values()
         )
         assert total == self._raw_count(d, mu)
 
     def test_single_zero_pairs_have_trivial_stabilizer(self, census_of):
         # deck transformations of a one-zero cover have odd order
         # dividing 2g-1; at degree 5 that forces triviality
-        for o in census_of(5, (4,)):
+        for o in census_of(5, (4,)).values():
             assert self._stabilizer_order(o) == 1
 
 
@@ -286,7 +287,7 @@ def test_reference_comparison_covers_both_walks(d, census_of):
             continue
         target = target_class(d, StratumSignature(mu)).parts
         for parts in {
-            cycle_lengths(decode_pair(k, d)[0]) for k in census_of(d, mu).keys()
+            cycle_lengths(decode_pair(k, d)[0]) for k in census_of(d, mu)
         }:
             walks.add(class_size(parts) < class_size(target))
     assert walks == {True, False}
@@ -322,6 +323,15 @@ class TestSaveLoad:
         assert back == census
         assert back.total_weight == census.total_weight
         assert back.n_classes == 40
+
+    def test_budget_bounds_the_load(self, census_of, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        assert load_census(path, budget=40) == census_of(5, (4,))
+        with pytest.raises(
+            ResourceBudgetError, match="^census exceeds budget of 39 members$"
+        ):
+            load_census(path, budget=39)
 
     def test_empty_census_round_trip(self, tmp_path):
         empty = enumerate_census(2, StratumSignature((2,)))
@@ -379,7 +389,7 @@ class TestSaveLoad:
     def test_relabeled_record(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
-        aw, bw = decode_pair(census_of(5, (4,)).keys()[0], 5)
+        aw, bw = decode_pair(list(census_of(5, (4,)))[0], 5)
         swap = (1, 0, 2, 3, 4)  # relabel squares 1 and 2
         ra = tuple(swap[aw[swap[i]]] for i in range(5))
         rb = tuple(swap[bw[swap[i]]] for i in range(5))
@@ -393,7 +403,7 @@ class TestSaveLoad:
         # a record of another stratum, then of another degree
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
-        stray = census_of(*other).keys()[0]
+        stray = list(census_of(*other))[0]
         self._replace_record(
             path, 1, words_record(*decode_pair(stray, other[0]))
         )
@@ -467,24 +477,26 @@ class TestCompactMembers:
     ):
         census = census_of(d, mu)
         assert census.total_weight == sum(
-            (o.weight for o in census), Fraction(0)
+            (o.weight for o in census.values()), Fraction(0)
         )
 
-    def test_members_view(self, census_of):
+    def test_census_is_a_read_only_mapping(self, census_of):
         census = census_of(5, (4,))
-        keys = census.keys()
-        assert list(census.members) == keys == sorted(keys)
-        assert len(census.members) == 40
-        o = census.members[keys[3]]
+        assert isinstance(census, Mapping)
+        keys = list(census)
+        assert list(census.keys()) == keys == sorted(keys)
+        assert len(census) == 40
+        o = census[keys[3]]
         assert (o.alpha.word, o.beta.word) == decode_pair(keys[3], 5)
         assert o.commutator_type == census.commutator_type
         assert o.stratum == census.stratum
-        assert [m.alpha for m in census] == [
-            census.members[k].alpha for k in keys
+        assert [m.alpha for m in census.values()] == [
+            census[k].alpha for k in keys
         ]
         absent = keys[0][:-1] + bytes([keys[0][-1] ^ 1])
-        assert absent not in census.members
+        assert absent not in census
+        assert bytearray(keys[0]) not in census
         with pytest.raises(KeyError):
-            census.members[absent]
+            census[absent]
         with pytest.raises(TypeError):
-            census.members[keys[0]] = o
+            census[keys[0]] = o

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from origami_census import census as census_mod
 from origami_census import cli
 from origami_census.cli import main
 
@@ -138,6 +139,29 @@ class TestCensusCommand:
         code, out, _ = run(capsys, *args, "--budget", "40")
         assert code == 0
         assert "N=40" in out
+
+    def test_budget_stops_a_cache_hit_at_the_first_record_past_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
+        assert run(capsys, *args)[0] == 0
+        path = tmp_path / "v1" / "census-d5-mu4.jsonl"
+        cached = path.read_bytes()
+        assert cached.count(b"\n") == 42  # header, 40 records, trailer
+        calls = []
+        record_words = census_mod.record_words
+
+        def spy(rec):
+            calls.append(rec)
+            return record_words(rec)
+
+        monkeypatch.setattr(census_mod, "record_words", spy)
+        code, out, err = run(capsys, *args, "--budget", "10")
+        assert code == 1
+        assert out == ""
+        assert err.endswith("error: census exceeds budget of 10 members\n")
+        assert 0 < len(calls) <= 11
+        assert path.read_bytes() == cached
 
 
 class TestOrbitsCommand:

@@ -149,7 +149,7 @@ def automorphism_count(aw: tuple[int, ...], bw: tuple[int, ...]) -> int:
 def weighted_labelings(census) -> int:
     d = census.degree
     total = 0
-    for o in census:
+    for o in census.values():
         aut = automorphism_count(o.alpha.word, o.beta.word)
         assert factorial(d) % aut == 0
         total += factorial(d) // aut

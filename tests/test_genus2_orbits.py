@@ -151,5 +151,5 @@ def test_integer_weierstrass_points_tell_the_two_orbits_apart(split, n):
     )
     for comp, want in ((a, 1), (b, 3)):
         for key in comp.member_keys:
-            o = census.members[key]
+            o = census[key]
             assert integer_weierstrass_points(o) == want, key.hex()

@@ -80,7 +80,7 @@ class TestTwistWords:
     def test_images_keep_the_commutator_word(self, d, mu, census_of):
         census = census_of(d, mu)
         assert census.n_classes > 0
-        for o in census:
+        for o in census.values():
             aw, bw = o.alpha.word, o.beta.word
             images = twist_words(aw, bw)
             assert images == (
@@ -130,7 +130,7 @@ class TestDegree5Decomposition:
         census = census_of(5, (4,))
         comps = decompose(census)
         keys = sorted(k for c in comps for k in c.member_keys)
-        assert keys == census.keys()
+        assert keys == list(census)
         assert sum((c.total_weight for c in comps), Fraction(0)) == census.total_weight
 
 
@@ -260,8 +260,8 @@ def direct_cusp_walk(component_keys, census):
         if key not in remaining:
             continue
         size = 0
-        alpha_parts = census.members[key].alpha.cycle_type().parts
-        cur, cur_key = census.members[key], key
+        alpha_parts = census[key].alpha.cycle_type().parts
+        cur, cur_key = census[key], key
         while cur_key in remaining:
             remaining.remove(cur_key)
             size += 1
@@ -308,7 +308,7 @@ class TestForwardClosure:
         for c in decompose(census):
             keys = set(c.member_keys)
             for k in c.member_keys:
-                o = census.members[k]
+                o = census[k]
                 for inv in (act_h_alpha_inverse, act_h_beta_inverse):
                     image = inv(o)
                     assert canonical_key(image.alpha, image.beta) in keys
@@ -400,10 +400,10 @@ class TestInvariantErrors:
             return commutator_word(*bent) != commutator_word(aw, bw)
 
         bad_key = next(
-            k for k in census.keys()[len(census) // 2:]
-            if bending_shows(census.members[k])
+            k for k in list(census)[len(census) // 2:]
+            if bending_shows(census[k])
         )
-        bad = census.members[bad_key]
+        bad = census[bad_key]
 
         def bent(aw, bw):
             images = real(aw, bw)
@@ -424,7 +424,7 @@ class TestInvariantErrors:
         )
         dropped = orbit[len(orbit) // 2]
         holed = Census(
-            5, census.stratum, [k for k in census.keys() if k != dropped]
+            5, census.stratum, [k for k in census if k != dropped]
         )
         with pytest.raises(InvariantError, match=dropped.hex()) as err:
             decompose(holed)
@@ -432,11 +432,11 @@ class TestInvariantErrors:
 
     def test_cusp_changing_alpha_type_names_the_keys(self, census_of):
         census = census_of(5, (4,))
-        first = census.keys()[0]
-        parts = cycle_lengths(census.members[first].alpha.word)
+        first = list(census)[0]
+        parts = cycle_lengths(census[first].alpha.word)
         other = next(
-            k for k in census.keys()
-            if cycle_lengths(census.members[k].alpha.word) != parts
+            k for k in census
+            if cycle_lengths(census[k].alpha.word) != parts
         )
         bad_next = {first: other, other: first}
         with pytest.raises(InvariantError, match=other.hex()) as err:

@@ -25,7 +25,7 @@ from reference_kernels import matrix_arf, matrix_spin_parity, walk_cycle_data
 
 class TestPreconditions:
     def test_odd_zero_rejected(self, census_of):
-        o = next(iter(census_of(6, (3, 1))))
+        o = next(iter(census_of(6, (3, 1)).values()))
         with pytest.raises(ParityUndefinedError):
             spin_parity(o)
 
@@ -33,7 +33,7 @@ class TestPreconditions:
 class TestAnchors:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_genus2_single_zero_all_odd(self, d, census_of):
-        for o in census_of(d, (2,)):
+        for o in census_of(d, (2,)).values():
             assert spin_parity(o) == 1
 
     def test_degree5_single4_components(self, census_of):
@@ -76,14 +76,14 @@ class TestInvariance:
         # spell it out anyway
         for comp in decompose(census):
             parities = {
-                spin_parity(census.members[k]) for k in comp.member_keys
+                spin_parity(census[k]) for k in comp.member_keys
             }
             assert parities == {comp.parity}
 
     def test_conjugation_invariance(self, census_of):
         rng = random.Random(20)
         taus = list(all_perms(5))
-        members = list(census_of(5, (4,)))
+        members = list(census_of(5, (4,)).values())
         for o in members[::8]:
             want = spin_parity(o)
             for _ in range(100):
@@ -111,7 +111,7 @@ class TestInvariance:
 
 class TestInvariantErrors:
     def test_face_not_descending_names_the_key(self, monkeypatch, census_of):
-        o = list(census_of(5, (4,)))[7]
+        o = list(census_of(5, (4,)).values())[7]
         real = spin._face_masks
 
         def shifted(o):
@@ -129,7 +129,7 @@ class TestInvariantErrors:
         # matrix to some M'.  The rows read it through sigma^-1 and the
         # transposed rows through sigma, so a nonzero diagonal and an
         # asymmetric M' must each be caught.
-        o = list(census_of(6, (2, 2)))[5]
+        o = list(census_of(6, (2, 2)).values())[5]
         d = o.degree
         _, _, cross, _ = spin._cycle_data(o)
         sigma = spin._skeleton_sides(
@@ -208,7 +208,7 @@ class TestFaces:
     def test_face_masks_match_corner_union_find(self, d, mu, census_of):
         census = census_of(d, mu)
         assert census.n_classes > 0
-        for o in census:
+        for o in census.values():
             faces = spin._face_masks(o)
             assert sorted(faces) == sorted(corner_union_find_masks(o))
             assert len(faces) == len(o.commutator_type.parts)
@@ -228,7 +228,7 @@ class TestMatrixReference:
     def test_parity_matches_matrix_pipeline(self, d, mu, census_of):
         census = census_of(d, mu)
         assert census.n_classes > 0
-        for o in census:
+        for o in census.values():
             assert spin_parity(o) == matrix_spin_parity(o)
 
     def test_arf_matches_matrix_reduction_on_random_forms(self):
@@ -253,7 +253,7 @@ class TestMatrixReference:
 def test_tree_pass_matches_walks(d, mu, census_of):
     census = census_of(d, mu)
     assert census.n_classes > 0
-    for o in census:
+    for o in census.values():
         assert spin._cycle_data(o) == walk_cycle_data(o)
 
 
