@@ -52,15 +52,12 @@ from .orbits import (
 )
 from .limits import (
     ReferenceRow,
-    StratumConstants,
     SweepReport,
     SweepRow,
     hyperelliptic_constants,
-    kappa,
     l_from_s_kappa,
     load_reference_table,
     reference_rows,
-    row_slope,
     s_from_c_l,
     stratum_constants,
     sweep,

@@ -387,7 +387,12 @@ def _file_lines(f, path: Path) -> Iterator[str]:
         raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
 
 
-def load_census(path: str | Path, budget: int | None = None) -> Census:
+def load_census(
+    path: str | Path,
+    budget: int | None = None,
+    *,
+    expect: tuple[int, StratumSignature] | None = None,
+) -> Census:
     """Read a census file back, checking each record once, on its words.
 
     A record's cycles must give a transitive pair of the header's
@@ -398,6 +403,8 @@ def load_census(path: str | Path, budget: int | None = None) -> Census:
     the trailer from the records, so the file is never held whole.
     Holding more than ``budget`` records raises
     :class:`ResourceBudgetError` at once, as in :func:`enumerate_census`.
+    A header other than ``expect``, a ``(degree, stratum)`` pair, raises
+    :class:`CensusSchemaError` before any record is read.
     """
     path = Path(path)
     try:
@@ -434,6 +441,10 @@ def load_census(path: str | Path, budget: int | None = None) -> Census:
             stratum = StratumSignature.from_parts(header["mu"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
+        if expect is not None and (degree, stratum) != expect:
+            raise CensusSchemaError(
+                f"{path} holds the census of d={degree} mu={stratum}"
+            )
 
         target = target_class(degree, stratum)
         keys: list[bytes] = []

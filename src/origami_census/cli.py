@@ -19,7 +19,6 @@ from pathlib import Path
 from .census import (
     Census,
     CensusFileError,
-    CensusSchemaError,
     ResourceBudgetError,
     SCHEMA_VERSION,
     enumerate_census,
@@ -27,7 +26,7 @@ from .census import (
     save_census,
 )
 from .involutions import find_anti_involutions, is_hyperelliptic
-from .limits import reference_rows, row_slope, stratum_constants, sweep
+from .limits import reference_rows, stratum_constants, sweep
 from .orbits import decompose
 from .perm import DegreeMismatchError, perm_from_cycles
 from .spin import ParityUndefinedError, spin_parity
@@ -87,12 +86,9 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
     path = cache_path(args.cache_dir, degree, stratum)
     if path.exists():
         try:
-            census = load_census(path, budget=args.budget)
-            if (census.degree, census.stratum) != (degree, stratum):
-                raise CensusSchemaError(
-                    f"{path} holds the census of d={census.degree} "
-                    f"mu={census.stratum}"
-                )
+            census = load_census(
+                path, budget=args.budget, expect=(degree, stratum)
+            )
         except CensusFileError as exc:
             log(f"cache invalid ({exc}); recomputing")
         except ResourceBudgetError:
@@ -314,43 +310,43 @@ def cmd_limits(args) -> None:
         scope=args.scope,
         provider=lambda d, s: get_census(args, d, s),
     )
-    rows = [(r, row_slope(r, stratum)) for r in report.rows]
     doc = {
         "mu": list(stratum.mu),
-        "scope": report.scope,
+        "scope": args.scope,
         "rows": [
             {
                 "d": r.degree,
-                "scope": r.scope,
+                "scope": args.scope,
                 "label": r.label,
                 "n": r.n_classes,
                 "m": r.total_weight,
                 "ratio": r.ratio,
-                "slope": slope,
+                "slope": r.slope,
             }
-            for r, slope in rows
+            for r in report.rows
         ],
         "truncated_at": report.truncated_at,
     }
-    text = [f"mu={stratum} scope={report.scope} kappa={frac_text(stratum.kappa)}"]
-    consts = stratum_constants(stratum)
-    if consts.exact_s is not None:
+    text = [f"mu={stratum} scope={args.scope} kappa={frac_text(stratum.kappa)}"]
+    exact = stratum_constants(stratum)
+    if exact is not None:
+        c, big_l, s = exact
         text.append(
-            f"exact hyperelliptic values: c={frac_text(consts.exact_c)} "
-            f"L={frac_text(consts.exact_l)} s={frac_text(consts.exact_s)}"
+            f"exact hyperelliptic values: c={frac_text(c)} "
+            f"L={frac_text(big_l)} s={frac_text(s)}"
         )
     text += [
         f"  d={r.degree} [{r.label}] N={r.n_classes} "
         f"M={frac_text(r.total_weight)} M/N={frac_text(r.ratio)} "
-        f"slope={frac_text(slope)}"
-        for r, slope in rows
+        f"slope={frac_text(r.slope)}"
+        for r in report.rows
     ]
     csv_rows = [
         (
             " ".join(map(str, stratum.mu)), r.label, r.degree, r.n_classes,
-            *num_den(r.total_weight), *num_den(slope),
+            *num_den(r.total_weight), *num_den(r.slope),
         )
-        for r, slope in rows
+        for r in report.rows
     ]
     if report.truncated_at is not None:
         text.append(f"  truncated at degree {report.truncated_at} (budget)")

@@ -11,12 +11,12 @@ for genus 3 to 6.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
-from .census import Census, ResourceBudgetError, enumerate_census
+from .census import ResourceBudgetError, enumerate_census, weight_of_keys
 from .involutions import is_hyperelliptic
 from .orbits import ComponentSummary, component_slope, decompose
 from .surface import InvariantError, StratumSignature
@@ -24,11 +24,6 @@ from .surface import InvariantError, StratumSignature
 REFERENCE_GENUS_RANGE = (3, 6)
 
 _DATA_FILE = Path(__file__).parent / "data" / "appendix_b.csv"
-
-
-def kappa(stratum: StratumSignature) -> Fraction:
-    """(2g-2 + sum m/(m+1)) / 12, exact."""
-    return stratum.kappa
 
 
 def hyperelliptic_constants(
@@ -75,27 +70,16 @@ def l_from_s_kappa(s: Fraction, kap: Fraction) -> Fraction:
     return 12 * Fraction(kap) / (12 - Fraction(s))
 
 
-@dataclass(frozen=True)
-class StratumConstants:
-    """kappa always; exact c, L, s when the shape is hyperelliptic."""
-
-    stratum: StratumSignature
-    kappa: Fraction
-    exact_c: Fraction | None
-    exact_l: Fraction | None
-    exact_s: Fraction | None
-
-
-def stratum_constants(stratum: StratumSignature) -> StratumConstants:
-    g = stratum.genus
-    mu = stratum.mu
+def stratum_constants(
+    stratum: StratumSignature,
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """Exact (c, L, s) when the stratum has a hyperelliptic shape, else None."""
+    g, mu = stratum.genus, stratum.mu
     if mu == (2 * g - 2,):
-        c, big_l, s = hyperelliptic_constants(g, zeros=1)
-    elif len(mu) == 2 and mu[0] == mu[1]:
-        c, big_l, s = hyperelliptic_constants(g, zeros=2)
-    else:
-        c = big_l = s = None
-    return StratumConstants(stratum, stratum.kappa, c, big_l, s)
+        return hyperelliptic_constants(g, zeros=1)
+    if len(mu) == 2 and mu[0] == mu[1]:
+        return hyperelliptic_constants(g, zeros=2)
+    return None
 
 
 @dataclass(frozen=True)
@@ -106,26 +90,23 @@ class ReferenceRow:
     slope: Fraction
 
 
-_reference_cache: list[ReferenceRow] | None = None
+@functools.cache
+def _reference_table() -> tuple[ReferenceRow, ...]:
+    with open(_DATA_FILE, newline="") as f:
+        return tuple(
+            ReferenceRow(
+                genus=int(rec["genus"]),
+                mu=tuple(int(x) for x in rec["mu"].split(",")),
+                label=rec["label"],
+                slope=Fraction(int(rec["s_num"]), int(rec["s_den"])),
+            )
+            for rec in csv.DictReader(f)
+        )
 
 
 def load_reference_table() -> list[ReferenceRow]:
     """The bundled limiting-slope table, rows in file order."""
-    global _reference_cache
-    if _reference_cache is None:
-        rows = []
-        with open(_DATA_FILE, newline="") as f:
-            for rec in csv.DictReader(f):
-                rows.append(
-                    ReferenceRow(
-                        genus=int(rec["genus"]),
-                        mu=tuple(int(x) for x in rec["mu"].split(",")),
-                        label=rec["label"],
-                        slope=Fraction(int(rec["s_num"]), int(rec["s_den"])),
-                    )
-                )
-        _reference_cache = rows
-    return list(_reference_cache)
+    return list(_reference_table())
 
 
 def reference_rows(genus: int) -> list[ReferenceRow]:
@@ -151,10 +132,10 @@ def component_label(comp: ComponentSummary) -> str:
 @dataclass(frozen=True)
 class SweepRow:
     degree: int
-    scope: str  # stratum | hyperelliptic | classes
     label: str  # all, or hyp/odd/even/nonhyp for class rows
     n_classes: int
     total_weight: Fraction
+    slope: Fraction | None  # exact component slope; None for an empty row
 
     @property
     def ratio(self) -> Fraction | None:
@@ -166,27 +147,24 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    stratum: StratumSignature
-    scope: str
     rows: tuple[SweepRow, ...]
     truncated_at: int | None = None  # degree at which the budget ran out
-
-
-CensusProvider = Callable[[int, StratumSignature], Census]
 
 
 def sweep(
     stratum: StratumSignature,
     d_max: int,
     scope: str = "stratum",
-    provider: CensusProvider = enumerate_census,
+    provider=enumerate_census,
 ) -> SweepReport:
     """One row per nonempty degree up to d_max, per requested scope.
 
-    scope "stratum" totals the whole census, "hyperelliptic" restricts
+    ``provider(d, stratum)`` gives the census at degree d.  scope
+    "stratum" totals the whole census, "hyperelliptic" restricts
     member-wise to flagged surfaces, "classes" groups orbits by their
-    hyp/odd/even/nonhyp label.  A blown budget truncates the sweep and
-    records the degree it happened at.
+    hyp/odd/even/nonhyp label.  Each row carries its exact slope.  A
+    blown budget truncates the sweep and records the degree it
+    happened at.
     """
     if scope not in ("stratum", "hyperelliptic", "classes"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -202,39 +180,19 @@ def sweep(
         if census.n_classes == 0:
             continue
         if scope == "stratum":
-            rows.append(
-                SweepRow(d, scope, "all", census.n_classes, census.total_weight)
-            )
+            totals = [("all", census.n_classes, census.total_weight)]
         elif scope == "hyperelliptic":
-            flagged = [o for o in census.values() if is_hyperelliptic(o)]
-            rows.append(
-                SweepRow(
-                    d,
-                    scope,
-                    "hyp",
-                    len(flagged),
-                    sum((o.weight for o in flagged), Fraction(0)),
-                )
-            )
+            keys = [k for k, o in census.items() if is_hyperelliptic(o)]
+            totals = [("hyp", len(keys), weight_of_keys(keys, d))]
         else:
-            groups: dict[str, list[ComponentSummary]] = {}
+            groups: dict[str, tuple[int, Fraction]] = {}
             for comp in decompose(census):
-                groups.setdefault(component_label(comp), []).append(comp)
-            for label in sorted(groups):
-                comps = groups[label]
-                rows.append(
-                    SweepRow(
-                        d,
-                        scope,
-                        label,
-                        sum(c.n_classes for c in comps),
-                        sum((c.total_weight for c in comps), Fraction(0)),
-                    )
-                )
-    return SweepReport(stratum, scope, tuple(rows), truncated)
-
-
-def row_slope(row: SweepRow, stratum: StratumSignature) -> Fraction | None:
-    if row.n_classes == 0 or row.total_weight <= 0:
-        return None
-    return component_slope(row.n_classes, row.total_weight, stratum)
+                label = component_label(comp)
+                n, m = groups.get(label, (0, Fraction(0)))
+                groups[label] = (n + comp.n_classes, m + comp.total_weight)
+            totals = [(label, *groups[label]) for label in sorted(groups)]
+        rows += [
+            SweepRow(d, label, n, m, component_slope(n, m, stratum) if n else None)
+            for label, n, m in totals
+        ]
+    return SweepReport(tuple(rows), truncated)

@@ -173,7 +173,8 @@ def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
 
 
 def weight_of(alpha: Perm) -> Fraction:
-    """Sum of 1/width over the horizontal cylinders (cycles of alpha)."""
+    """Sum of 1/width over the cycles of alpha: the sum of height/width
+    over the maximal horizontal cylinders."""
     return weight_of_parts(cycle_lengths(alpha.word))
 
 

@@ -22,7 +22,6 @@ from origami_census import (
     has_order_two_automorphism,
     hyperelliptic_constants,
     is_hyperelliptic,
-    kappa,
     load_reference_table,
     make_origami,
     perm_from_cycles,
@@ -92,7 +91,7 @@ def _orbit_components(census_of):
 def test_criterion_03_exact_slopes(census_of):
     with criterion(3, "orbit slopes are exactly 28/3, 9, 9, 28/3"):
         stratum = StratumSignature((4,))
-        assert kappa(stratum) == Fraction(2, 5)
+        assert stratum.kappa == Fraction(2, 5)
         by_orbit = _orbit_components(census_of)
         for orbit, comp in by_orbit.items():
             expected = (
@@ -223,9 +222,9 @@ def test_criterion_09_orbit_constant_labels(census_of):
 
 def test_criterion_10_constants_suite():
     with criterion(10, "stratum constants and closed-form values"):
-        assert kappa(StratumSignature((4,))) == Fraction(2, 5)
-        assert kappa(StratumSignature((2,))) == Fraction(2, 9)
-        assert kappa(StratumSignature((1, 1))) == Fraction(1, 4)
+        assert StratumSignature((4,)).kappa == Fraction(2, 5)
+        assert StratumSignature((2,)).kappa == Fraction(2, 9)
+        assert StratumSignature((1, 1)).kappa == Fraction(1, 4)
         for g in range(2, 7):
             c, big_l, s = hyperelliptic_constants(g, zeros=1)
             assert c == Fraction(g * (2 * g + 1), 3 * (2 * g - 1))

@@ -333,6 +333,27 @@ class TestSaveLoad:
         ):
             load_census(path, budget=39)
 
+    def test_another_census_fails_before_any_record(
+        self, census_of, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(6, (4,)), path)
+        calls = []
+        record_words = census_mod.record_words
+
+        def spy(rec):
+            calls.append(rec)
+            return record_words(rec)
+
+        monkeypatch.setattr(census_mod, "record_words", spy)
+        with pytest.raises(
+            CensusSchemaError, match=r"holds the census of d=6 mu=\(4\)$"
+        ):
+            load_census(path, expect=(5, StratumSignature((4,))))
+        assert calls == []
+        back = load_census(path, expect=(6, StratumSignature((4,))))
+        assert back == census_of(6, (4,))
+
     def test_empty_census_round_trip(self, tmp_path):
         empty = enumerate_census(2, StratumSignature((2,)))
         path = tmp_path / "e.jsonl"

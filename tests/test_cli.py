@@ -128,6 +128,27 @@ class TestCensusCommand:
             tmp_path / "b" / "v1" / path.name
         ).read_bytes()
 
+    def test_budget_does_not_read_another_census_as_a_cache_hit(
+        self, capsys, tmp_path
+    ):
+        args = ("census", "--degree", "5", "--mu", "4", "--budget", "100",
+                "--cache-dir")
+        code, want, _ = run(capsys, *args, str(tmp_path / "b"))
+        assert code == 0
+        run(capsys, "census", "--degree", "6", "--mu", "4",
+            "--cache-dir", str(tmp_path / "a"))
+        cache = tmp_path / "a" / "v1"
+        path = cache / "census-d5-mu4.jsonl"
+        path.write_bytes((cache / "census-d6-mu4.jsonl").read_bytes())
+        code, out, err = run(capsys, *args, str(tmp_path / "a"))
+        assert code == 0
+        assert out == want
+        assert "holds the census of d=6 mu=(4)" in err
+        assert "cache hit" not in err and "cache write" in err
+        assert path.read_bytes() == (
+            tmp_path / "b" / "v1" / path.name
+        ).read_bytes()
+
     def test_budget_bounds_a_cache_hit(self, capsys, tmp_path):
         args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
         assert run(capsys, *args)[0] == 0

@@ -6,11 +6,9 @@ from origami_census import limits
 from origami_census.census import enumerate_census
 from origami_census.limits import (
     hyperelliptic_constants,
-    kappa,
     l_from_s_kappa,
     load_reference_table,
     reference_rows,
-    row_slope,
     s_from_c_l,
     stratum_constants,
     sweep,
@@ -28,7 +26,7 @@ class TestKappa:
         ],
     )
     def test_values(self, mu, expected):
-        assert kappa(StratumSignature(mu)) == expected
+        assert StratumSignature(mu).kappa == expected
 
 
 class TestHyperellipticConstants:
@@ -93,13 +91,13 @@ class TestSlopeAlgebra:
 
 class TestStratumConstants:
     def test_single_zero_shape(self):
-        sc = stratum_constants(StratumSignature((4,)))
-        assert sc.exact_s == Fraction(28, 3)
-        assert sc.exact_l == sc.kappa + sc.exact_c
+        stratum = StratumSignature((4,))
+        exact_c, exact_l, exact_s = stratum_constants(stratum)
+        assert exact_s == Fraction(28, 3)
+        assert exact_l == stratum.kappa + exact_c
 
     def test_no_closed_form(self):
-        sc = stratum_constants(StratumSignature((3, 1)))
-        assert sc.exact_s is None and sc.exact_c is None
+        assert stratum_constants(StratumSignature((3, 1))) is None
 
 
 class TestReferenceTable:
@@ -157,7 +155,7 @@ class TestSweep:
         assert [r.degree for r in report.rows] == [3, 4, 5, 6]
         for r in report.rows:
             assert r.ratio == Fraction(10, 9)
-            assert row_slope(r, report.stratum) == 10
+            assert r.slope == 10
 
     def test_hyperelliptic_scope(self, cached_provider):
         report = sweep(
@@ -168,7 +166,7 @@ class TestSweep:
         )
         (row,) = report.rows
         assert row.n_classes == 18
-        assert row_slope(row, report.stratum) == Fraction(28, 3)
+        assert row.slope == Fraction(28, 3)
 
     def test_class_scope_totals_match_whole(self, cached_provider):
         stratum = StratumSignature((4,))
@@ -179,8 +177,8 @@ class TestSweep:
             (r.total_weight for r in classes.rows), Fraction(0)
         ) == whole.rows[0].total_weight
         labels = {r.label: r for r in classes.rows}
-        assert row_slope(labels["hyp"], stratum) == Fraction(28, 3)
-        assert row_slope(labels["odd"], stratum) == 9
+        assert labels["hyp"].slope == Fraction(28, 3)
+        assert labels["odd"].slope == 9
 
     def test_hyperelliptic_scope_can_be_empty(self, cached_provider):
         # the mixed-zero stratum has no hyperelliptic members at all
@@ -191,7 +189,37 @@ class TestSweep:
         (row,) = report.rows
         assert row.n_classes == 0
         assert row.ratio is None
-        assert row_slope(row, report.stratum) is None
+        assert row.slope is None
+
+    @pytest.mark.parametrize(
+        "mu,d_max", [((2,), 8), ((1, 1), 8), ((4,), 7), ((2, 2), 7), ((3, 1), 7)]
+    )
+    def test_both_hyperelliptic_paths_agree_at_slope_8_plus_4_over_g(
+        self, cached_provider, mu, d_max
+    ):
+        # member-wise flags against orbit labels; every hyperelliptic
+        # row has the limiting slope already at finite degree
+        stratum = StratumSignature(mu)
+        flagged = sweep(stratum, d_max, scope="hyperelliptic", provider=cached_provider)
+        classes = sweep(stratum, d_max, scope="classes", provider=cached_provider)
+        hyp = {r.degree: r for r in classes.rows if r.label == "hyp"}
+        assert [r.degree for r in flagged.rows] == sorted(
+            {r.degree for r in classes.rows}
+        )
+        exact = stratum_constants(stratum)
+        assert (exact is None) == (not hyp)
+        for r in flagged.rows:
+            if r.degree not in hyp:
+                assert (r.n_classes, r.total_weight, r.slope) == (0, 0, None)
+                continue
+            want = hyp[r.degree]
+            assert (r.n_classes, r.total_weight, r.slope) == (
+                want.n_classes, want.total_weight, want.slope
+            )
+            assert r.slope == exact[2] == 8 + Fraction(4, stratum.genus)
+        sizes = {(2,): [3, 9, 27, 45, 90, 135], (4,): [18, 70, 255]}
+        if mu in sizes:
+            assert [r.n_classes for r in flagged.rows] == sizes[mu]
 
     def test_budget_truncation(self):
         def tight_provider(d, stratum):
