@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from pathlib import Path
 
 from .perm import (
@@ -213,8 +213,9 @@ def _enumerate_alpha_class(
     degree: int,
     alpha_parts: tuple[int, ...],
     target_parts: tuple[int, ...],
-) -> list[tuple[bytes, tuple[int, ...], tuple[int, ...]]]:
-    """All classes whose alpha lies in one conjugacy class.
+) -> list[bytes]:
+    """The canonical key of every class whose alpha lies in one
+    conjugacy class.
 
     Fixing alpha to the class representative, classes correspond to
     orbits of valid betas under conjugation by the centralizer Z of
@@ -227,7 +228,7 @@ def _enumerate_alpha_class(
     its coset, two betas are one class exactly when an element of Z
     fixing gamma conjugates one to the other, that is when their
     canonical keys are equal; betas of different cosets never share
-    a key.  Returns (canonical key, canonical pair) triples.
+    a key.
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
@@ -252,18 +253,12 @@ def _enumerate_alpha_class(
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        coset = {}
-        for bw in conjugators_onto(dw, ai_rotations):
-            if words_transitive(aw, bw):
-                ca, cb = canonical_form(aw, bw)
-                key = encode_pair(ca, cb)
-                coset[key] = (key, ca, cb)
-        out.extend(coset.values())
+        out.extend(dict.fromkeys(
+            encode_pair(*canonical_form(aw, bw))
+            for bw in conjugators_onto(dw, ai_rotations)
+            if words_transitive(aw, bw)
+        ))
     return out
-
-
-def _class_task(args) -> list[tuple[bytes, tuple[int, ...], tuple[int, ...]]]:
-    return _enumerate_alpha_class(*args)
 
 
 def enumerate_census(
@@ -288,10 +283,8 @@ def enumerate_census(
     if target is None:
         return Census(degree, stratum, ())
 
-    tasks = [
-        (degree, parts, target.parts) for parts in partitions_desc(degree)
-    ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    alpha_classes = list(partitions_desc(degree))
+    workers = min(workers, len(alpha_classes), os.cpu_count() or 1)
     pool = None
     if workers > 1:
         # Imported here: the import alone costs a one-worker run about
@@ -299,15 +292,13 @@ def enumerate_census(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    keys: set[bytes] = set()
+    keys: list[bytes] = []
     try:
         mapper = pool.map if pool is not None else map
-        for chunk in mapper(_class_task, tasks):
-            for key, aw, bw in chunk:
-                if key in keys:
-                    raise InvariantError(
-                        f"canonical key {key.hex()} found twice"
-                    )
+        for chunk in mapper(_enumerate_alpha_class, repeat(degree),
+                            alpha_classes, repeat(target.parts)):
+            for key in chunk:
+                aw, bw = decode_pair(key, degree)
                 if not words_transitive(aw, bw):
                     raise InvariantError(
                         f"key {key.hex()} is not a transitive pair"
@@ -318,11 +309,11 @@ def enumerate_census(
                         f"key {key.hex()} has commutator type "
                         f"{CycleType(degree, ctype)}, expected {target}"
                     )
-                keys.add(key)
-                if budget is not None and len(keys) > budget:
-                    raise ResourceBudgetError(
-                        f"census exceeds budget of {budget} members"
-                    )
+            keys.extend(chunk)
+            if budget is not None and len(keys) > budget:
+                raise ResourceBudgetError(
+                    f"census exceeds budget of {budget} members"
+                )
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -330,6 +321,10 @@ def enumerate_census(
         # longer, so its cost does not hang on what the process ran
         # before.
         _class_bytes.cache_clear()
+    keys.sort()
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise InvariantError(f"canonical key {a.hex()} found twice")
     return Census(degree, stratum, keys)
 
 
@@ -437,10 +432,14 @@ def load_census(
                 f"(expected {SCHEMA_VERSION})"
             )
         try:
-            degree = int(header["degree"])
+            degree = header["degree"]
             stratum = StratumSignature.from_parts(header["mu"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
+        if type(degree) is not int:
+            raise CensusSchemaError(
+                f"{path}: bad header: degree {degree!r} is not an integer"
+            )
         if expect is not None and (degree, stratum) != expect:
             raise CensusSchemaError(
                 f"{path} holds the census of d={degree} mu={stratum}"
@@ -488,7 +487,8 @@ def load_census(
     census = Census(degree, stratum, keys)
     m = census.total_weight
     if (
-        trailer["n"] != census.n_classes
+        type(trailer["n"]) is not int
+        or trailer["n"] != census.n_classes
         or trailer["m"] != f"{m.numerator}/{m.denominator}"
     ):
         raise CensusCorruptError(

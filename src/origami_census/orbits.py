@@ -30,7 +30,15 @@ from .surface import (
 
 @dataclass(frozen=True)
 class ComponentSummary:
-    """One orbit: exact counts, slope and classification labels."""
+    """One orbit: exact counts, slope and classification labels.
+
+    ``cusps`` are the orbits of the horizontal twist on the orbit's
+    members, each with its size and alpha's cycle type.  They are the
+    cusps of the orbit's Teichmueller curve only when -I, (alpha, beta)
+    -> (alpha^-1, beta^-1), fixes the members; otherwise -I pairs them
+    or maps one to itself, and ``cusp_count`` is twice the curve's
+    cusps minus the self-paired ones (``tests/test_veech_genus.py``).
+    """
 
     component_id: int
     member_keys: tuple[bytes, ...]

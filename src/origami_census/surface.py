@@ -53,6 +53,8 @@ class StratumSignature:
     def __post_init__(self):
         if not self.mu:
             raise TrivialStratumError("empty zero profile (genus 1)")
+        if any(type(m) is not int for m in self.mu):
+            raise ValueError(f"zero orders must be integers: {self.mu}")
         if any(m < 1 for m in self.mu):
             raise ValueError(f"zero orders must be positive: {self.mu}")
         if list(self.mu) != sorted(self.mu, reverse=True):

@@ -10,6 +10,7 @@ import pytest
 from origami_census import census as census_mod
 from origami_census.census import (
     CensusCorruptError,
+    CensusFileError,
     CensusSchemaError,
     CensusVersionError,
     ResourceBudgetError,
@@ -25,6 +26,7 @@ from origami_census.surface import (
     Origami,
     StratumSignature,
     decode_pair,
+    encode_pair,
     words_record,
 )
 from conftest import all_perms, strata_at
@@ -121,10 +123,10 @@ class TestEnumerate:
                 self.cancel_futures = None
                 pools.append(self)
 
-            def map(self, fn, tasks):
-                for t in tasks:
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
                     self.mapped += 1
-                    yield fn(t)
+                    yield fn(*args)
 
             def shutdown(self, wait=True, cancel_futures=False):
                 self.cancel_futures = cancel_futures
@@ -156,13 +158,14 @@ class TestEnumerate:
 
     def test_key_collision_names_the_key(self, monkeypatch):
         real = census_mod._enumerate_alpha_class
+        # duplicates show once the keys are sorted, so the least is named
+        least = min(enumerate_census(5, StratumSignature((4,))))
 
         def twice(*args):
             return real(*args) * 2
 
         monkeypatch.setattr(census_mod, "_enumerate_alpha_class", twice)
-        first = real(5, (5,), (5,))[0][0]
-        with pytest.raises(census_mod.InvariantError, match=first.hex()):
+        with pytest.raises(census_mod.InvariantError, match=least.hex()):
             enumerate_census(5, StratumSignature((4,)))
 
     def test_pair_of_another_stratum_names_the_key(self, monkeypatch):
@@ -174,7 +177,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(census_mod, "_enumerate_alpha_class", with_stray)
         with pytest.raises(
-            census_mod.InvariantError, match=stray[0].hex()
+            census_mod.InvariantError, match=stray.hex()
         ) as err:
             enumerate_census(5, StratumSignature((4,)))
         assert "commutator type [3,1,1]" in str(err.value)
@@ -273,7 +276,9 @@ def test_alpha_classes_match_seen_sweep_reference(d, mu):
     for parts in partitions_desc(d):
         got = census_mod._enumerate_alpha_class(d, parts, target)
         want = seen_sweep_enumerate_alpha_class(d, parts, target)
-        assert sorted(got) == sorted(want), parts
+        for key, ca, cb in want:
+            assert key == encode_pair(ca, cb)
+        assert sorted(got) == sorted(key for key, _, _ in want), parts
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8])
@@ -456,6 +461,25 @@ class TestSaveLoad:
         )
         with pytest.raises(CensusCorruptError):
             load_census(path)
+
+    @pytest.mark.parametrize("line,field,value", [
+        (0, "mu", [4.0]),
+        (0, "degree", 5.9),
+        (0, "degree", "5"),
+        (-1, "n", 40.0),
+    ])
+    def test_number_that_is_not_an_integer(
+        self, census_of, tmp_path, line, field, value
+    ):
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[line])
+        obj[field] = value
+        lines[line] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CensusFileError):
+            load_census(path, expect=(5, StratumSignature((4,))))
 
     def test_tampered_totals(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"

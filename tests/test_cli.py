@@ -149,6 +149,27 @@ class TestCensusCommand:
             tmp_path / "b" / "v1" / path.name
         ).read_bytes()
 
+    def test_cache_header_of_float_orders_is_recomputed(
+        self, capsys, tmp_path
+    ):
+        args = ("census", "--degree", "5", "--mu", "4", "--cache-dir")
+        code, want, _ = run(capsys, *args, str(tmp_path / "b"))
+        assert code == 0
+        run(capsys, *args, str(tmp_path / "a"))
+        path = tmp_path / "a" / "v1" / "census-d5-mu4.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["mu"] = [4.0]
+        lines[0] = json.dumps(header) + "\n"
+        path.write_text("".join(lines))
+        code, out, err = run(capsys, *args, str(tmp_path / "a"))
+        assert code == 0
+        assert out == want
+        assert "cache invalid" in err and "cache write" in err
+        assert path.read_bytes() == (
+            tmp_path / "b" / "v1" / path.name
+        ).read_bytes()
+
     def test_budget_bounds_a_cache_hit(self, capsys, tmp_path):
         args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
         assert run(capsys, *args)[0] == 0

@@ -57,6 +57,11 @@ class TestStratumSignature:
         with pytest.raises(TrivialStratumError):
             StratumSignature(())
 
+    @pytest.mark.parametrize("mu", [(4.0,), ("4",), (True, True)])
+    def test_rejects_orders_that_are_not_ints(self, mu):
+        with pytest.raises(ValueError, match="must be integers"):
+            StratumSignature(mu)
+
 
 class TestMakeOrigami:
     def test_genus2_octagon_cover(self):
