@@ -436,9 +436,10 @@ def load_census(
             stratum = StratumSignature.from_parts(header["mu"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
-        if type(degree) is not int:
+        if type(degree) is not int or degree < 1:
             raise CensusSchemaError(
-                f"{path}: bad header: degree {degree!r} is not an integer"
+                f"{path}: bad header: degree {degree!r} is not a positive "
+                "integer"
             )
         if expect is not None and (degree, stratum) != expect:
             raise CensusSchemaError(

@@ -126,7 +126,10 @@ def word_cycles(w: Sequence[int]) -> list[tuple[int, ...]]:
 def cycle_lengths(w: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths of a 0-based word, descending, fixed points included.
 
-    Not built on :func:`word_cycles`, which is 1.6x slower per beta swept.
+    Not built on :func:`word_cycles`: its hot caller,
+    ``census._commutators``, filters every swept commutator or delta
+    word by cycle type, and lengths read off ``word_cycles`` take 1.5x
+    as long on random 8-letter words.
     """
     seen = [False] * len(w)
     parts = []

@@ -481,6 +481,18 @@ class TestSaveLoad:
         with pytest.raises(CensusFileError):
             load_census(path, expect=(5, StratumSignature((4,))))
 
+    @pytest.mark.parametrize("degree", [-3, 0])
+    def test_header_degree_below_one(self, census_of, tmp_path, degree):
+        # an empty census file is a header and a trailer, no records
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(2, (2,)), path)
+        header, trailer = path.read_text().splitlines()
+        obj = json.loads(header)
+        obj["degree"] = degree
+        path.write_text(json.dumps(obj) + "\n" + trailer + "\n")
+        with pytest.raises(CensusSchemaError, match="positive integer"):
+            load_census(path)
+
     def test_tampered_totals(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)

@@ -27,7 +27,13 @@ from origami_census.perm import (
     cycle_lengths,
     perm_from_cycles,
 )
-from origami_census.surface import StratumSignature, canonical_key, make_origami
+from origami_census.surface import (
+    StratumSignature,
+    canonical_key,
+    decode_pair,
+    encode_pair,
+    make_origami,
+)
 from conftest import (
     DEGREE5_ORBIT_FACTS,
     DEGREE5_ORBITS,
@@ -125,13 +131,6 @@ class TestDegree5Decomposition:
             num, _, den = slope_str.partition("/")
             assert c.slope == Fraction(int(num), int(den or 1))
             assert c.hyperelliptic == hyp
-
-    def test_partition_reproduces_census(self, census_of):
-        census = census_of(5, (4,))
-        comps = decompose(census)
-        keys = sorted(k for c in comps for k in c.member_keys)
-        assert keys == list(census)
-        assert sum((c.total_weight for c in comps), Fraction(0)) == census.total_weight
 
 
 class TestSlopeFormula:
@@ -303,6 +302,14 @@ class TestCusps:
 
 class TestForwardClosure:
     @pytest.mark.parametrize("d,mu", ORBIT_CHECK_CENSUSES)
+    def test_partition_reproduces_census(self, d, mu, census_of):
+        census = census_of(d, mu)
+        comps = decompose(census)
+        keys = sorted(k for c in comps for k in c.member_keys)
+        assert keys == list(census)
+        assert sum((c.total_weight for c in comps), Fraction(0)) == census.total_weight
+
+    @pytest.mark.parametrize("d,mu", ORBIT_CHECK_CENSUSES)
     def test_inverse_twists_stay_in_component(self, d, mu, census_of):
         census = census_of(d, mu)
         for c in decompose(census):
@@ -339,6 +346,16 @@ class TestLabelCalls:
         odd = census_of(6, (3, 1))
         decompose(odd)
         assert calls == {"is_hyperelliptic": odd.n_classes}
+
+
+def redirect_images(monkeypatch, d, redirect):
+    """Make decompose take redirect(raw pair, key) as each image's key."""
+    real = orbits.canonical_form
+
+    def redirected(aw, bw):
+        return decode_pair(redirect((aw, bw), encode_pair(*real(aw, bw))), d)
+
+    monkeypatch.setattr(orbits, "canonical_form", redirected)
 
 
 class TestInvariantErrors:
@@ -442,3 +459,70 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match=other.hex()) as err:
             cusp_data([first, other], census, bad_next)
         assert first.hex() in str(err.value)
+
+    def test_image_into_an_earlier_orbit_names_the_keys(
+        self, monkeypatch, census_of
+    ):
+        # Unchecked, the last orbit splits: sizes [3, 15, 12, 9, 1].
+        census = census_of(5, (4,))
+        comps = decompose(census)
+        src, dst = comps[-1].member_keys[-1], comps[0].member_keys[0]
+        redirect_images(
+            monkeypatch, 5, lambda raw, key: dst if key == src else key
+        )
+        with pytest.raises(
+            InvariantError, match=comps[-1].member_keys[0].hex()
+        ) as err:
+            decompose(census)
+        assert "does not permute the orbit" in str(err.value)
+        assert dst.hex() in str(err.value)
+
+    def test_image_into_a_later_orbit_names_the_orbit(
+        self, monkeypatch, census_of
+    ):
+        # Unchecked, the first orbit swallows a later one.  The target
+        # keeps alpha's cycle type, so the cusps do not catch it.
+        census = census_of(5, (4,))
+        comps = decompose(census)
+        src = comps[0].member_keys[-1]
+        parts = cycle_lengths(census[src].alpha.word)
+        dst = next(
+            k for c in comps[1:] for k in c.member_keys
+            if cycle_lengths(census[k].alpha.word) == parts
+        )
+        redirect_images(
+            monkeypatch, 5, lambda raw, key: dst if key == src else key
+        )
+        with pytest.raises(
+            InvariantError, match=comps[0].member_keys[0].hex()
+        ) as err:
+            decompose(census)
+        assert "does not permute the orbit" in str(err.value)
+
+    def test_horizontal_image_not_injective_names_the_missed_key(
+        self, monkeypatch, census_of
+    ):
+        # Unchecked, the orbit is right but its cusps are wrong: x's
+        # horizontal image is replaced by y's, and alpha's type is kept.
+        census = census_of(5, (4,))
+        orbit = decompose(census)[-1].member_keys
+        x = orbit[0]
+        parts = cycle_lengths(census[x].alpha.word)
+        y = next(
+            k for k in orbit[1:]
+            if cycle_lengths(census[k].alpha.word) == parts
+        )
+
+        def h_image(key):
+            o = act_h_alpha(census[key])
+            return canonical_key(o.alpha, o.beta)
+
+        missed, y_image = h_image(x), h_image(y)
+        x_raw = twist_words(census[x].alpha.word, census[x].beta.word)[0]
+        redirect_images(
+            monkeypatch, 5, lambda raw, key: y_image if raw == x_raw else key
+        )
+        with pytest.raises(InvariantError, match=missed.hex()) as err:
+            decompose(census)
+        assert "horizontal twist does not permute the orbit" in str(err.value)
+        assert x.hex() in str(err.value)

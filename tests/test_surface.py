@@ -255,6 +255,31 @@ class TestKeyCodec:
         assert len(key) == (2 * d if d < 256 else 8 * d)
         assert decode_pair(key, d) == (a, b)
 
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_key_order_is_word_order(self, d):
+        # census members are sorted by key, so at every letter width
+        # the byte order of keys must be the order of their word pairs
+        rng = random.Random(d)
+        pairs = []
+        for _ in range(20):
+            a, b = list(range(d)), list(range(d))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            pairs.append((tuple(a), tuple(b)))
+        by_key = sorted(pairs, key=lambda p: encode_pair(*p))
+        assert by_key == sorted(pairs)
+
+    def test_key_of_a_300_square_pair_decodes_to_its_form(self):
+        rng = random.Random(300)
+        a, b = list(range(300)), list(range(300))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        a, b = tuple(a), tuple(b)
+        assert words_transitive(a, b)
+        key = canonical_key(Perm(a), Perm(b))
+        assert len(key) == 8 * 300
+        assert decode_pair(key, 300) == canonical_form(a, b)
+
     def test_key_of_every_member_decodes_to_its_pair(self, census_of):
         census = census_of(6, (2, 2))
         for key, o in census.items():
