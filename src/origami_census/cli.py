@@ -81,7 +81,8 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
 
     A cache file that fails to load or holds another census is
     recomputed; ``--budget`` bounds a cache hit as it bounds the
-    enumeration, stopping the read at the first record past it.
+    enumeration, stopping the read at the first record past it.  A
+    cache that cannot be written is logged and the census returned.
     """
     path = cache_path(args.cache_dir, degree, stratum)
     if path.exists():
@@ -100,16 +101,22 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
     census = enumerate_census(
         degree, stratum, workers=args.workers, budget=args.budget
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        os.close(fd)
         save_census(census, tmp)
         os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-    log(f"cache write: {path}")
+        tmp = None
+    except OSError as exc:
+        log(f"cache write failed ({exc}); not cached")
+    else:
+        log(f"cache write: {path}")
+    finally:
+        # Also on an interrupt: no partial file is left behind.
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
     return census
 
 

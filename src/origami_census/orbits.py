@@ -8,6 +8,8 @@ and classification flags.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,74 +113,74 @@ def component_slope(
 def decompose(census: Census) -> list[ComponentSummary]:
     """Split a census into twist orbits, ordered by least member key.
 
-    Orbits are closed with the two forward twists only: each is a
-    bijection of the finite census, so its inverse is one of its
-    powers.  The walk runs on the members' keys and words: the twist
-    images are built and canonicalized as words, and each must keep
-    the member's commutator word exactly.  Once an orbit's walk ends,
-    each twist must permute its members: the images of the members
-    under either twist must be the members themselves.  So each orbit
-    is closed under both twists and their inverses, and the orbits
-    partition the census.  :func:`cusp_data` reads the cusps and their
-    alpha cycle types off the recorded horizontal-twist images, and
-    from those the orbit's weight.  Each member is then built once, in
-    key order, for its hyperelliptic flag (and spin parity, on even
-    strata), which must equal that of the orbit's least member.  A
-    failed check raises :class:`InvariantError`.
+    A member is its position in the census's sorted keys.  One pass, in
+    key order, builds both twist images of each member as words, checks
+    that each keeps the member's commutator word exactly, and records
+    the position of its canonical key, found by bisection, in one flat
+    array per twist.  Each orbit is then walked over those arrays with
+    the two forward twists only: each is a bijection of the finite
+    census, so its inverse is one of its powers.  Once an orbit's walk
+    ends, each twist must permute its members: their sorted images must
+    be the sorted members.  So each orbit is closed under both twists
+    and their inverses, and the orbits partition the census.
+    :func:`cusp_data` reads the cusps and their alpha cycle types off
+    the horizontal array, and from those the orbit's weight.  Each
+    member is then built once, in key order, for its hyperelliptic flag
+    (and spin parity, on even strata), which must equal that of the
+    orbit's least member.  A failed check, or an image outside the
+    census, raises :class:`InvariantError`.
     """
-    d = census.degree
-    unvisited = set(census)
+    keys = list(census)  # in key order; a member is its position here
+    h_next, v_next = array("i"), array("i")
+    for key in keys:
+        aw, bw = decode_pair(key, census.degree)
+        gw = commutator_word(aw, bw)
+        for twist, (ta, tb), images in zip(
+            ("horizontal", "vertical"), twist_words(aw, bw), (h_next, v_next)
+        ):
+            # The image's commutator word is gw iff tb ta == ta tb gw,
+            # a test that needs no inverse word.
+            if [tb[x] for x in ta] != [ta[tb[y]] for y in gw]:
+                raise InvariantError(
+                    f"{twist} twist of {key.hex()} changed the "
+                    "commutator word"
+                )
+            image_key = encode_pair(*canonical_form(ta, tb))
+            i = bisect_left(keys, image_key)
+            if i == len(keys) or keys[i] != image_key:
+                raise InvariantError(
+                    f"{twist} twist of {key.hex()} gives {image_key.hex()} "
+                    "(not in the census)"
+                )
+            images.append(i)
     even = census.stratum.all_even()
+    seen = bytearray(len(keys))
     out = []
-    # Start keys come in sorted order, so each orbit starts at its
-    # least key and the orbits come out already ordered.
-    for start_key in census:
-        if start_key not in unvisited:
+    # Orbits start in key order, so each starts at its least member and
+    # they come out already ordered.
+    for start in range(len(keys)):
+        if seen[start]:
             continue
-        unvisited.remove(start_key)
-        keys = [start_key]
-        h_images: list[bytes] = []
-        v_images: list[bytes] = []
-        # keys grows as it is walked, and h_images[i] and v_images[i]
-        # are the twist images of keys[i] until keys is sorted.
-        for key in keys:
-            aw, bw = decode_pair(key, d)
-            gw = commutator_word(aw, bw)
-            for twist, (ta, tb), images in zip(
-                ("horizontal", "vertical"), twist_words(aw, bw),
-                (h_images, v_images),
-            ):
-                # The image's commutator word is gw iff tb ta == ta tb gw,
-                # a test that needs no inverse word.
-                if [tb[x] for x in ta] != [ta[tb[y]] for y in gw]:
-                    raise InvariantError(
-                        f"{twist} twist of {key.hex()} changed the "
-                        "commutator word"
-                    )
-                image_key = encode_pair(*canonical_form(ta, tb))
-                images.append(image_key)
-                if image_key in unvisited:
-                    unvisited.remove(image_key)
-                    keys.append(image_key)
-        h_alpha_next = dict(zip(keys, h_images))
-        keys.sort()
-        for twist, images in (("horizontal", h_images), ("vertical", v_images)):
-            # Compared sorted, in place: sets of the images would add
-            # 4 MB to the peak of decompose at (10,(6)).
-            images.sort()
-            if images != keys:
-                stray = set(images).symmetric_difference(keys)
+        seen[start] = 1
+        members = [start]
+        for i in members:  # grows as it is walked
+            for j in (h_next[i], v_next[i]):
+                if not seen[j]:
+                    seen[j] = 1
+                    members.append(j)
+        members.sort()
+        for twist, images in (("horizontal", h_next), ("vertical", v_next)):
+            got = sorted(images[i] for i in members)
+            if got != members:
+                stray = set(got).symmetric_difference(members)
                 raise InvariantError(
                     f"{twist} twist does not permute the orbit of "
-                    f"{keys[0].hex()}; member or image but not both: "
-                    + ", ".join(
-                        k.hex() + ("" if k in census else " (not in the census)")
-                        for k in sorted(stray)
-                    )
+                    f"{keys[start].hex()}; member or image but not both: "
+                    + ", ".join(keys[i].hex() for i in sorted(stray))
                 )
         first = None
-        for key in keys:
-            o = census[key]
+        for i in members:
+            o = census[keys[i]]
             labels = (is_hyperelliptic(o), spin_parity(o) if even else None)
             first = first or labels  # the least member's labels
             for name, want, got in zip(
@@ -186,21 +188,21 @@ def decompose(census: Census) -> list[ComponentSummary]:
             ):
                 if got != want:
                     raise InvariantError(
-                        f"{name} is not orbit-constant: {keys[0].hex()} "
-                        f"gives {want!r}, {key.hex()} gives {got!r}"
+                        f"{name} is not orbit-constant: {keys[start].hex()} "
+                        f"gives {want!r}, {keys[i].hex()} gives {got!r}"
                     )
         hyperelliptic, parity = first
-        cusps = cusp_data(keys, census, h_alpha_next)
+        cusps = cusp_data(members, keys, h_next, census.degree)
         weight = sum(
             (n * weight_of_parts(parts) for n, parts in cusps), Fraction(0)
         )
         out.append(
             ComponentSummary(
                 component_id=len(out) + 1,
-                member_keys=tuple(keys),
-                n_classes=len(keys),
+                member_keys=tuple([keys[i] for i in members]),
+                n_classes=len(members),
                 total_weight=weight,
-                slope=component_slope(len(keys), weight, census.stratum),
+                slope=component_slope(len(members), weight, census.stratum),
                 hyperelliptic=hyperelliptic,
                 parity=parity,
                 cusps=cusps,
@@ -209,34 +211,32 @@ def decompose(census: Census) -> list[ComponentSummary]:
     return out
 
 
-def cusp_data(
-    component_keys, census: Census, h_alpha_next: dict[bytes, bytes]
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def cusp_data(members: list[int], keys: list[bytes], h_next: array,
+              degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Orbits of the horizontal twist alone within one component.
 
-    ``component_keys`` are the member keys in sorted order, and
-    ``h_alpha_next`` maps each of them to the key of its
-    horizontal-twist image.  Each cycle of that map is one cusp, in the
-    order of its least key; the cycle type of alpha is constant along
-    it (the twist fixes alpha) and is reported per cusp.
+    ``members`` are the component's positions in the sorted census
+    ``keys``, in increasing order, and ``h_next[i]`` is the position of
+    the horizontal-twist image of ``keys[i]``; the twist must permute
+    the members.  Each cycle is one cusp, in the order of its least
+    member; the cycle type of alpha is constant along it (the twist
+    fixes alpha) and is reported per cusp.
     """
-    d = census.degree
-    remaining = set(component_keys)
+    walked = bytearray(len(members))
     cusps = []
-    for key in component_keys:
-        if key not in remaining:
+    for n, start in enumerate(members):
+        if walked[n]:
             continue
-        orbit_size = 0
-        alpha_parts = cycle_lengths(decode_pair(key, d)[0])
-        cur_key = key
-        while cur_key in remaining:
-            remaining.remove(cur_key)
-            orbit_size += 1
-            if cycle_lengths(decode_pair(cur_key, d)[0]) != alpha_parts:
+        alpha_parts = cycle_lengths(decode_pair(keys[start], degree)[0])
+        size, i = 0, start
+        while not walked[m := bisect_left(members, i)]:
+            walked[m] = 1
+            size += 1
+            if cycle_lengths(decode_pair(keys[i], degree)[0]) != alpha_parts:
                 raise InvariantError(
                     f"alpha's cycle type is not constant on the cusp of "
-                    f"{key.hex()}: {cur_key.hex()} differs"
+                    f"{keys[start].hex()}: {keys[i].hex()} differs"
                 )
-            cur_key = h_alpha_next[cur_key]
-        cusps.append((orbit_size, alpha_parts))
+            i = h_next[i]
+        cusps.append((size, alpha_parts))
     return tuple(cusps)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import shlex
@@ -77,6 +78,42 @@ class TestCensusCommand:
         assert "budget" in err
         assert not list(tmp_path.rglob("*.jsonl"))
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["census", "orbits"])
+    def test_cache_dir_under_a_file_still_prints_the_result(
+        self, capsys, tmp_path, command
+    ):
+        args = (command, "--degree", "5", "--mu", "4", "--cache-dir")
+        code, want, _ = run(capsys, *args, str(tmp_path / "ok"))
+        assert code == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, *args, str(blocker / "sub"))
+        assert code == 0
+        assert out == want
+        assert "cache write failed" in err and "not cached" in err
+        assert "cache write:" not in err
+        assert blocker.read_text() == ""
+
+    def test_failed_cache_write_leaves_no_temp_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        args = ("census", "--degree", "5", "--mu", "4", "--cache-dir")
+        code, want, _ = run(capsys, *args, str(tmp_path / "ok"))
+        assert code == 0
+
+        def disk_full(census, path):
+            with open(path, "w") as f:
+                f.write("partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_census", disk_full)
+        code, out, err = run(capsys, *args, str(tmp_path / "full"))
+        assert code == 0
+        assert out == want
+        assert "cache write failed" in err and "No space left" in err
+        assert not list((tmp_path / "full").rglob("*.tmp"))
+        assert not list((tmp_path / "full").rglob("*.jsonl"))
 
     @pytest.mark.parametrize("workers", ["0", "-7"])
     def test_nonpositive_workers_is_usage_error(self, capsys, tmp_path, workers):

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import permutations
 
@@ -321,6 +323,29 @@ class TestForwardClosure:
                     assert canonical_key(image.alpha, image.beta) in keys
 
 
+class TestSharedKeys:
+    """decompose indexes the census's own keys instead of copying them."""
+
+    @pytest.mark.parametrize("d,mu", ORBIT_CHECK_CENSUSES)
+    def test_member_keys_are_the_census_key_objects(self, d, mu, census_of):
+        census = census_of(d, mu)
+        own = {id(k) for k in census}
+        for c in decompose(census):
+            assert all(id(k) in own for k in c.member_keys)
+
+    def test_peak_memory_per_member(self, census_of):
+        census = census_of(7, (4,))
+        tracemalloc.start()
+        try:
+            comps = decompose(census)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(c.n_classes for c in comps) == 775
+        # 190 bytes per member when each orbit kept lists of image keys
+        assert peak / len(census) < 100
+
+
 class TestLabelCalls:
     def test_each_member_labelled_once(self, monkeypatch, census_of):
         # The benchmark's per-layer counts (spin.spin_parity_calls and
@@ -449,15 +474,18 @@ class TestInvariantErrors:
 
     def test_cusp_changing_alpha_type_names_the_keys(self, census_of):
         census = census_of(5, (4,))
-        first = list(census)[0]
+        keys = list(census)
+        first = keys[0]
         parts = cycle_lengths(census[first].alpha.word)
-        other = next(
-            k for k in census
+        i = next(
+            i for i, k in enumerate(keys)
             if cycle_lengths(census[k].alpha.word) != parts
         )
-        bad_next = {first: other, other: first}
+        other = keys[i]
+        bad_next = array("i", range(len(keys)))
+        bad_next[0], bad_next[i] = i, 0
         with pytest.raises(InvariantError, match=other.hex()) as err:
-            cusp_data([first, other], census, bad_next)
+            cusp_data([0, i], keys, bad_next, 5)
         assert first.hex() in str(err.value)
 
     def test_image_into_an_earlier_orbit_names_the_keys(
