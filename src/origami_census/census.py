@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import pairwise, permutations, repeat
 from pathlib import Path
 
 from .perm import (
@@ -75,7 +75,8 @@ class Census(Mapping):
     A key is ``encode_pair`` of the class's canonical pair, so it holds
     the member's words; the commutator type and the stratum are shared
     by every member and stored once.  A member is built as an
-    :class:`Origami` when it is read and is not kept.
+    :class:`Origami` when it is read and is not kept.  The keys are
+    sorted once; a key given twice raises :class:`InvariantError`.
     """
 
     def __init__(self, degree: int, stratum: StratumSignature,
@@ -84,6 +85,9 @@ class Census(Mapping):
         self.stratum = stratum
         self.commutator_type = target_class(degree, stratum)
         self._keys = sorted(keys)
+        for a, b in pairwise(self._keys):
+            if a == b:
+                raise InvariantError(f"canonical key {a.hex()} found twice")
         self.n_classes = len(self._keys)
         self.total_weight = weight_of_keys(self._keys, degree)
 
@@ -321,10 +325,6 @@ def enumerate_census(
         # longer, so its cost does not hang on what the process ran
         # before.
         _class_bytes.cache_clear()
-    keys.sort()
-    for a, b in zip(keys, keys[1:]):
-        if a == b:
-            raise InvariantError(f"canonical key {a.hex()} found twice")
     return Census(degree, stratum, keys)
 
 

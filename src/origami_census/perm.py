@@ -416,10 +416,17 @@ def perm_from_cycles(text: str) -> Perm:
         pos = end + 1
     seen = {x for c in cycles for x in c}
     degree = max(seen)
-    word = word_from_cycles(cycles, degree)
-    if len(seen) != degree:
-        missing = sorted(set(range(1, degree + 1)) - seen)
+    if len(seen) < degree:
+        # Checked before any word is built.  Only the first five missing
+        # letters are named, and they lie in 1..len(seen) + 5, so the
+        # work grows with the text, not with the largest letter.
+        count = degree - sum(x > 0 for x in seen)
+        missing = [
+            x for x in range(1, min(degree, len(seen) + 5) + 1)
+            if x not in seen
+        ][:5]
+        more = f" and {count - 5} more" if count > 5 else ""
         raise ValueError(
-            f"letters {missing} missing; write fixed points as (i)"
+            f"letters {missing}{more} missing; write fixed points as (i)"
         )
-    return Perm(word)
+    return Perm(word_from_cycles(cycles, degree))

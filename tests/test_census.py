@@ -9,6 +9,7 @@ import pytest
 
 from origami_census import census as census_mod
 from origami_census.census import (
+    Census,
     CensusCorruptError,
     CensusFileError,
     CensusSchemaError,
@@ -181,6 +182,22 @@ class TestEnumerate:
         ) as err:
             enumerate_census(5, StratumSignature((4,)))
         assert "commutator type [3,1,1]" in str(err.value)
+
+    def test_key_found_twice_names_the_key(self, monkeypatch):
+        real = census_mod._enumerate_alpha_class
+        twice = {}
+
+        def with_repeat(*args):
+            chunk = real(*args)
+            if chunk and not twice:
+                twice["key"] = chunk[0]
+                return chunk + chunk[:1]
+            return chunk
+
+        monkeypatch.setattr(census_mod, "_enumerate_alpha_class", with_repeat)
+        with pytest.raises(census_mod.InvariantError) as err:
+            enumerate_census(5, StratumSignature((4,)))
+        assert str(err.value) == f"canonical key {twice['key'].hex()} found twice"
 
     def test_deterministic_across_workers(self, tmp_path):
         seq = enumerate_census(5, StratumSignature((4,)))
@@ -557,3 +574,11 @@ class TestCompactMembers:
             census[absent]
         with pytest.raises(TypeError):
             census[keys[0]] = o
+
+    def test_census_refuses_a_key_given_twice(self, census_of):
+        census = census_of(5, (4,))
+        keys = list(census)
+        # Accepted, the repeat gave N=41 and M=268/5 for 40 and 258/5.
+        with pytest.raises(census_mod.InvariantError) as err:
+            Census(5, census.stratum, keys + [keys[0]])
+        assert str(err.value) == f"canonical key {keys[0].hex()} found twice"

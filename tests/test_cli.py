@@ -465,6 +465,16 @@ class TestClassifyCommand:
         assert code == 2
         assert "disconnected" in err
 
+    def test_huge_letter_is_one_short_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "classify", "--alpha", "(1000000)", "--beta", "(1)",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert len(err) < 200
+
     def test_degree_mismatch_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "classify", "--alpha", "(1,2)", "--beta", "(1,2,3)",

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -399,6 +400,27 @@ class TestCycleStrings:
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             perm_from_cycles(bad)
+
+    def test_missing_letters_named(self):
+        with pytest.raises(ValueError) as err:
+            perm_from_cycles("(1,2)(4)")
+        assert str(err.value) == (
+            "letters [3] missing; write fixed points as (i)"
+        )
+
+    def test_missing_letters_checked_before_any_word(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                perm_from_cycles("(200000)")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Building the word and listing every missing letter first
+        # peaked at 46 MB and gave a 1.5 MB message.
+        assert len(str(err.value)) < 200
+        assert "[1, 2, 3, 4, 5] and 199994 more missing" in str(err.value)
+        assert peak < 1_000_000
 
     def test_cycles_sorted_and_rotated(self):
         p = compose(
