@@ -373,15 +373,6 @@ def save_census(census: Census, path: str | Path) -> None:
         ))
 
 
-def _file_lines(f, path: Path) -> Iterator[str]:
-    """The lines of an open census file, a read or decode failure
-    raised as :class:`CensusCorruptError`."""
-    try:
-        yield from f
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
-
-
 def load_census(
     path: str | Path,
     budget: int | None = None,
@@ -399,13 +390,11 @@ def load_census(
     Holding more than ``budget`` records raises
     :class:`ResourceBudgetError` at once, as in :func:`enumerate_census`.
     A header other than ``expect``, a ``(degree, stratum)`` pair, raises
-    :class:`CensusSchemaError` before any record is read.
+    :class:`CensusSchemaError` before any record is read.  A path that
+    cannot be opened or read, or whose bytes are not ASCII, raises
+    :class:`CensusCorruptError` ("cannot read ...").
     """
     path = Path(path)
-    try:
-        f = open(path, encoding="ascii")
-    except OSError as exc:
-        raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
 
     def parse(line: str, what: str) -> dict:
         try:
@@ -416,70 +405,72 @@ def load_census(
             raise CensusSchemaError(f"{path}: {what} line is not an object")
         return obj
 
-    with f:
-        lines = _file_lines(f, path)
-        first = next(lines, None)
-        last = next(lines, None)
-        if last is None:
-            raise CensusCorruptError(f"{path}: truncated census file")
+    try:
+        with open(path, encoding="ascii") as f:
+            first = next(f, None)
+            last = next(f, None)
+            if last is None:
+                raise CensusCorruptError(f"{path}: truncated census file")
 
-        header = parse(first, "header")
-        if "schema" not in header:
-            raise CensusSchemaError(f"{path}: header missing schema field")
-        if header["schema"] != SCHEMA_VERSION:
-            raise CensusVersionError(
-                f"{path}: schema {header['schema']} unsupported "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        try:
-            degree = header["degree"]
-            stratum = StratumSignature.from_parts(header["mu"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
-        if type(degree) is not int or degree < 1:
-            raise CensusSchemaError(
-                f"{path}: bad header: degree {degree!r} is not a positive "
-                "integer"
-            )
-        if expect is not None and (degree, stratum) != expect:
-            raise CensusSchemaError(
-                f"{path} holds the census of d={degree} mu={stratum}"
-            )
-
-        target = target_class(degree, stratum)
-        keys: list[bytes] = []
-        for line in lines:
-            rec = parse(last, "record")
-            last = line
+            header = parse(first, "header")
+            if "schema" not in header:
+                raise CensusSchemaError(f"{path}: header missing schema field")
+            if header["schema"] != SCHEMA_VERSION:
+                raise CensusVersionError(
+                    f"{path}: schema {header['schema']} unsupported "
+                    f"(expected {SCHEMA_VERSION})"
+                )
             try:
-                aw, bw = record_words(rec)
-                # canonical_form raises DisconnectedCoverError, a
-                # ValueError, unless the pair is transitive.
-                canonical = canonical_form(aw, bw) == (aw, bw)
+                degree = header["degree"]
+                stratum = StratumSignature.from_parts(header["mu"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
-            if (
-                len(aw) != degree
-                or target is None
-                or cycle_lengths(commutator_word(aw, bw)) != target.parts
-            ):
+                raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
+            if type(degree) is not int or degree < 1:
                 raise CensusSchemaError(
-                    f"{path}: record does not match header degree/mu"
+                    f"{path}: bad header: degree {degree!r} is not a positive "
+                    "integer"
                 )
-            if not canonical:
+            if expect is not None and (degree, stratum) != expect:
                 raise CensusSchemaError(
-                    f"{path}: record is not its own canonical pair"
+                    f"{path} holds the census of d={degree} mu={stratum}"
                 )
-            key = encode_pair(aw, bw)
-            if keys and key <= keys[-1]:
-                raise CensusSchemaError(
-                    f"{path}: records out of canonical-key order"
-                )
-            keys.append(key)
-            if budget is not None and len(keys) > budget:
-                raise ResourceBudgetError(
-                    f"census exceeds budget of {budget} members"
-                )
+
+            target = target_class(degree, stratum)
+            keys: list[bytes] = []
+            for line in f:
+                rec = parse(last, "record")
+                last = line
+                try:
+                    aw, bw = record_words(rec)
+                    # canonical_form raises DisconnectedCoverError, a
+                    # ValueError, unless the pair is transitive.
+                    canonical = canonical_form(aw, bw) == (aw, bw)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
+                if (
+                    len(aw) != degree
+                    or target is None
+                    or cycle_lengths(commutator_word(aw, bw)) != target.parts
+                ):
+                    raise CensusSchemaError(
+                        f"{path}: record does not match header degree/mu"
+                    )
+                if not canonical:
+                    raise CensusSchemaError(
+                        f"{path}: record is not its own canonical pair"
+                    )
+                key = encode_pair(aw, bw)
+                if keys and key <= keys[-1]:
+                    raise CensusSchemaError(
+                        f"{path}: records out of canonical-key order"
+                    )
+                keys.append(key)
+                if budget is not None and len(keys) > budget:
+                    raise ResourceBudgetError(
+                        f"census exceeds budget of {budget} members"
+                    )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CensusCorruptError(f"cannot read {path}: {exc}") from exc
 
     trailer = parse(last, "trailer")
     if set(trailer) != {"n", "m"}:

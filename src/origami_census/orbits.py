@@ -215,19 +215,21 @@ def cusp_data(members: list[int], keys: list[bytes], h_next: array,
     ``keys``, in increasing order, and ``h_next[i]`` is the position of
     the horizontal-twist image of ``keys[i]``.  The twist must permute
     the members, as it does on every orbit that :func:`decompose` has
-    checked: it permutes the census and the orbit is closed under it.  Each cycle is one cusp, in the order of its least
-    member; the cycle type of alpha is constant along it (the twist
-    fixes alpha) and is reported per cusp.
+    checked: it permutes the census and the orbit is closed under it.
+    A walked member is marked at its census position, so a cycle stops
+    where it comes back to its start.  Each cycle is one cusp, in the
+    order of its least member; the cycle type of alpha is constant
+    along it (the twist fixes alpha) and is reported per cusp.
     """
-    walked = bytearray(len(members))
+    walked = bytearray(len(keys))
     cusps = []
-    for n, start in enumerate(members):
-        if walked[n]:
+    for start in members:
+        if walked[start]:
             continue
         alpha_parts = cycle_lengths(decode_pair(keys[start], degree)[0])
         size, i = 0, start
-        while not walked[m := bisect_left(members, i)]:
-            walked[m] = 1
+        while not walked[i]:
+            walked[i] = 1
             size += 1
             if cycle_lengths(decode_pair(keys[i], degree)[0]) != alpha_parts:
                 raise InvariantError(

@@ -44,9 +44,6 @@ class Perm:
         """Image of a 1-based letter."""
         return self.word[letter - 1] + 1
 
-    def __mul__(self, other: Perm) -> Perm:
-        return compose(self, other)
-
     def inverse(self) -> Perm:
         return Perm(inverse_word(self.word))
 

@@ -55,16 +55,12 @@ def spin_parity(o: Origami) -> int:
             f"parity undefined for this stratum: mu = {o.stratum} has an odd zero"
         )
     try:
-        return _parity(o)
+        cotree, q, cross, rows = _cycle_data(o)
+        _check_descends(o, cotree, cross, rows, q)
+        return _arf(rows, q, genus=o.genus)
     except InvariantError as exc:
         key = canonical_key(o.alpha, o.beta).hex()
         raise InvariantError(f"spin parity of {key}: {exc}") from None
-
-
-def _parity(o: Origami) -> int:
-    cotree, q, cross, rows = _cycle_data(o)
-    _check_descends(o, cotree, cross, rows, q)
-    return _arf(rows, q, genus=o.genus)
 
 
 def _cycle_data(o: Origami) -> tuple[list[int], list[int], list[int], list[int]]:

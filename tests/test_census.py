@@ -479,6 +479,15 @@ class TestSaveLoad:
         with pytest.raises(CensusCorruptError):
             load_census(path)
 
+    @pytest.mark.parametrize(
+        "name", ["missing.jsonl", ""], ids=["missing", "directory"]
+    )
+    def test_path_that_cannot_be_opened(self, tmp_path, name):
+        path = tmp_path / name  # a missing file, or the directory itself
+        with pytest.raises(CensusCorruptError) as err:
+            load_census(path)
+        assert str(err.value).startswith(f"cannot read {path}: ")
+
     @pytest.mark.parametrize("line,field,value", [
         (0, "mu", [4.0]),
         (0, "degree", 5.9),

@@ -401,6 +401,24 @@ class TestInvariantErrors:
         assert "hyperelliptic" in str(err.value)
         assert isinstance(err.value, RuntimeError)
 
+    def test_parity_not_orbit_constant_names_the_key(
+        self, monkeypatch, census_of
+    ):
+        census = census_of(6, (4,))
+        orbit = decompose(census)[-1].member_keys
+        bad_key = orbit[len(orbit) // 2]
+        real = orbits.spin_parity
+
+        def flipped(o):
+            parity = real(o)
+            key = canonical_key(o.alpha, o.beta)
+            return 1 - parity if key == bad_key else parity
+
+        monkeypatch.setattr(orbits, "spin_parity", flipped)
+        with pytest.raises(InvariantError, match=bad_key.hex()) as err:
+            decompose(census)
+        assert "spin parity" in str(err.value)
+
     @pytest.mark.parametrize("image,twist", [(0, "horizontal"), (1, "vertical")])
     def test_twist_changing_the_commutator_word_names_the_member(
         self, monkeypatch, census_of, image, twist
