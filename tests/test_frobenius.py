@@ -11,11 +11,23 @@ beta-sets.  Rooting the count at letter 0 splits off the connected
 part T(k, nu): the number of transitive pairs whose commutator has
 nontrivial cycle lengths nu.  A census is complete and free of
 duplicates exactly when its classes, each counted with its d!/|Aut(o)|
-labelings, add up to T(d, nu).  Only exact integers and the standard
-library are used; nothing here calls the enumerator's kernels.
+labelings, add up to T(d, nu).
+
+Fixing the cycle type A of a as well splits these counts by alpha
+class: for a fixed a, b^-1 a^-1 b runs over a's class |Z(a)| times
+each, so the pairs with a of type A number
+
+    P(k, A, C) = |C_A| |C| sum_lambda chi_lambda(A)^2 chi_lambda(C) / chi_lambda(1),
+
+and rooting at letter 0 gives the connected part T(k, A, nu).  The
+classes whose alpha has type A, and the keys the enumeration returns
+for that alpha class, must carry T(d, A, nu) labelings.  Only exact
+integers and the standard library are used on the character side; the
+enumerator is called only to produce the keys that are checked.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -23,6 +35,9 @@ from math import comb, factorial
 
 import pytest
 
+from origami_census.census import _enumerate_alpha_class, partitions_desc
+from origami_census.perm import cycle_lengths
+from origami_census.surface import decode_pair
 from conftest import strata_at
 
 
@@ -118,6 +133,50 @@ def transitive_count(k: int, nu: tuple[int, ...]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def alpha_pair_count(k: int, alpha: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """P(k, A, nu): the pairs counted by A(k, nu) whose first member has
+    cycle type ``alpha`` (descending, fixed points as 1s)."""
+    if sum(nu) > k:
+        return 0
+    rho = nu + (1,) * (k - sum(nu))
+    ratio = sum(
+        (Fraction(character(lam, alpha) ** 2 * character(lam, rho),
+                  character(lam, (1,) * k))
+         for lam in _partitions(k)),
+        Fraction(0),
+    )
+    count = class_size(alpha) * class_size(rho) * ratio
+    assert count.denominator == 1
+    return int(count)
+
+
+@lru_cache(maxsize=None)
+def alpha_transitive_count(
+    k: int, alpha: tuple[int, ...], nu: tuple[int, ...]
+) -> int:
+    """T(k, A, nu): the transitive pairs among those counted by
+    P(k, A, nu).
+
+    Rooted at letter 0 as in :func:`transitive_count`: the orbit of
+    letter 0 takes the cycles A' of a that it holds, so its size is
+    j = sum(A'), and the commutator's cycles nu' that it holds.
+    """
+    total = alpha_pair_count(k, alpha, nu)
+    for sub_a, rest_a in _split(alpha):
+        j = sum(sub_a)
+        if j == 0:
+            continue
+        for sub, rest in _split(nu):
+            if (j, sub) != (k, nu) and sum(sub) <= j and sum(rest) <= k - j:
+                total -= (
+                    comb(k - 1, j - 1)
+                    * alpha_transitive_count(j, sub_a, sub)
+                    * alpha_pair_count(k - j, rest_a, rest)
+                )
+    return total
+
+
 def automorphism_count(aw: tuple[int, ...], bw: tuple[int, ...]) -> int:
     """|Aut(o)|: the permutations commuting with alpha and beta.
 
@@ -154,6 +213,18 @@ def weighted_labelings(census) -> int:
         assert factorial(d) % aut == 0
         total += factorial(d) // aut
     return total
+
+
+def labelings_by_alpha_type(keys, d: int) -> Counter:
+    """Labelings d!/|Aut| of the classes with these keys, summed per
+    cycle type of alpha."""
+    out: Counter = Counter()
+    for key in keys:
+        aw, bw = decode_pair(key, d)
+        aut = automorphism_count(aw, bw)
+        assert factorial(d) % aut == 0
+        out[cycle_lengths(aw)] += factorial(d) // aut
+    return out
 
 
 class TestCounts:
@@ -232,3 +303,45 @@ def test_census_labelings_match_frobenius(d, mu, census_of):
     assert census.n_classes > 0
     nu = tuple(sorted((m + 1 for m in mu), reverse=True))
     assert weighted_labelings(census) == transitive_count(d, nu)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_alpha_counts_add_up_to_the_totals(k):
+    for rho in _partitions(k):
+        nu = tuple(p for p in rho if p > 1)
+        assert sum(
+            alpha_pair_count(k, alpha, nu) for alpha in _partitions(k)
+        ) == pair_count(k, nu)
+        assert sum(
+            alpha_transitive_count(k, alpha, nu) for alpha in _partitions(k)
+        ) == transitive_count(k, nu)
+
+
+def _alpha_counts(d: int, nu: tuple[int, ...]) -> dict:
+    return {
+        alpha: count
+        for alpha in _partitions(d)
+        if (count := alpha_transitive_count(d, alpha, nu))
+    }
+
+
+@pytest.mark.parametrize("d,mu", FROBENIUS_CENSUSES)
+def test_alpha_types_match_frobenius(d, mu, census_of):
+    nu = tuple(sorted((m + 1 for m in mu), reverse=True))
+    got = labelings_by_alpha_type(census_of(d, mu), d)
+    assert dict(got) == _alpha_counts(d, nu)
+
+
+@pytest.mark.parametrize(
+    "d,mu", [(d, mu) for d, mu in FROBENIUS_CENSUSES if d <= 8]
+)
+def test_alpha_class_chunks_match_frobenius(d, mu):
+    # Each chunk the enumeration returns holds the keys of one alpha
+    # class, so it carries that class's count and no other type.
+    nu = tuple(sorted((m + 1 for m in mu), reverse=True))
+    target = nu + (1,) * (d - sum(nu))
+    want = _alpha_counts(d, nu)
+    for alpha in partitions_desc(d):
+        chunk = _enumerate_alpha_class(d, alpha, target)
+        got = labelings_by_alpha_type(chunk, d)
+        assert dict(got) == ({alpha: want[alpha]} if alpha in want else {}), alpha
