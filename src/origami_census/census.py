@@ -342,11 +342,8 @@ def brute_force_census(degree: int, stratum: StratumSignature) -> Census:
     keys: set[bytes] = set()
     words = list(permutations(range(degree)))
     for aw in words:
-        ai = inverse_word(aw)
         for bw in words:
-            bi = inverse_word(bw)
-            gamma = tuple(bi[ai[bw[aw[i]]]] for i in range(degree))
-            if cycle_lengths(gamma) != target.parts:
+            if cycle_lengths(commutator_word(aw, bw)) != target.parts:
                 continue
             if not words_transitive(aw, bw):
                 continue

@@ -11,7 +11,6 @@ for genus 3 to 6.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -90,10 +89,11 @@ class ReferenceRow:
     slope: Fraction
 
 
-@functools.cache
-def _reference_table() -> tuple[ReferenceRow, ...]:
+def load_reference_table() -> list[ReferenceRow]:
+    """The bundled limiting-slope table, rows in file order, read from
+    ``data/appendix_b.csv`` on each call."""
     with open(_DATA_FILE, newline="") as f:
-        return tuple(
+        return [
             ReferenceRow(
                 genus=int(rec["genus"]),
                 mu=tuple(int(x) for x in rec["mu"].split(",")),
@@ -101,12 +101,7 @@ def _reference_table() -> tuple[ReferenceRow, ...]:
                 slope=Fraction(int(rec["s_num"]), int(rec["s_den"])),
             )
             for rec in csv.DictReader(f)
-        )
-
-
-def load_reference_table() -> list[ReferenceRow]:
-    """The bundled limiting-slope table, rows in file order."""
-    return list(_reference_table())
+        ]
 
 
 def reference_rows(genus: int) -> list[ReferenceRow]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import pairwise, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -349,21 +349,18 @@ def centralizer_generators(p: Perm) -> list[Perm]:
     """A generating set of the centralizer of p in S_d.
 
     One rotation per cycle (the cycle itself) plus a pointwise swap of
-    each adjacent pair of equal-length cycles.
+    each adjacent pair of equal-length cycles, read off
+    :func:`cycle_rotations`: lengths ascending, cycles in the order of
+    :func:`word_cycles`.
     """
-    d = p.degree
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in p.cycles():
-        by_length.setdefault(len(cyc), []).append(cyc)
-
+    rotations = cycle_rotations(p.word)
     gens: list[Perm] = []
-    for length in sorted(by_length):
-        cycs = sorted(by_length[length])
-        if length > 1:
-            for cyc in cycs:
-                gens.append(Perm(word_from_cycles([cyc], d)))
-        for c1, c2 in zip(cycs, cycs[1:]):
-            gens.append(Perm(word_from_cycles(zip(c1, c2), d)))
+    for length in sorted(rotations):
+        cycles = rotations[length]
+        moves = [zip(c[0], c[1]) for c in cycles] if length > 1 else []
+        moves += [zip(c[0] + e[0], e[0] + c[0]) for c, e in pairwise(cycles)]
+        for move in map(dict, moves):
+            gens.append(Perm(tuple([move.get(x, x) for x in range(p.degree)])))
     return gens
 
 

@@ -205,16 +205,6 @@ def automorphism_count(aw: tuple[int, ...], bw: tuple[int, ...]) -> int:
     return count
 
 
-def weighted_labelings(census) -> int:
-    d = census.degree
-    total = 0
-    for o in census.values():
-        aut = automorphism_count(o.alpha.word, o.beta.word)
-        assert factorial(d) % aut == 0
-        total += factorial(d) // aut
-    return total
-
-
 def labelings_by_alpha_type(keys, d: int) -> Counter:
     """Labelings d!/|Aut| of the classes with these keys, summed per
     cycle type of alpha."""
@@ -225,6 +215,10 @@ def labelings_by_alpha_type(keys, d: int) -> Counter:
         assert factorial(d) % aut == 0
         out[cycle_lengths(aw)] += factorial(d) // aut
     return out
+
+
+def weighted_labelings(census) -> int:
+    return sum(labelings_by_alpha_type(census, census.degree).values())
 
 
 class TestCounts:

@@ -44,7 +44,6 @@ standard library only.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -52,12 +51,11 @@ from math import comb, factorial
 import pytest
 
 from origami_census.orbits import decompose
-from origami_census.surface import decode_pair
 from test_frobenius import (
     _partitions,
     _split,
-    automorphism_count,
     class_size,
+    labelings_by_alpha_type,
     transitive_count,
 )
 
@@ -66,10 +64,8 @@ Poly = dict[tuple[int, ...], Fraction]
 
 
 def _z(rho: tuple[int, ...]) -> int:
-    z = 1
-    for length, m in Counter(rho).items():
-        z *= length**m * factorial(m)
-    return z
+    """Order of the centralizer of a permutation of cycle type rho."""
+    return factorial(sum(rho)) // class_size(rho)
 
 
 def _odd_partitions(n: int) -> list[tuple[int, ...]]:
@@ -207,10 +203,7 @@ def test_orbit_parities_match_spin_hurwitz(d, mu, census_of):
     census = census_of(d, mu)
     total = 0
     for comp in decompose(census):
-        weight = 0
-        for key in comp.member_keys:
-            aut = automorphism_count(*decode_pair(key, d))
-            weight += factorial(d) // aut
+        weight = sum(labelings_by_alpha_type(comp.member_keys, d).values())
         total += (-1) ** comp.parity * weight
     nu = tuple(sorted((m + 1 for m in mu), reverse=True))
     assert total == signed_transitive_count(d, nu)
