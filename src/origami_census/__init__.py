@@ -6,9 +6,7 @@ from .perm import (
     Perm,
     class_representative,
     centralizer_generators,
-    commutator,
     compose,
-    conjugate,
     perm_from_cycles,
 )
 from .surface import (
@@ -26,7 +24,6 @@ from .surface import (
 from .involutions import (
     InvolutionReport,
     find_anti_involutions,
-    has_order_two_automorphism,
     is_hyperelliptic,
 )
 from .spin import ParityUndefinedError, spin_parity

@@ -117,18 +117,6 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     return reports
 
 
-def has_order_two_automorphism(o: Origami) -> bool:
-    """True iff a non-identity involution commutes with both alpha and beta.
-
-    Target 0 can only extend to the identity, so it is skipped.
-    """
-    aw, bw = o.alpha.word, o.beta.word
-    return any(
-        _propagate(aw, bw, target, aw, bw) is not None
-        for target in range(1, o.degree)
-    )
-
-
 def is_hyperelliptic(o: Origami) -> bool:
     """Does some compatible involution realize the surface as hyperelliptic?
 

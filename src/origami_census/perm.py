@@ -321,15 +321,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return Perm(tuple(pw[qw[i]] for i in range(len(pw))))
 
 
-def commutator(alpha: Perm, beta: Perm) -> Perm:
-    """beta^-1 * alpha^-1 * beta * alpha (rightmost factor acts first)."""
-    if alpha.degree != beta.degree:
-        raise DegreeMismatchError(
-            f"degree mismatch: {alpha.degree} vs {beta.degree}"
-        )
-    return Perm(commutator_word(alpha.word, beta.word))
-
-
 def class_representative(t: CycleType) -> Perm:
     """Canonical member of a conjugacy class: consecutive letter blocks.
 
@@ -362,20 +353,6 @@ def centralizer_generators(p: Perm) -> list[Perm]:
         for move in map(dict, moves):
             gens.append(Perm(tuple([move.get(x, x) for x in range(p.degree)])))
     return gens
-
-
-def conjugate(p: Perm, tau: Perm) -> Perm:
-    """tau * p * tau^-1."""
-    if p.degree != tau.degree:
-        raise DegreeMismatchError(
-            f"degree mismatch: {p.degree} vs {tau.degree}"
-        )
-    tw = tau.word
-    pw = p.word
-    word = [0] * len(pw)
-    for i in range(len(pw)):
-        word[tw[i]] = tw[pw[i]]
-    return Perm(tuple(word))
 
 
 def cycles_to_str(cycles: Iterable[tuple[int, ...]]) -> str:

@@ -10,11 +10,19 @@ mask and its pairing row.  ``seen_sweep_enumerate_alpha_class``
 dedups the betas of an alpha class by sweeping each transitive beta's
 whole centralizer orbit into one set held for the whole class.  The
 package's versions must agree with them exactly.
+
+``commutator`` and ``conjugate`` are the ``Perm``-level products, and
+``has_order_two_automorphism`` searches for a non-identity involution
+commuting with both generators.  The package never calls them; the
+tests check the raw-word primitives and the labels against them.
 """
 from __future__ import annotations
 
+from origami_census.involutions import _propagate
 from origami_census.perm import (
     CycleType,
+    DegreeMismatchError,
+    Perm,
     centralizer_generators,
     class_representative,
     class_words,
@@ -29,6 +37,7 @@ from origami_census.perm import (
 from origami_census.surface import (
     DisconnectedCoverError,
     InvariantError,
+    Origami,
     canonical_form,
     encode_pair,
 )
@@ -498,3 +507,38 @@ def seen_sweep_enumerate_alpha_class(
             ca, cb = canonical_form(aw, bw)
             out.append((encode_pair(ca, cb), ca, cb))
     return out
+
+
+def commutator(alpha: Perm, beta: Perm) -> Perm:
+    """beta^-1 * alpha^-1 * beta * alpha (rightmost factor acts first)."""
+    if alpha.degree != beta.degree:
+        raise DegreeMismatchError(
+            f"degree mismatch: {alpha.degree} vs {beta.degree}"
+        )
+    return Perm(commutator_word(alpha.word, beta.word))
+
+
+def conjugate(p: Perm, tau: Perm) -> Perm:
+    """tau * p * tau^-1."""
+    if p.degree != tau.degree:
+        raise DegreeMismatchError(
+            f"degree mismatch: {p.degree} vs {tau.degree}"
+        )
+    tw = tau.word
+    pw = p.word
+    word = [0] * len(pw)
+    for i in range(len(pw)):
+        word[tw[i]] = tw[pw[i]]
+    return Perm(tuple(word))
+
+
+def has_order_two_automorphism(o: Origami) -> bool:
+    """True iff a non-identity involution commutes with both alpha and beta.
+
+    Target 0 can only extend to the identity, so it is skipped.
+    """
+    aw, bw = o.alpha.word, o.beta.word
+    return any(
+        _propagate(aw, bw, target, aw, bw) is not None
+        for target in range(1, o.degree)
+    )

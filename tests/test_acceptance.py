@@ -15,11 +15,9 @@ from origami_census import (
     StratumSignature,
     brute_force_census,
     canonical_key,
-    commutator,
     decompose,
     enumerate_census,
     find_anti_involutions,
-    has_order_two_automorphism,
     hyperelliptic_constants,
     is_hyperelliptic,
     load_reference_table,
@@ -30,6 +28,7 @@ from origami_census import (
     spin_parity,
 )
 from conftest import DEGREE5_ORBITS, DEGREE5_PAIRS, origami
+from reference_kernels import commutator, has_order_two_automorphism
 
 
 @contextmanager

@@ -240,7 +240,8 @@ class TestRawPairAccounting:
     @staticmethod
     def _raw_count(d, mu):
         from origami_census.census import target_class
-        from origami_census.perm import commutator, words_transitive
+        from origami_census.perm import words_transitive
+        from reference_kernels import commutator
 
         target = target_class(d, StratumSignature(mu))
         perms = list(all_perms(d))
@@ -254,7 +255,7 @@ class TestRawPairAccounting:
 
     @staticmethod
     def _stabilizer_order(o):
-        from origami_census.perm import conjugate
+        from reference_kernels import conjugate
 
         return sum(
             1

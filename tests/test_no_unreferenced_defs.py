@@ -3,11 +3,11 @@ definition that nothing refers to fails here instead of waiting for a
 manual sweep.
 
 A definition is referenced when a package module names it (an AST
-``Name`` or ``Attribute``), ``tests/test_acceptance.py`` imports it,
-README's Library block shows it, or ``perfbench/tracer.py`` hooks it
-in ``SPANS`` or ``CALL_COUNTERS``.  The tracer is read, not imported.
-The few definitions kept without a reader are in ``KEEP``, each with
-its reason.
+``Name`` or ``Attribute``), README's Library block shows it, or
+``perfbench/tracer.py`` hooks it in ``SPANS`` or ``CALL_COUNTERS``.
+The tracer is read, not imported.  A test is no reader: code only
+tests call lives in ``tests/``.  The few definitions kept without a
+reader are in ``KEEP``, each with its reason.
 """
 import ast
 from pathlib import Path
@@ -22,7 +22,10 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 KEEP = {
     "l_from_s_kappa": "the paper's relation L = 12 kappa / (12 - s) in closed form",
-    "conjugate": "the exported Perm operation beside compose and commutator",
+    "brute_force_census": (
+        "holds census.py's permutations import, which the tracer wraps "
+        "to count census.betas_tried"
+    ),
 }
 
 
@@ -63,10 +66,6 @@ def unreferenced(sources: dict[str, str], readers: set[str]) -> list[str]:
     ]
 
 
-def acceptance_imports() -> set[str]:
-    return names_read((ROOT / "tests" / "test_acceptance.py").read_text())
-
-
 def readme_library_names() -> set[str]:
     return names_read(library_snippet())
 
@@ -91,13 +90,12 @@ def package_sources() -> dict[str, str]:
 
 
 def external_readers() -> set[str]:
-    return readme_library_names() | acceptance_imports() | tracer_hooks()
+    return readme_library_names() | tracer_hooks()
 
 
 def test_sources_found():
     assert PACKAGE / "cli.py" in MODULES
     assert {"decompose", "make_origami", "spin_parity"} <= readme_library_names()
-    assert {"brute_force_census", "commutator"} <= acceptance_imports()
     assert {"get_census", "compose", "act_h_alpha"} <= tracer_hooks()
 
 

@@ -16,11 +16,16 @@ from origami_census import spin
 from origami_census.census import InvariantError
 from origami_census.limits import component_label, reference_rows
 from origami_census.orbits import decompose
-from origami_census.perm import conjugate, inverse_word
+from origami_census.perm import inverse_word
 from origami_census.spin import ParityUndefinedError, spin_parity
 from origami_census.surface import canonical_key, make_origami
 from conftest import all_perms, origami, strata_at
-from reference_kernels import matrix_arf, matrix_spin_parity, walk_cycle_data
+from reference_kernels import (
+    conjugate,
+    matrix_arf,
+    matrix_spin_parity,
+    walk_cycle_data,
+)
 
 
 class TestPreconditions:

@@ -13,7 +13,6 @@ from origami_census.perm import (
     Perm,
     class_representative,
     compose,
-    conjugate,
     perm_from_cycles,
     words_transitive,
 )
@@ -34,7 +33,7 @@ from origami_census.surface import (
     words_record,
 )
 from conftest import DEGREE5_PAIRS, all_perms, origami, strata_at
-from reference_kernels import full_scan_canonical_form
+from reference_kernels import conjugate, full_scan_canonical_form
 
 
 class TestStratumSignature:
