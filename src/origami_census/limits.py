@@ -113,21 +113,30 @@ def reference_rows(genus: int) -> list[ReferenceRow]:
     return [r for r in load_reference_table() if r.genus == genus]
 
 
-def component_label(comp: ComponentSummary) -> str:
-    """hyp / odd / even / nonhyp, matching the reference table labels."""
-    if comp.hyperelliptic:
+def component_label(comp: ComponentSummary, stratum: StratumSignature) -> str:
+    """The Kontsevich-Zorich component of the stratum holding an orbit,
+    named as the reference table names it.
+
+    A flagged orbit is "hyp" where the stratum has a hyperelliptic
+    component, H(2g-2) or H(g-1, g-1).  Any other orbit of an all-even
+    stratum is "even" or "odd" by its spin parity, one of H(g-1, g-1)
+    with g-1 odd is "nonhyp", and every other stratum is connected:
+    "all".
+    """
+    g, mu = stratum.genus, stratum.mu
+    if comp.hyperelliptic and mu in ((2 * g - 2,), (g - 1, g - 1)):
         return "hyp"
-    if comp.parity == 1:
-        return "odd"
-    if comp.parity == 0:
-        return "even"
-    return "nonhyp"
+    if all(m % 2 == 0 for m in mu):
+        return ("even", "odd")[comp.parity]
+    if mu == (g - 1, g - 1):
+        return "nonhyp"
+    return "all"
 
 
 @dataclass(frozen=True)
 class SweepRow:
     degree: int
-    label: str  # all, or hyp/odd/even/nonhyp for class rows
+    label: str  # all, or the component label for class rows
     n_classes: int
     total_weight: Fraction
     slope: Fraction | None  # exact component slope; None for an empty row
@@ -157,9 +166,9 @@ def sweep(
     ``provider(d, stratum)`` gives the census at degree d.  scope
     "stratum" totals the whole census, "hyperelliptic" restricts
     member-wise to flagged surfaces, "classes" groups orbits by their
-    hyp/odd/even/nonhyp label.  Each row carries its exact slope.  A
-    blown budget truncates the sweep and records the degree it
-    happened at.
+    connected component, labeled as ``table`` labels it.  Each row
+    carries its exact slope.  A blown budget truncates the sweep and
+    records the degree it happened at.
     """
     if scope not in ("stratum", "hyperelliptic", "classes"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -182,7 +191,7 @@ def sweep(
         else:
             groups: dict[str, tuple[int, Fraction]] = {}
             for comp in decompose(census):
-                label = component_label(comp)
+                label = component_label(comp, stratum)
                 n, m = groups.get(label, (0, Fraction(0)))
                 groups[label] = (n + comp.n_classes, m + comp.total_weight)
             totals = [(label, *groups[label]) for label in sorted(groups)]

@@ -180,6 +180,29 @@ class TestSweep:
         assert labels["hyp"].slope == Fraction(28, 3)
         assert labels["odd"].slope == 9
 
+    @pytest.mark.parametrize(
+        "d,mu",
+        [(6, (3, 1)), (7, (2, 1, 1)), (8, (4, 2)), (8, (3, 3)), (7, (6,)),
+         (6, (2, 2))],
+    )
+    def test_class_rows_are_reference_components(self, census_of, d, mu):
+        # each class row joins a `table` row of its stratum by label, and
+        # the rows split the census
+        stratum = StratumSignature(mu)
+        report = sweep(
+            stratum, d, scope="classes",
+            provider=lambda degree, s: census_of(degree, s.mu),
+        )
+        census = census_of(d, mu)
+        labels = {r.label for r in reference_rows(stratum.genus) if r.mu == mu}
+        assert census.n_classes > 0
+        assert {r.degree for r in report.rows} == {d}
+        assert {r.label for r in report.rows} <= labels
+        assert sum(r.n_classes for r in report.rows) == census.n_classes
+        assert sum(
+            (r.total_weight for r in report.rows), Fraction(0)
+        ) == census.total_weight
+
     def test_hyperelliptic_scope_can_be_empty(self, cached_provider):
         # the mixed-zero stratum has no hyperelliptic members at all
         report = sweep(

@@ -66,8 +66,9 @@ class TestAnchors:
     def test_genus4_single_zero_slopes_match_labels(self, census_of):
         want = {r.label: r.slope for r in reference_rows(4) if r.mu == (6,)}
         labels = set()
-        for comp in decompose(census_of(7, (6,))):
-            label = component_label(comp)
+        census = census_of(7, (6,))
+        for comp in decompose(census):
+            label = component_label(comp, census.stratum)
             labels.add(label)
             assert comp.slope == want[label], label
         assert labels == {"hyp", "even", "odd"}
