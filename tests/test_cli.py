@@ -410,9 +410,9 @@ CLI_GOLDEN_SHA256 = {
     ("limits --mu 4 --dmax 6 --scope hyperelliptic", "text"): "0e6c817450cfaf17acdeff279ee9d927029469cc6e77134bbf0b554900107c8a",
     ("limits --mu 4 --dmax 6 --scope hyperelliptic", "json"): "bde21701a21e084b0c3fb64cb42d63bf69b64bf1340b5a94676ebd871c9d9694",
     ("limits --mu 4 --dmax 6 --scope hyperelliptic", "csv"): "4566e63e5241cb714023a952a8b5e05bc8f1b32a7fdf842b4a6f49e19ed77580",
-    ("limits --mu 3,1 --dmax 6 --scope classes", "text"): "7c220d39ee9426a55e2fe48bb0d145833265984f13f382a8245cd56fc6f962d1",
-    ("limits --mu 3,1 --dmax 6 --scope classes", "json"): "e4808727a04dfb3c4214a57da7ea1c205d76c7816b813a74aa03f2608c41af76",
-    ("limits --mu 3,1 --dmax 6 --scope classes", "csv"): "feaa4423e21b4d93fb362d759e91de41d12174efb926e6e13abb251b0b439437",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "text"): "cd2c08cf638c8c65b05d7309a06787059e117e7a5ca6deaed45c8a8e67a78dac",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "json"): "1a35ecc7669418be315a4e8a24cb171d68d199e8481d72e63f4185dc775bb036",
+    ("limits --mu 3,1 --dmax 6 --scope classes", "csv"): "e55ee538bd0913794f913884773654ddb6f9fb2a041f0f219002c608bbdb756b",
     ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "text"): "4ee77976aad2d7596958b0111cc512e7e3b6b54b51fb6fafe0c07005bcfcd216",
     ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "json"): "c8c617090e70d0b02e162cd9f87c58eb22c96f565cd4e91bf8804adadcbf7343",
     ("limits --mu 3,1 --dmax 6 --scope hyperelliptic", "csv"): "86d66e2e9fb7dc2447ce3ee93a946b149f70631bd52dc40b5be825e390e47209",
