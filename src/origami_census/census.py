@@ -94,6 +94,11 @@ class Census(Mapping):
     def __getitem__(self, key: bytes) -> Origami:
         if key not in self:
             raise KeyError(key)
+        return self.member(key)
+
+    def member(self, key: bytes) -> Origami:
+        """The member of ``key``, which must be one of the census's keys:
+        unlike ``census[key]``, it does not look the key up."""
         aw, bw = decode_pair(key, self.degree)
         return Origami(Perm(aw), Perm(bw), self.commutator_type, self.stratum)
 

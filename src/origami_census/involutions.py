@@ -80,11 +80,22 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     """All tau with tau^2 = id and tau (alpha,beta) tau^-1 = inverses.
 
     Returns one report per involution, ordered by tau's word.
+
+    Each tau is fixed by tau(square 1) = t, so each target t is
+    propagated once, and only where it can succeed: t must be a fixed
+    point of alpha exactly when square 1 is, and likewise of beta.  Tau
+    conjugates alpha to alpha^-1 and beta to beta^-1, so it maps each
+    cycle of either onto a cycle of the same length, and fixed points
+    to fixed points.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
     ai, bi = inverse_word(aw), inverse_word(bw)
-    taus = [_propagate(aw, bw, target, ai, bi) for target in range(d)]
+    fixed_a, fixed_b = aw[0] == 0, bw[0] == 0
+    taus = [
+        _propagate(aw, bw, t, ai, bi) for t in range(d)
+        if (aw[t] == t) == fixed_a and (bw[t] == t) == fixed_b
+    ]
     taus = [tw for tw in taus if tw is not None]
     if not taus:
         return []

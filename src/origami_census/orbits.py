@@ -119,10 +119,10 @@ def decompose(census: Census) -> list[ComponentSummary]:
     partition the census.
     :func:`cusp_data` reads the cusps and their alpha cycle types off
     the horizontal array, and from those the orbit's weight.  Each
-    member is then built once, in key order, for its hyperelliptic flag
-    (and spin parity, on even strata), which must equal that of the
-    orbit's least member.  A failed check, or an image outside the
-    census, raises :class:`InvariantError`.
+    member is then built once from its key, in key order, for its
+    hyperelliptic flag (and spin parity, on even strata), which must
+    equal that of the orbit's least member.  A failed check, or an
+    image outside the census, raises :class:`InvariantError`.
     """
     keys = list(census)  # in key order; a member is its position here
     h_next, v_next = array("i"), array("i")
@@ -176,7 +176,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
         members.sort()
         first = None
         for i in members:
-            o = census[keys[i]]
+            o = census.member(keys[i])
             labels = (is_hyperelliptic(o), spin_parity(o) if even else None)
             first = first or labels  # the least member's labels
             for name, want, got in zip(

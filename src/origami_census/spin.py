@@ -33,7 +33,7 @@ square side.
 """
 from __future__ import annotations
 
-from .perm import commutator_word, inverse_word
+from .perm import inverse_word
 from .surface import InvariantError, Origami, canonical_key
 
 R, U, L, D = 0, 1, 2, 3
@@ -54,17 +54,22 @@ def spin_parity(o: Origami) -> int:
         raise ParityUndefinedError(
             f"parity undefined for this stratum: mu = {o.stratum} has an odd zero"
         )
+    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
     try:
-        cotree, q, cross, rows = _cycle_data(o)
-        _check_descends(o, cotree, cross, rows, q)
+        cotree, q, cross, rows = _cycle_data(o, ai, bi)
+        _check_descends(_face_masks(o, ai, bi), cotree, cross, rows, q)
         return _arf(rows, q, genus=o.genus)
     except InvariantError as exc:
         key = canonical_key(o.alpha, o.beta).hex()
         raise InvariantError(f"spin parity of {key}: {exc}") from None
 
 
-def _cycle_data(o: Origami) -> tuple[list[int], list[int], list[int], list[int]]:
+def _cycle_data(
+    o: Origami, ai: tuple[int, ...], bi: tuple[int, ...]
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """Cotree edge ids, q, crossing masks and pairing rows of the cycles.
+
+    ``ai`` and ``bi`` are the inverse words of alpha and beta.
 
     The tree grows from square 0 with neighbours in the order R, U, L,
     D.  An edge's id is the bit of the side it crosses: bit i is the
@@ -73,7 +78,6 @@ def _cycle_data(o: Origami) -> tuple[list[int], list[int], list[int], list[int]]
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    ai, bi = inverse_word(aw), inverse_word(bw)
 
     # Per square: parent, move and edge id from the parent, depth, and
     # the crossing mask and turning sum of the path down from the root.
@@ -196,16 +200,19 @@ def _skeleton_sides(d: int, ai, bi) -> list[int]:
     return [d + b for b in bi] + list(ai)
 
 
-def _face_masks(o: Origami) -> list[int]:
+def _face_masks(
+    o: Origami, ai: tuple[int, ...], bi: tuple[int, ...]
+) -> list[int]:
     """Boundary of the disk around each vertex, in crossing coordinates.
 
     The upper-right corner of square i lies on the vertex of the
-    commutator cycle through i.  A side whose two ends lie on one
-    vertex enters its mask twice and cancels.
+    commutator cycle through i; the commutator is built from ``ai`` and
+    ``bi``, the inverse words of alpha and beta.  A side whose two ends
+    lie on one vertex enters its mask twice and cancels.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    gw = commutator_word(aw, bw)
+    gw = [bi[ai[bw[aw[i]]]] for i in range(d)]
     seen = [False] * d
     masks = []
     for start in range(d):
@@ -225,17 +232,18 @@ def _face_masks(o: Origami) -> list[int]:
     return masks
 
 
-def _check_descends(o, cotree, cross, rows, q) -> None:
+def _check_descends(faces, cotree, cross, rows, q) -> None:
     """Verify the form is well-defined on homology.
 
-    Every vertex-face boundary must decompose over the fundamental
-    cycles with induced q = 0 and zero pairing against everything;
-    this pins the quadratic law q(x+y) = q(x)+q(y)+x.y on the quotient.
+    Every vertex-face boundary in ``faces`` (see :func:`_face_masks`)
+    must decompose over the fundamental cycles with induced q = 0 and
+    zero pairing against everything; this pins the quadratic law
+    q(x+y) = q(x)+q(y)+x.y on the quotient.
     ``cotree`` holds each fundamental cycle's edge id, the one side it
     crosses that no other fundamental cycle crosses.  ``rows`` is the
     pairing (see :func:`_cycle_data`), already checked symmetric.
     """
-    for face in _face_masks(o):
+    for face in faces:
         coeffs = 0  # bit j: fundamental cycle j is in the face
         combo = 0
         for j, e in enumerate(cotree):

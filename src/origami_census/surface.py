@@ -197,20 +197,35 @@ def canonical_form(
     result is a class invariant: conjugate pairs give equal forms,
     distinct classes give distinct forms.
 
+    Only the starts that can give the least relabeled alpha are walked.
+    Its first letter is 0 exactly when the start is a fixed point of
+    alpha.  With no fixed point, its second letter is 0 exactly when the
+    start lies on a 2-cycle of alpha.  So the starts are alpha's fixed
+    points, failing those the squares on its 2-cycles (with no fixed
+    point, alpha(alpha(s)) = s exactly there), failing both every
+    square.  The first of them is walked in full, so a disconnected
+    pair still raises :class:`DisconnectedCoverError`.
+
     The k-th letter of the relabeled alpha is known at step k of the
     walk, so a start is dropped as soon as its alpha prefix exceeds
     the best one; beta is compared only when the alphas tie.
     """
     d = len(aw)
+    squares = range(d)
+    starts = (
+        [x for x in squares if aw[x] == x]
+        or [x for x in squares if aw[aw[x]] == x]
+        or squares
+    )
     best_a: tuple[int, ...] = ()
     best_b: tuple[int, ...] = ()
-    for start in range(d):
+    for start in starts:
         relabel = [-1] * d
         relabel[start] = 0
         order = [start]
         na: list[int] = []
         n_seen = 1
-        tie = start > 0  # the first start has no best to compare with
+        tie = start != starts[0]  # the first start has no best to compare with
         for x in order:
             y = aw[x]
             ry = relabel[y]

@@ -11,12 +11,16 @@ dedups the betas of an alpha class by sweeping each transitive beta's
 whole centralizer orbit into one set held for the whole class.  The
 package's versions must agree with them exactly.
 
-``commutator`` and ``conjugate`` are the ``Perm``-level products, and
+``commutator`` and ``conjugate`` are the ``Perm``-level products,
 ``has_order_two_automorphism`` searches for a non-identity involution
-commuting with both generators.  The package never calls them; the
+commuting with both generators, and ``brute_force_anti_involutions``
+tests every involution of S_d against the relations that
+``find_anti_involutions`` solves.  The package never calls them; the
 tests check the raw-word primitives and the labels against them.
 """
 from __future__ import annotations
+
+from itertools import permutations
 
 from origami_census.involutions import _propagate
 from origami_census.perm import (
@@ -542,3 +546,23 @@ def has_order_two_automorphism(o: Origami) -> bool:
         _propagate(aw, bw, target, aw, bw) is not None
         for target in range(1, o.degree)
     )
+
+
+def brute_force_anti_involutions(o: Origami) -> list[tuple[int, ...]]:
+    """Every involution tau of S_d with tau alpha tau = alpha^-1 and
+    tau beta tau = beta^-1, as 0-based words in word order.
+
+    Tests each involution of S_d against both relations, with no
+    pruning of the candidates.
+    """
+    aw, bw = o.alpha.word, o.beta.word
+    ai, bi = inverse_word(aw), inverse_word(bw)
+    return [
+        tau for tau in permutations(range(o.degree))
+        if all(tau[t] == x for x, t in enumerate(tau))
+        and all(
+            tau[w[tau[x]]] == wi[x]
+            for w, wi in ((aw, ai), (bw, bi))
+            for x in range(o.degree)
+        )
+    ]

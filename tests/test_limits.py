@@ -134,17 +134,10 @@ class TestReferenceTable:
             reference_rows(2)
 
 
-@pytest.fixture(scope="module")
-def cached_provider():
-    from conftest import _census_memo
-
-    def provider(d, stratum):
-        key = (d, stratum.mu)
-        if key not in _census_memo:
-            _census_memo[key] = enumerate_census(d, stratum)
-        return _census_memo[key]
-
-    return provider
+@pytest.fixture
+def cached_provider(census_of):
+    """A sweep provider that reads the session's memoized censuses."""
+    return lambda d, s: census_of(d, s.mu)
 
 
 class TestSweep:

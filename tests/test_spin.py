@@ -28,6 +28,11 @@ from reference_kernels import (
 )
 
 
+def inverse_words(o):
+    """The inverse words of alpha and beta, which the kernels take."""
+    return inverse_word(o.alpha.word), inverse_word(o.beta.word)
+
+
 class TestPreconditions:
     def test_odd_zero_rejected(self, census_of):
         o = next(iter(census_of(6, (3, 1)).values()))
@@ -120,8 +125,8 @@ class TestInvariantErrors:
         o = list(census_of(5, (4,)).values())[7]
         real = spin._face_masks
 
-        def shifted(o):
-            masks = real(o)
+        def shifted(*args):
+            masks = real(*args)
             return [masks[0] ^ 1] + masks[1:]
 
         monkeypatch.setattr(spin, "_face_masks", shifted)
@@ -137,10 +142,9 @@ class TestInvariantErrors:
         # asymmetric M' must each be caught.
         o = list(census_of(6, (2, 2)).values())[5]
         d = o.degree
-        _, _, cross, _ = spin._cycle_data(o)
-        sigma = spin._skeleton_sides(
-            d, inverse_word(o.alpha.word), inverse_word(o.beta.word)
-        )
+        ai, bi = inverse_words(o)
+        _, _, cross, _ = spin._cycle_data(o, ai, bi)
+        sigma = spin._skeleton_sides(d, ai, bi)
         caught = set()
         for a in range(2 * d):
             for b in range(a):
@@ -215,7 +219,7 @@ class TestFaces:
         census = census_of(d, mu)
         assert census.n_classes > 0
         for o in census.values():
-            faces = spin._face_masks(o)
+            faces = spin._face_masks(o, *inverse_words(o))
             assert sorted(faces) == sorted(corner_union_find_masks(o))
             assert len(faces) == len(o.commutator_type.parts)
 
@@ -260,7 +264,7 @@ def test_tree_pass_matches_walks(d, mu, census_of):
     census = census_of(d, mu)
     assert census.n_classes > 0
     for o in census.values():
-        assert spin._cycle_data(o) == walk_cycle_data(o)
+        assert spin._cycle_data(o, *inverse_words(o)) == walk_cycle_data(o)
 
 
 def gf2_rank(rows: list[int]) -> int:

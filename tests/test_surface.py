@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,16 @@ class TestCanonicalKey:
 REFERENCE_CENSUSES = [(d, mu) for d in (5, 6, 7) for mu in strata_at(d)]
 
 
+def assert_matches_full_scan(a, b):
+    """canonical_form agrees with the full scan on a transitive pair and
+    raises on a disconnected one."""
+    if words_transitive(a, b):
+        assert canonical_form(a, b) == full_scan_canonical_form(a, b)
+    else:
+        with pytest.raises(DisconnectedCoverError):
+            canonical_form(a, b)
+
+
 class TestCanonicalFormReference:
     @pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
     def test_members_and_twist_images_match_full_scan(self, d, mu, census_of):
@@ -226,6 +237,23 @@ class TestCanonicalFormReference:
                 assert canonical_form(a, b) == form
                 assert full_scan_canonical_form(a, b) == form
 
+    def test_every_pair_to_degree_5_matches_full_scan(self):
+        # all of S_d x S_d: every cycle type of alpha, so each branch of
+        # the start rule (fixed points, 2-cycles, every square) is taken
+        branches = set()
+        for d in range(1, 6):
+            words = list(permutations(range(d)))
+            for a in words:
+                if any(a[x] == x for x in range(d)):
+                    branches.add("fixed points")
+                elif any(a[a[x]] == x for x in range(d)):
+                    branches.add("2-cycles")
+                else:
+                    branches.add("every square")
+                for b in words:
+                    assert_matches_full_scan(a, b)
+        assert branches == {"fixed points", "2-cycles", "every square"}
+
     def test_random_pairs_match_full_scan(self):
         rng = random.Random(6)
         for d in range(1, 10):
@@ -234,12 +262,7 @@ class TestCanonicalFormReference:
                 b = list(range(d))
                 rng.shuffle(a)
                 rng.shuffle(b)
-                a, b = tuple(a), tuple(b)
-                if words_transitive(a, b):
-                    assert canonical_form(a, b) == full_scan_canonical_form(a, b)
-                else:
-                    with pytest.raises(DisconnectedCoverError):
-                        canonical_form(a, b)
+                assert_matches_full_scan(tuple(a), tuple(b))
 
 
 class TestKeyCodec:
