@@ -137,7 +137,7 @@ def is_hyperelliptic(o: Origami) -> bool:
     additionally required to be 0 there.
     """
     target = 2 * o.genus + 2
-    swap_required = len(o.stratum.mu) == 2 and o.stratum.mu[0] == o.stratum.mu[1]
+    swap_required = o.stratum.hyperelliptic_zeros == 2
     for rep in find_anti_involutions(o):
         if rep.total_fixed != target:
             continue

@@ -73,12 +73,10 @@ def stratum_constants(
     stratum: StratumSignature,
 ) -> tuple[Fraction, Fraction, Fraction] | None:
     """Exact (c, L, s) when the stratum has a hyperelliptic shape, else None."""
-    g, mu = stratum.genus, stratum.mu
-    if mu == (2 * g - 2,):
-        return hyperelliptic_constants(g, zeros=1)
-    if len(mu) == 2 and mu[0] == mu[1]:
-        return hyperelliptic_constants(g, zeros=2)
-    return None
+    zeros = stratum.hyperelliptic_zeros
+    if zeros is None:
+        return None
+    return hyperelliptic_constants(stratum.genus, zeros)
 
 
 @dataclass(frozen=True)
@@ -123,12 +121,12 @@ def component_label(comp: ComponentSummary, stratum: StratumSignature) -> str:
     with g-1 odd is "nonhyp", and every other stratum is connected:
     "all".
     """
-    g, mu = stratum.genus, stratum.mu
-    if comp.hyperelliptic and mu in ((2 * g - 2,), (g - 1, g - 1)):
+    zeros = stratum.hyperelliptic_zeros
+    if comp.hyperelliptic and zeros is not None:
         return "hyp"
-    if all(m % 2 == 0 for m in mu):
+    if stratum.all_even():
         return ("even", "odd")[comp.parity]
-    if mu == (g - 1, g - 1):
+    if zeros == 2:
         return "nonhyp"
     return "all"
 
@@ -165,7 +163,8 @@ def sweep(
 
     ``provider(d, stratum)`` gives the census at degree d.  scope
     "stratum" totals the whole census, "hyperelliptic" restricts
-    member-wise to flagged surfaces, "classes" groups orbits by their
+    member-wise to the flagged surfaces of the hyperelliptic component
+    (N=0 on a stratum with none), "classes" groups orbits by their
     connected component, labeled as ``table`` labels it.  Each row
     carries its exact slope.  A blown budget truncates the sweep and
     records the degree it happened at.
@@ -186,7 +185,8 @@ def sweep(
         if scope == "stratum":
             totals = [("all", census.n_classes, census.total_weight)]
         elif scope == "hyperelliptic":
-            keys = [k for k, o in census.items() if is_hyperelliptic(o)]
+            members = census.items() if stratum.hyperelliptic_zeros else ()
+            keys = [k for k, o in members if is_hyperelliptic(o)]
             totals = [("hyp", len(keys), weight_of_keys(keys, d))]
         else:
             groups: dict[str, tuple[int, Fraction]] = {}

@@ -36,19 +36,12 @@ class Perm:
     def degree(self) -> int:
         return len(self.word)
 
-    @classmethod
-    def identity(cls, degree: int) -> Perm:
-        return cls(tuple(range(degree)))
-
     def __call__(self, letter: int) -> int:
         """Image of a 1-based letter."""
         return self.word[letter - 1] + 1
 
     def inverse(self) -> Perm:
         return Perm(inverse_word(self.word))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.word))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles as 1-based tuples, fixed points included.
@@ -58,9 +51,6 @@ class Perm:
         # A list, not a generator: tuple(generator) resizes its result and
         # strands free-list tuples, +0.5 MB peak when a census is saved.
         return [tuple([x + 1 for x in c]) for c in word_cycles(self.word)]
-
-    def cycle_type(self) -> CycleType:
-        return CycleType(len(self.word), cycle_lengths(self.word))
 
     def __str__(self) -> str:
         return cycles_to_str(self.cycles())

@@ -81,6 +81,13 @@ class StratumSignature:
     def all_even(self) -> bool:
         return all(m % 2 == 0 for m in self.mu)
 
+    @property
+    def hyperelliptic_zeros(self) -> int | None:
+        """The number of zeros, 1 on H(2g-2) and 2 on H(g-1, g-1): the
+        strata with a hyperelliptic component.  None on every other."""
+        mu = self.mu
+        return len(mu) if len(mu) <= 2 and mu[0] == mu[-1] else None
+
     def __str__(self) -> str:
         return "(" + ",".join(str(m) for m in self.mu) + ")"
 

@@ -249,7 +249,7 @@ class TestRawPairAccounting:
             1
             for a in perms
             for b in perms
-            if commutator(a, b).cycle_type() == target
+            if cycle_lengths(commutator(a, b).word) == target.parts
             and words_transitive(a.word, b.word)
         )
 

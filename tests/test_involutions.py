@@ -19,8 +19,9 @@ from reference_kernels import (
 
 def brute_force_automorphisms(o: Origami) -> list[Perm]:
     out = []
+    identity = Perm(tuple(range(o.degree)))
     for tau in all_perms(o.degree):
-        if tau.is_identity() or not compose(tau, tau).is_identity():
+        if tau == identity or compose(tau, tau) != identity:
             continue
         if conjugate(o.alpha, tau) == o.alpha and conjugate(o.beta, tau) == o.beta:
             out.append(tau)
@@ -164,3 +165,25 @@ class TestGenusTwoAlwaysHyperelliptic:
             ]
             assert hits
             assert all(r.fixed_zeros == 0 for r in hits)
+
+
+class TestSwapRule:
+    """On H(g-1, g-1) the hyperelliptic component is where the involution
+    swaps the zeros.  A member whose only involutions with 2g+2 fixed
+    points fix both zeros lies off that component and is not flagged."""
+
+    @pytest.mark.parametrize("d,n_fixing,n_classes", [(6, 39, 126), (7, 66, 486)])
+    def test_zero_fixing_involutions_are_not_flagged(
+        self, census_of, d, n_fixing, n_classes
+    ):
+        census = census_of(d, (2, 2))
+        assert census.n_classes == n_classes
+        fixing = [
+            o for o in census.values()
+            if any(
+                r.total_fixed == 2 * o.genus + 2 and r.fixed_zeros == 2
+                for r in find_anti_involutions(o)
+            )
+        ]
+        assert len(fixing) == n_fixing
+        assert not any(is_hyperelliptic(o) for o in fixing)

@@ -127,6 +127,25 @@ class TestReferenceTable:
             if r.label == "hyp":
                 assert r.slope == 8 + Fraction(4, g)
 
+    def test_labels_follow_the_stratum_shape(self):
+        # hyp rows exactly on the hyperelliptic shapes, at their closed
+        # form; nonhyp on H(g-1, g-1) with g-1 odd; spin rows only on
+        # all-even strata; all exactly where neither rule applies
+        table: dict[tuple[int, ...], dict[str, Fraction]] = {}
+        for r in load_reference_table():
+            table.setdefault(r.mu, {})[r.label] = r.slope
+        assert len(table) == 80
+        for mu, rows in table.items():
+            stratum = StratumSignature(mu)
+            zeros = stratum.hyperelliptic_zeros
+            even = stratum.all_even()
+            assert ("hyp" in rows) == (zeros is not None), mu
+            if zeros is not None:
+                assert stratum_constants(stratum)[2] == rows["hyp"], mu
+            assert ("nonhyp" in rows) == (zeros == 2 and not even), mu
+            assert even or not {"even", "odd"} & rows.keys(), mu
+            assert ("all" in rows) == (zeros is None and not even), mu
+
     def test_outside_range(self):
         with pytest.raises(ValueError):
             reference_rows(9)
@@ -208,7 +227,9 @@ class TestSweep:
         assert row.slope is None
 
     @pytest.mark.parametrize(
-        "mu,d_max", [((2,), 8), ((1, 1), 8), ((4,), 7), ((2, 2), 7), ((3, 1), 7)]
+        "mu,d_max",
+        [((2,), 8), ((1, 1), 8), ((4,), 7), ((2, 2), 7), ((3, 1), 7),
+         ((4, 2), 8), ((2, 1, 1), 7)],
     )
     def test_both_hyperelliptic_paths_agree_at_slope_8_plus_4_over_g(
         self, cached_provider, mu, d_max

@@ -1,6 +1,7 @@
-"""Every top-level function and class in the package has a reader: a
-definition that nothing refers to fails here instead of waiting for a
-manual sweep.
+"""Every top-level function and class in the package, and every
+non-dunder method, property and classmethod of its classes, has a
+reader: a definition that nothing refers to fails here instead of
+waiting for a manual sweep.
 
 A definition is referenced when a package module names it (an AST
 ``Name`` or ``Attribute``), README's Library block shows it, or
@@ -29,12 +30,28 @@ KEEP = {
 }
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def top_level_defs(source: str) -> list[str]:
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
+    """Each top-level definition's name, and ``Class.name`` for each
+    non-dunder definition in a top-level class's body."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, DEFS):
+            continue
+        out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, DEFS) and not is_dunder(item.name)
+            ]
+    return out
 
 
 def names_read(source: str, imports: bool = True) -> set[str]:
@@ -52,9 +69,11 @@ def names_read(source: str, imports: bool = True) -> set[str]:
 
 
 def unreferenced(sources: dict[str, str], readers: set[str]) -> list[str]:
-    """``module.name`` of each top-level definition that no source in
-    ``sources`` reads and that is not in ``readers``.  An import is not
-    a read, so package re-exports do not count."""
+    """``module.name`` (``module.Class.name`` for a member) of each
+    definition that no source in ``sources`` reads and that is not in
+    ``readers``.  A member is read through its last name, whatever the
+    object.  An import is not a read, so package re-exports do not
+    count."""
     read = set(readers)
     for source in sources.values():
         read |= names_read(source, imports=False)
@@ -62,7 +81,7 @@ def unreferenced(sources: dict[str, str], readers: set[str]) -> list[str]:
         f"{module}.{name}"
         for module, source in sources.items()
         for name in top_level_defs(source)
-        if name not in read
+        if name.rsplit(".", 1)[-1] not in read
     ]
 
 
@@ -108,10 +127,28 @@ def test_detects_unreferenced_def():
     assert unreferenced(sources, {"unused"}) == []
 
 
+def test_detects_unreferenced_member():
+    sources = {
+        "a": (
+            "class K:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): pass\n"
+            "    @property\n"
+            "    def shape(self): pass\n"
+            "    @classmethod\n"
+            "    def make(cls): pass\n"
+            "    def unused(self): pass\n"
+        ),
+        "b": "from .a import K\nK.make().used()\nx = K().shape\n",
+    }
+    assert unreferenced(sources, set()) == ["a.K.unused"]
+    assert unreferenced(sources, {"unused"}) == []
+
+
 def test_keep_holds_only_unreferenced_defs():
     # A kept name that gains a reader leaves KEEP.
     left = unreferenced(package_sources(), external_readers())
-    assert {name.split(".")[1] for name in left} >= set(KEEP)
+    assert {name.rsplit(".", 1)[-1] for name in left} >= set(KEEP)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

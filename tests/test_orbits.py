@@ -165,7 +165,7 @@ def brute_force_orbit_count(degree: int, mu: tuple[int, ...]) -> int:
 
     for a in words:
         for b in words:
-            if commutator(a, b).cycle_type() == target and words_transitive(
+            if cycle_lengths(commutator(a, b).word) == target.parts and words_transitive(
                 a.word, b.word
             ):
                 valid.add((a.word, b.word))
@@ -258,7 +258,7 @@ def direct_cusp_walk(component_keys, census):
         if key not in remaining:
             continue
         size = 0
-        alpha_parts = census[key].alpha.cycle_type().parts
+        alpha_parts = cycle_lengths(census[key].alpha.word)
         cur, cur_key = census[key], key
         while cur_key in remaining:
             remaining.remove(cur_key)
