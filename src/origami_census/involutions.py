@@ -4,9 +4,11 @@ The point symmetry of the torus lifts to the cover exactly when some
 tau in S_d conjugates (alpha, beta) to (alpha^-1, beta^-1) with
 tau^2 = id.  The lifted involution acts on the surface square by
 square; its fixed points sit at 2-torsion points of the flat metric:
-square centers, edge midpoints and vertices.  The surface is
-hyperelliptic precisely when some compatible involution has 2g+2
-fixed points.
+square centers, edge midpoints and vertices.  An involution with 2g+2
+fixed points makes the surface hyperelliptic.  :func:`is_hyperelliptic`
+asks for more, the stratum's hyperelliptic component, which only
+H(2g-2) and H(g-1, g-1) have; :func:`find_anti_involutions` reports
+every compatible involution on any stratum.
 """
 from __future__ import annotations
 
@@ -129,19 +131,19 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
 
 
 def is_hyperelliptic(o: Origami) -> bool:
-    """Does some compatible involution realize the surface as hyperelliptic?
+    """Does the surface lie in its stratum's hyperelliptic component?
 
-    An involution with 2g+2 fixed points gives a genus-0 quotient.  On
-    a stratum with two zeros of equal order the hyperelliptic locus is
-    the one where the involution swaps the zeros, so fixed zeros are
-    additionally required to be 0 there.
+    Only H(2g-2) and H(g-1, g-1) have one; on any other stratum this is
+    False, whatever involutions the surface has.  There the component
+    is where some involution has 2g+2 fixed points, a genus-0 quotient,
+    and on H(g-1, g-1) it must swap the two zeros: one that fixes both
+    lies off the component.
     """
+    zeros = o.stratum.hyperelliptic_zeros
+    if zeros is None:
+        return False
     target = 2 * o.genus + 2
-    swap_required = o.stratum.hyperelliptic_zeros == 2
-    for rep in find_anti_involutions(o):
-        if rep.total_fixed != target:
-            continue
-        if swap_required and rep.fixed_zeros != 0:
-            continue
-        return True
-    return False
+    return any(
+        rep.total_fixed == target and (zeros == 1 or rep.fixed_zeros == 0)
+        for rep in find_anti_involutions(o)
+    )

@@ -2,11 +2,11 @@
 
 For a stratum the three quantities of interest — the area constant c,
 the exponent sum L and the limiting slope s — determine each other
-through L = kappa + c and s = 12 c / L.  On hyperelliptic loci they
-are known in closed form and every finite-degree orbit already has the
-limiting slope; elsewhere the census ratio M/N estimates c and the
-bundled reference table (data/appendix_b.csv) gives the limit values
-for genus 3 to 6.
+through L = kappa + c and s = 12 c / L.  On the hyperelliptic
+components of H(2g-2) and H(g-1, g-1) they are known in closed form
+and every finite-degree orbit already has the limiting slope 8 + 4/g;
+elsewhere the census ratio M/N estimates c and the bundled reference
+table (data/appendix_b.csv) gives the limit values for genus 3 to 6.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ _DATA_FILE = Path(__file__).parent / "data" / "appendix_b.csv"
 def hyperelliptic_constants(
     genus: int, zeros: int = 1
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (c, L, s) for a hyperelliptic locus.
+    """Exact (c, L, s) for a hyperelliptic component.
 
     ``zeros=1`` is the single-zero shape (2g-2), ``zeros=2`` the
     two-equal-zeros shape (g-1, g-1).  The slope always comes out as
@@ -115,18 +115,16 @@ def component_label(comp: ComponentSummary, stratum: StratumSignature) -> str:
     """The Kontsevich-Zorich component of the stratum holding an orbit,
     named as the reference table names it.
 
-    A flagged orbit is "hyp" where the stratum has a hyperelliptic
-    component, H(2g-2) or H(g-1, g-1).  Any other orbit of an all-even
-    stratum is "even" or "odd" by its spin parity, one of H(g-1, g-1)
-    with g-1 odd is "nonhyp", and every other stratum is connected:
-    "all".
+    A flagged orbit lies in the hyperelliptic component: "hyp".  Any
+    other orbit of an all-even stratum is "even" or "odd" by its spin
+    parity, one of H(g-1, g-1) with g-1 odd is "nonhyp", and every
+    other stratum is connected: "all".
     """
-    zeros = stratum.hyperelliptic_zeros
-    if comp.hyperelliptic and zeros is not None:
+    if comp.hyperelliptic:
         return "hyp"
     if stratum.all_even():
         return ("even", "odd")[comp.parity]
-    if zeros == 2:
+    if stratum.hyperelliptic_zeros == 2:
         return "nonhyp"
     return "all"
 
@@ -163,9 +161,9 @@ def sweep(
 
     ``provider(d, stratum)`` gives the census at degree d.  scope
     "stratum" totals the whole census, "hyperelliptic" restricts
-    member-wise to the flagged surfaces of the hyperelliptic component
-    (N=0 on a stratum with none), "classes" groups orbits by their
-    connected component, labeled as ``table`` labels it.  Each row
+    member-wise to the flagged surfaces, those of the hyperelliptic
+    component (N=0 on a stratum with none), "classes" groups orbits by
+    their connected component, labeled as ``table`` labels it.  Each row
     carries its exact slope.  A blown budget truncates the sweep and
     records the degree it happened at.
     """
@@ -185,8 +183,7 @@ def sweep(
         if scope == "stratum":
             totals = [("all", census.n_classes, census.total_weight)]
         elif scope == "hyperelliptic":
-            members = census.items() if stratum.hyperelliptic_zeros else ()
-            keys = [k for k, o in members if is_hyperelliptic(o)]
+            keys = [k for k, o in census.items() if is_hyperelliptic(o)]
             totals = [("hyp", len(keys), weight_of_keys(keys, d))]
         else:
             groups: dict[str, tuple[int, Fraction]] = {}

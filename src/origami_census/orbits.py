@@ -38,6 +38,10 @@ class ComponentSummary:
     -> (alpha^-1, beta^-1), fixes the members; otherwise -I pairs them
     or maps one to itself, and ``cusp_count`` is twice the curve's
     cusps minus the self-paired ones (``tests/test_veech_genus.py``).
+    ``hyperelliptic`` is True when the orbit lies in the stratum's
+    hyperelliptic component, so its slope is 8 + 4/g; it is False on a
+    stratum with no such component, even where members have an
+    involution with 2g+2 fixed points.
     """
 
     component_id: int

@@ -392,6 +392,9 @@ CLI_GOLDEN_SHA256 = {
     ("orbits --degree 2 --mu 2", "text"): "1ccdd65cbe57e0cbc0cdeccc773d9b3e068ba99a0f78a8fd308b7fde65afc093",
     ("orbits --degree 2 --mu 2", "json"): "979166d7892830974525aef94b6167674629e8ac6e3ca3f4581da904729c7484",
     ("orbits --degree 2 --mu 2", "csv"): "114539e66c9f9032e8cbe9f92bc4d8eb5af151502da3941a2f4bb006e2978d2d",
+    ("orbits --degree 7 --mu 2,1,1", "text"): "baf90004fd51a50f4fd698efe7e3e635f57b8c29ae988695016d27c96d7d0904",
+    ("orbits --degree 7 --mu 2,1,1", "json"): "0b28b7d174720515bd460d04f2238a2be1a2fcd17e3d7a190a0dbbc1376524d1",
+    ("orbits --degree 7 --mu 2,1,1", "csv"): "6d28b40c2135957f8f5984983d4b4cfcd716b38569f963af434d27319fec75bd",
     ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "text"): "5c70d61eb7f7d711ec0d39be98b3441f89c31303512fad04f8317e4c48ae93c2",
     ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "json"): "735e7016a2cae9c4e0eb653b9a5e3aa54ac6bfa9a82c54af8cd21c16ca9b6b4e",
     ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "csv"): "5c70d61eb7f7d711ec0d39be98b3441f89c31303512fad04f8317e4c48ae93c2",

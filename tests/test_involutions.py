@@ -1,6 +1,7 @@
 """Compatible involutions, checked against a brute-force search."""
 import pytest
 
+from origami_census.cli import main
 from origami_census.involutions import (
     InvolutionReport,
     find_anti_involutions,
@@ -187,3 +188,42 @@ class TestSwapRule:
         ]
         assert len(fixing) == n_fixing
         assert not any(is_hyperelliptic(o) for o in fixing)
+
+
+class TestOffTheHyperellipticComponent:
+    """H(2,1,1) has no hyperelliptic component, so no member is flagged,
+    although 132 of the 360 members at degree 7 have an involution with
+    2g+2 = 8 fixed points, which ``find_anti_involutions`` and
+    ``classify`` still report."""
+
+    @staticmethod
+    def with_eight_fixed_points(census):
+        return [
+            o for o in census.values()
+            if any(r.total_fixed == 8 for r in find_anti_involutions(o))
+        ]
+
+    def test_involutions_with_2g_plus_2_fixed_points_are_not_flagged(
+        self, census_of
+    ):
+        census = census_of(7, (2, 1, 1))
+        assert census.n_classes == 360
+        hits = self.with_eight_fixed_points(census)
+        assert len(hits) == 132
+        assert not any(is_hyperelliptic(o) for o in hits)
+
+    def test_classify_prints_the_involution_but_no_flag(
+        self, census_of, capsys, tmp_path
+    ):
+        o = self.with_eight_fixed_points(census_of(7, (2, 1, 1)))[0]
+        code = main([
+            "classify", "--alpha", str(o.alpha), "--beta", str(o.beta),
+            "--cache-dir", str(tmp_path),
+        ])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "hyperelliptic = no" in out
+        assert any(
+            line.startswith("involution ") and line.endswith(" total=8")
+            for line in out
+        )

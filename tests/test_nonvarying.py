@@ -147,6 +147,9 @@ def test_non_varying_components_have_the_table_slope(
     seen = set()
     for comp in decompose(census_of(d, mu)):
         label = kz_component(mu, comp.hyperelliptic, comp.parity)
+        assert comp.hyperelliptic == (label == "hyp"), (
+            comp.member_keys[0].hex(), label
+        )
         seen.add(label)
         # H(4)^even, say, is no component: a wrong parity lands there.
         assert (mu, label) in slopes, (comp.member_keys[0].hex(), label)
