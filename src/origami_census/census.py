@@ -40,10 +40,9 @@ from .surface import (
     encode_pair,
     record_words,
     weight_of_parts,
-    words_record,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 BRUTE_FORCE_MAX_DEGREE = 6
 
@@ -361,7 +360,8 @@ def _json_line(obj: dict) -> str:
 
 
 def save_census(census: Census, path: str | Path) -> None:
-    """Write JSON lines: header, one record per member, totals trailer."""
+    """Write JSON lines: header, one record ``{"key": "<hex>"}`` per
+    member in key order, totals trailer."""
     m = census.total_weight
     d = census.degree
     with open(path, "w", encoding="ascii") as f:
@@ -369,7 +369,7 @@ def save_census(census: Census, path: str | Path) -> None:
             {"schema": SCHEMA_VERSION, "degree": d, "mu": list(census.stratum.mu)}
         ))
         for key in census:
-            f.write(_json_line(words_record(*decode_pair(key, d))))
+            f.write(_json_line({"key": key.hex()}))
         f.write(_json_line(
             {"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"}
         ))
@@ -383,10 +383,11 @@ def load_census(
 ) -> Census:
     """Read a census file back, checking each record once, on its words.
 
-    A record's cycles must give a transitive pair of the header's
-    degree and commutator type that is its own canonical pair and comes
-    after the previous record in key order.  No ``Perm`` or ``Origami``
-    is built.  The class count and total weight must match the trailer.
+    A record's hex key must decode to two permutations of the header's
+    degree that make a transitive pair of the header's commutator type,
+    are their own canonical pair and come after the previous record in
+    key order.  No ``Perm`` or ``Origami`` is built.  The class count
+    and total weight must match the trailer.
     Lines are read one at a time, with one line of lookahead to tell
     the trailer from the records, so the file is never held whole.
     Holding more than ``budget`` records raises
@@ -443,15 +444,14 @@ def load_census(
                 rec = parse(last, "record")
                 last = line
                 try:
-                    aw, bw = record_words(rec)
+                    aw, bw = record_words(rec, degree)
                     # canonical_form raises DisconnectedCoverError, a
                     # ValueError, unless the pair is transitive.
                     canonical = canonical_form(aw, bw) == (aw, bw)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
                 if (
-                    len(aw) != degree
-                    or target is None
+                    target is None
                     or cycle_lengths(commutator_word(aw, bw)) != target.parts
                 ):
                     raise CensusSchemaError(
@@ -461,7 +461,7 @@ def load_census(
                     raise CensusSchemaError(
                         f"{path}: record is not its own canonical pair"
                     )
-                key = encode_pair(aw, bw)
+                key = bytes.fromhex(rec["key"])
                 if keys and key <= keys[-1]:
                     raise CensusSchemaError(
                         f"{path}: records out of canonical-key order"

@@ -1,8 +1,9 @@
 """Permutations on the letters 1..d and conjugacy-class utilities.
 
 Internally a permutation is a word: a tuple ``w`` of length d with
-``w[i]`` the 0-based image of the 0-based letter ``i``.  All I/O
-(cycle strings, JSON records) is 1-based.
+``w[i]`` the 0-based image of the 0-based letter ``i``.  Cycle
+strings are 1-based; a census key, printed and cached in hex, holds
+the 0-based words.
 
 Composition convention: ``compose(p, q)`` applies ``q`` first, then
 ``p``.  Everything downstream (commutators, twist actions) relies on

@@ -19,7 +19,6 @@ from .perm import (
     commutator_word,
     cycle_lengths,
     word_cycles,
-    word_from_cycles,
     words_transitive,
 )
 
@@ -291,34 +290,25 @@ def canonical_key(alpha: Perm, beta: Perm) -> bytes:
     return encode_pair(*canonical_form(alpha.word, beta.word))
 
 
-def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
-    """JSON-able record with 1-based cycles in canonical cycle order."""
-    return {
-        "degree": len(aw),
-        "alpha": [[x + 1 for x in c] for c in word_cycles(aw)],
-        "beta": [[x + 1 for x in c] for c in word_cycles(bw)],
-    }
+def record_words(
+    rec: dict, degree: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 0-based words of a census record ``{"key": "<hex>"}``: its
+    key, in hex, decoded as a pair of ``degree`` letters each.
 
-
-def record_words(rec: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The 0-based words of a record's alpha and beta.
-
-    Each field must hold ``degree`` letters, which
-    :func:`word_from_cycles` checks; raises ValueError otherwise, and
+    Raises ValueError unless each word is a permutation of
+    0..degree-1, which checks the key's length and its letters, and
     KeyError or TypeError on a record of the wrong shape.
     """
-    d = rec["degree"]
-    words = []
-    for field in ("alpha", "beta"):
-        if sum(len(cyc) for cyc in rec[field]) != d:
-            raise ValueError(f"{field} cycles do not cover 1..{d}: {rec!r}")
-        words.append(word_from_cycles(rec[field], d))
-    return words[0], words[1]
+    aw, bw = decode_pair(bytes.fromhex(rec["key"]), degree)
+    letters = list(range(degree))
+    if sorted(aw) != letters or sorted(bw) != letters:
+        raise ValueError(f"key is not two words on 0..{degree - 1}")
+    return aw, bw
 
 
-def from_record(rec: dict) -> Origami:
-    """Inverse of :func:`words_record`; validates the pair."""
-    aw, bw = record_words(rec)
+def from_record(rec: dict, degree: int) -> Origami:
+    """The validated :class:`Origami` of a census record of this
+    degree."""
+    aw, bw = record_words(rec, degree)
     return make_origami(Perm(aw), Perm(bw))
-
-

@@ -1,4 +1,5 @@
-"""Shared fixtures: memoized censuses and ground-truth degree-5 data."""
+"""Shared fixtures: memoized censuses, the memoized brute-force sweep
+and ground-truth degree-5 data."""
 from __future__ import annotations
 
 from itertools import permutations
@@ -16,6 +17,7 @@ from origami_census import (
 )
 
 _census_memo: dict[tuple[int, tuple[int, ...]], Census] = {}
+_sweep_memo: dict[int, dict[tuple[int, ...], set[bytes]]] = {}
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +31,25 @@ def census_of():
                 degree, StratumSignature.from_parts(mu)
             )
         return _census_memo[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def brute_force_of():
+    """Callable (degree, mu tuple) -> Census read off the brute-force
+    sweep of S_d x S_d, which runs once per degree per session."""
+    from origami_census.census import target_class
+    from reference_kernels import brute_force_censuses
+
+    def get(degree: int, mu: tuple[int, ...]) -> Census:
+        stratum = StratumSignature.from_parts(mu)
+        target = target_class(degree, stratum)
+        if target is None:
+            return Census(degree, stratum, ())
+        if degree not in _sweep_memo:
+            _sweep_memo[degree] = brute_force_censuses(degree)
+        return Census(degree, stratum, _sweep_memo[degree].get(target.parts, ()))
 
     return get
 

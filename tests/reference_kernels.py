@@ -17,11 +17,21 @@ commuting with both generators, and ``brute_force_anti_involutions``
 tests every involution of S_d against the relations that
 ``find_anti_involutions`` solves.  The package never calls them; the
 tests check the raw-word primitives and the labels against them.
+
+``brute_force_censuses`` sweeps all of S_d x S_d once and files each
+transitive pair's canonical key under its commutator's cycle type, so
+one sweep gives every census of a degree.  ``words_record`` and
+``schema1_file`` render a census as schema 1 of the census file wrote
+it, with each member as its degree and 1-based cycles, so the census
+digests recorded under schema 1 still check the keys read back from a
+schema-2 file.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import permutations
 
+from origami_census.census import Census, _json_line
 from origami_census.involutions import _propagate
 from origami_census.perm import (
     CycleType,
@@ -43,6 +53,7 @@ from origami_census.surface import (
     InvariantError,
     Origami,
     canonical_form,
+    decode_pair,
     encode_pair,
 )
 
@@ -566,3 +577,37 @@ def brute_force_anti_involutions(o: Origami) -> list[tuple[int, ...]]:
             for x in range(o.degree)
         )
     ]
+
+
+def brute_force_censuses(degree: int) -> dict[tuple[int, ...], set[bytes]]:
+    """The canonical key of every transitive pair of S_d x S_d, one key
+    set per commutator cycle type (as ``cycle_lengths`` gives it)."""
+    keys: dict[tuple[int, ...], set[bytes]] = defaultdict(set)
+    words = list(permutations(range(degree)))
+    for aw in words:
+        for bw in words:
+            if words_transitive(aw, bw):
+                ctype = cycle_lengths(commutator_word(aw, bw))
+                keys[ctype].add(encode_pair(*canonical_form(aw, bw)))
+    return dict(keys)
+
+
+def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
+    """JSON-able record with 1-based cycles in canonical cycle order."""
+    return {
+        "degree": len(aw),
+        "alpha": [[x + 1 for x in c] for c in word_cycles(aw)],
+        "beta": [[x + 1 for x in c] for c in word_cycles(bw)],
+    }
+
+
+def schema1_file(census: Census) -> bytes:
+    """The bytes schema 1 of the census file held for ``census``: the
+    header, one :func:`words_record` per member in key order, and the
+    totals trailer, each written by ``census._json_line``."""
+    m = census.total_weight
+    d = census.degree
+    lines = [{"schema": 1, "degree": d, "mu": list(census.stratum.mu)}]
+    lines += [words_record(*decode_pair(key, d)) for key in census]
+    lines.append({"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"})
+    return "".join(map(_json_line, lines)).encode("ascii")

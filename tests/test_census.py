@@ -28,10 +28,14 @@ from origami_census.surface import (
     StratumSignature,
     decode_pair,
     encode_pair,
-    words_record,
 )
 from conftest import all_perms, strata_at
-from reference_kernels import seen_sweep_enumerate_alpha_class
+from reference_kernels import (
+    brute_force_censuses,
+    schema1_file,
+    seen_sweep_enumerate_alpha_class,
+    words_record,
+)
 
 
 class TestTargetClass:
@@ -209,7 +213,9 @@ class TestEnumerate:
 
 
 # sha256 of the save_census file, recorded with the sweep of beta over
-# all of S_d that the enumeration used before it solved for beta.
+# all of S_d that the enumeration used before it solved for beta, when
+# a census file was schema 1: each member written as its degree and
+# 1-based cycles (reference_kernels.schema1_file).
 CENSUS_GOLDEN_SHA256 = {
     (7, (2,)): "9de9c7d0699db2e645d4dbeda002bfeca536f954caa308ee470949fd90b5ab69",
     (7, (1, 1)): "b7ab5f39506c6d482344ac6e1908e278d88c7936abc4ab2f61f519bef1cd8d1e",
@@ -223,13 +229,38 @@ CENSUS_GOLDEN_SHA256 = {
     (9, (4,)): "dc2c715154fdf14073ff3d5211d30d50df1223a58c0bb0bc79e49e2a77b358a6",
 }
 
+# sha256 of the schema-2 save_census file of the same censuses: each
+# member written as its canonical key in hex.
+CENSUS_FILE_SHA256 = {
+    (7, (2,)): "f23f7ecc21297bb04fcfe9cbcc0e1979e71c47c1e35a0229d8bdebe113608077",
+    (7, (1, 1)): "8014f694e324593728667abffdae75bec30a311fb1936301d13027aca2dff0bb",
+    (7, (4,)): "804bff353eb9915e5e757f9334dda1b70090ca7cef0649e8dae98e4fe129d5b8",
+    (7, (3, 1)): "78fa27699866eca80298975e11a84909981e04abe98ace68ec35efbcb339d079",
+    (7, (2, 2)): "0593e058609fd768ed76c105014342c6df3653ff1cca8ac30660396354b3667e",
+    (7, (2, 1, 1)): "157b35898c258191e431512ded2d3eeae6def7d63e5dcc089f2c5d83e86fc51e",
+    (7, (6,)): "4984e60ccd52d40c187942fb1585ac83c93416047693e81513379e506353465f",
+    (8, (2,)): "1faf5c484db674dc3c34215b8093e243aef6bfa749a7ca605bd37b10adbc26d8",
+    (8, (1, 1, 1, 1)): "281a85b347e7e8f2f41179d9e9fd442ee58c8524962ef12a0d0490f9635028e1",
+    (9, (4,)): "fe1872012f421da5c2bad4423de214705fe6ac37c6711c77aba9ceb59ebdd716",
+}
+
 
 @pytest.mark.parametrize("degree,mu", sorted(CENSUS_GOLDEN_SHA256))
 def test_census_bytes_match_golden(degree, mu, census_of, tmp_path):
+    # The keys read back from the schema-2 file, rendered as schema 1
+    # wrote them, give the digest recorded then.
+    path = tmp_path / "c.jsonl"
+    save_census(census_of(degree, mu), path)
+    digest = hashlib.sha256(schema1_file(load_census(path))).hexdigest()
+    assert digest == CENSUS_GOLDEN_SHA256[(degree, mu)]
+
+
+@pytest.mark.parametrize("degree,mu", sorted(CENSUS_FILE_SHA256))
+def test_census_file_matches_golden(degree, mu, census_of, tmp_path):
     path = tmp_path / "c.jsonl"
     save_census(census_of(degree, mu), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == CENSUS_GOLDEN_SHA256[(degree, mu)]
+    assert digest == CENSUS_FILE_SHA256[(degree, mu)]
 
 
 class TestRawPairAccounting:
@@ -326,11 +357,24 @@ class TestBruteForceOracle:
             (6, (4,)), (6, (2, 2)), (6, (1, 1)), (6, (3, 1)),
         ],
     )
-    def test_enumerate_equals_brute_force(self, d, mu):
+    def test_enumerate_equals_brute_force(self, d, mu, brute_force_of):
         fast = enumerate_census(d, StratumSignature(mu))
-        slow = brute_force_census(d, StratumSignature(mu))
+        slow = brute_force_of(d, mu)
         assert fast == slow
         assert fast.total_weight == slow.total_weight
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_one_sweep_equals_the_census_oracle(self, d, brute_force_of):
+        # Every stratum the sweep files a key under is one of strata_at.
+        sweep = brute_force_censuses(d)
+        nontrivial = {parts for parts in sweep if parts[0] > 1}
+        assert nontrivial == {
+            target_class(d, StratumSignature(mu)).parts for mu in strata_at(d)
+        }
+        for mu in strata_at(d):
+            want = brute_force_census(d, StratumSignature(mu))
+            assert brute_force_of(d, mu) == want
+            assert brute_force_of(d, mu).total_weight == want.total_weight
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -364,9 +408,9 @@ class TestSaveLoad:
         calls = []
         record_words = census_mod.record_words
 
-        def spy(rec):
+        def spy(rec, degree):
             calls.append(rec)
-            return record_words(rec)
+            return record_words(rec, degree)
 
         monkeypatch.setattr(census_mod, "record_words", spy)
         with pytest.raises(
@@ -414,15 +458,37 @@ class TestSaveLoad:
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         saved = path.read_text().splitlines()
+        _, bw = decode_pair(list(census_of(5, (4,)))[0], 5)
         # too few letters, then five letters with one repeated
-        for alpha in ([[1, 2]], [[1, 2, 3, 4, 4]]):
+        for aw in ((1, 0), (1, 2, 3, 4, 4)):
             lines = list(saved)
-            rec = json.loads(lines[1])
-            rec["alpha"] = alpha
-            lines[1] = json.dumps(rec)
+            lines[1] = json.dumps({"key": (bytes(aw) + bytes(bw)).hex()})
             path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(CensusSchemaError):
+            with pytest.raises(CensusSchemaError, match="bad record"):
                 load_census(path)
+
+    @pytest.mark.parametrize("hostile", [
+        lambda key: {"key": "zz" + key[2:]},
+        lambda key: {"key": key[:-1]},
+        lambda key: {"key": key[:-2]},
+        lambda key: {"key": key + "00"},
+        lambda key: {"key": key[2:4] + key[2:]},
+        lambda key: {"key": "05" + key[2:]},
+        lambda key: {"key": int(key, 16)},
+        lambda key: words_record(*decode_pair(bytes.fromhex(key), 5)),
+    ], ids=[
+        "not-hex", "odd-length", "byte-short", "byte-long",
+        "repeated-letter", "letter-of-degree", "not-a-string",
+        "schema-1-record",
+    ])
+    def test_hostile_record(self, census_of, tmp_path, hostile):
+        # The schema-1 record, cycles and a degree, has no "key".
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        key = list(census_of(5, (4,)))[0].hex()
+        self._replace_record(path, 1, hostile(key))
+        with pytest.raises(CensusSchemaError, match="bad record"):
+            load_census(path)
 
     @staticmethod
     def _replace_record(path, index, rec):
@@ -438,27 +504,28 @@ class TestSaveLoad:
         ra = tuple(swap[aw[swap[i]]] for i in range(5))
         rb = tuple(swap[bw[swap[i]]] for i in range(5))
         assert (ra, rb) != (aw, bw)
-        self._replace_record(path, 1, words_record(ra, rb))
+        self._replace_record(path, 1, {"key": encode_pair(ra, rb).hex()})
         with pytest.raises(CensusSchemaError, match="own canonical pair"):
             load_census(path)
 
     @pytest.mark.parametrize("other", [(5, (2,)), (4, (2,))])
     def test_record_of_another_census(self, census_of, tmp_path, other):
-        # a record of another stratum, then of another degree
+        # a record of another stratum, then of another degree, whose
+        # key is too short for two words of the header's degree
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         stray = list(census_of(*other))[0]
-        self._replace_record(
-            path, 1, words_record(*decode_pair(stray, other[0]))
-        )
-        with pytest.raises(CensusSchemaError, match="header degree/mu"):
+        self._replace_record(path, 1, {"key": stray.hex()})
+        match = "header degree/mu" if other[0] == 5 else "bad record"
+        with pytest.raises(CensusSchemaError, match=match):
             load_census(path)
 
     def test_disconnected_record(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
-        rec = {"degree": 5, "alpha": [[1, 2], [3, 4, 5]], "beta": [[1], [2], [3, 4, 5]]}
-        self._replace_record(path, 1, rec)
+        # alpha (1,2)(3,4,5), beta (1)(2)(3,4,5)
+        key = encode_pair((1, 0, 3, 4, 2), (0, 1, 3, 4, 2))
+        self._replace_record(path, 1, {"key": key.hex()})
         with pytest.raises(CensusSchemaError, match="disconnected"):
             load_census(path)
 
@@ -475,7 +542,7 @@ class TestSaveLoad:
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         path.write_bytes(
-            path.read_bytes().replace(b"alpha", "alph\u00e9".encode(), 1)
+            path.read_bytes().replace(b"key", "k\u00e9y".encode(), 1)
         )
         with pytest.raises(CensusCorruptError):
             load_census(path)

@@ -10,6 +10,7 @@ import pytest
 from origami_census import census as census_mod
 from origami_census import cli
 from origami_census.cli import main
+from reference_kernels import schema1_file
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -132,7 +133,7 @@ class TestCensusCommand:
         args = ("census", "--degree", "8", "--mu", "2", "--cache-dir", str(tmp_path))
         code, out, _ = run(capsys, *args)
         assert code == 0
-        path = tmp_path / "v1" / "census-d8-mu2.jsonl"
+        path = tmp_path / "v2" / "census-d8-mu2.jsonl"
         good = path.read_bytes()
         path.write_bytes(good.replace(b"schema", "sch\u00e9ma".encode(), 1))
         code, again, err = run(capsys, *args)
@@ -141,6 +142,41 @@ class TestCensusCommand:
         assert "cache invalid" in err and "recomputing" in err
         assert "cache write" in err
         assert path.read_bytes() == good
+
+    def test_schema_1_cache_is_recomputed_and_v1_is_left_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A schema-1 file at the v2 path is invalid.  The v1 directory
+        # that schema 1 wrote to is never read, nor changed.
+        args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        path = tmp_path / "v2" / "census-d5-mu4.jsonl"
+        good = path.read_bytes()
+        old = schema1_file(census_mod.load_census(path))
+        path.write_bytes(old)
+        v1 = tmp_path / "v1" / path.name
+        v1.parent.mkdir()
+        v1.write_bytes(old)
+        v1_mtime = v1.stat().st_mtime_ns
+        loaded = []
+        load_census = cli.load_census
+
+        def spy(p, *rest, **kw):
+            loaded.append(p)
+            return load_census(p, *rest, **kw)
+
+        monkeypatch.setattr(cli, "load_census", spy)
+        code, again, err = run(capsys, *args)
+        assert code == 0
+        assert again == out
+        assert "cache invalid" in err and "schema 1 unsupported" in err
+        assert "cache write" in err
+        assert path.read_bytes() == good
+        assert loaded == [path]
+        assert v1.read_bytes() == old
+        assert v1.stat().st_mtime_ns == v1_mtime
+        assert sorted(tmp_path.rglob("*")) == [v1.parent, v1, path.parent, path]
 
     @pytest.mark.parametrize(
         "command,degree,mu", [("census", "6", "4"), ("orbits", "5", "2")]
@@ -153,7 +189,7 @@ class TestCensusCommand:
         fresh_args = (command, "--degree", degree, "--mu", mu, "--cache-dir")
         code, want, _ = run(capsys, *fresh_args, str(tmp_path / "b"))
         assert code == 0
-        cache = tmp_path / "a" / "v1"
+        cache = tmp_path / "a" / "v2"
         path = cache / f"census-d{degree}-mu{mu}.jsonl"
         path.write_bytes((cache / "census-d5-mu4.jsonl").read_bytes())
         code, out, err = run(capsys, *fresh_args, str(tmp_path / "a"))
@@ -162,7 +198,7 @@ class TestCensusCommand:
         assert "holds the census of d=5 mu=(4)" in err
         assert "cache hit" not in err and "cache write" in err
         assert path.read_bytes() == (
-            tmp_path / "b" / "v1" / path.name
+            tmp_path / "b" / "v2" / path.name
         ).read_bytes()
 
     def test_budget_does_not_read_another_census_as_a_cache_hit(
@@ -174,7 +210,7 @@ class TestCensusCommand:
         assert code == 0
         run(capsys, "census", "--degree", "6", "--mu", "4",
             "--cache-dir", str(tmp_path / "a"))
-        cache = tmp_path / "a" / "v1"
+        cache = tmp_path / "a" / "v2"
         path = cache / "census-d5-mu4.jsonl"
         path.write_bytes((cache / "census-d6-mu4.jsonl").read_bytes())
         code, out, err = run(capsys, *args, str(tmp_path / "a"))
@@ -183,7 +219,7 @@ class TestCensusCommand:
         assert "holds the census of d=6 mu=(4)" in err
         assert "cache hit" not in err and "cache write" in err
         assert path.read_bytes() == (
-            tmp_path / "b" / "v1" / path.name
+            tmp_path / "b" / "v2" / path.name
         ).read_bytes()
 
     def test_cache_header_of_float_orders_is_recomputed(
@@ -193,7 +229,7 @@ class TestCensusCommand:
         code, want, _ = run(capsys, *args, str(tmp_path / "b"))
         assert code == 0
         run(capsys, *args, str(tmp_path / "a"))
-        path = tmp_path / "a" / "v1" / "census-d5-mu4.jsonl"
+        path = tmp_path / "a" / "v2" / "census-d5-mu4.jsonl"
         lines = path.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["mu"] = [4.0]
@@ -204,7 +240,7 @@ class TestCensusCommand:
         assert out == want
         assert "cache invalid" in err and "cache write" in err
         assert path.read_bytes() == (
-            tmp_path / "b" / "v1" / path.name
+            tmp_path / "b" / "v2" / path.name
         ).read_bytes()
 
     def test_budget_bounds_a_cache_hit(self, capsys, tmp_path):
@@ -224,15 +260,15 @@ class TestCensusCommand:
     ):
         args = ("census", "--degree", "5", "--mu", "4", "--cache-dir", str(tmp_path))
         assert run(capsys, *args)[0] == 0
-        path = tmp_path / "v1" / "census-d5-mu4.jsonl"
+        path = tmp_path / "v2" / "census-d5-mu4.jsonl"
         cached = path.read_bytes()
         assert cached.count(b"\n") == 42  # header, 40 records, trailer
         calls = []
         record_words = census_mod.record_words
 
-        def spy(rec):
+        def spy(rec, degree):
             calls.append(rec)
-            return record_words(rec)
+            return record_words(rec, degree)
 
         monkeypatch.setattr(census_mod, "record_words", spy)
         code, out, err = run(capsys, *args, "--budget", "10")
@@ -261,6 +297,22 @@ class TestOrbitsCommand:
                 "parity", "cusp_count", "member_keys",
             }
             assert len(c["member_keys"]) == c["size"]
+
+    def test_cache_records_are_the_member_keys_json_prints(
+        self, capsys, tmp_path
+    ):
+        code, out, _ = run(
+            capsys, "orbits", "--degree", "5", "--mu", "4",
+            "--cache-dir", str(tmp_path), "--format", "json",
+        )
+        assert code == 0
+        keys = sorted(
+            key for c in json.loads(out)["components"] for key in c["member_keys"]
+        )
+        lines = (tmp_path / "v2" / "census-d5-mu4.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines[1:-1]] == [
+            {"key": key} for key in keys
+        ]
 
     def test_csv_format(self, capsys, tmp_path):
         code, out, _ = run(
@@ -294,8 +346,8 @@ class TestOrbitsCommand:
             "--cache-dir", str(tmp_path / "b"), "--workers", "2",
         )
         assert out1 == out2
-        cache_a = (tmp_path / "a" / "v1" / "census-d5-mu4.jsonl").read_bytes()
-        cache_b = (tmp_path / "b" / "v1" / "census-d5-mu4.jsonl").read_bytes()
+        cache_a = (tmp_path / "a" / "v2" / "census-d5-mu4.jsonl").read_bytes()
+        cache_b = (tmp_path / "b" / "v2" / "census-d5-mu4.jsonl").read_bytes()
         assert cache_a == cache_b
 
 

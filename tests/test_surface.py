@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origami_census import census as census_mod
-from origami_census.census import partitions_desc
+from origami_census.census import partitions_desc, save_census
 from origami_census.perm import (
     CycleType,
     Perm,
@@ -32,10 +32,9 @@ from origami_census.surface import (
     make_origami,
     stratum_of,
     weight_of,
-    words_record,
 )
 from conftest import DEGREE5_PAIRS, all_perms, origami, strata_at
-from reference_kernels import conjugate, full_scan_canonical_form
+from reference_kernels import conjugate, full_scan_canonical_form, words_record
 
 
 class TestStratumSignature:
@@ -322,14 +321,25 @@ class TestKeyCodec:
 
 class TestRecords:
     def test_round_trip(self, census_of):
-        for o in census_of(5, (4,)).values():
-            rec = words_record(o.alpha.word, o.beta.word)
-            text = json.dumps(rec)
-            back = from_record(json.loads(text))
+        for key, o in census_of(5, (4,)).items():
+            text = json.dumps({"key": key.hex()})
+            back = from_record(json.loads(text), 5)
             assert back.alpha == o.alpha and back.beta == o.beta
 
-    def test_record_shape(self):
+    def test_record_shape(self, census_of, tmp_path):
+        # save_census writes each member as its key in hex.  The
+        # reference words_record renders schema 1's record, which the
+        # golden census digests hash.
         o = origami("(1,2,3,4)(5)", "(1,5)(2)(3)(4)")
+        key = canonical_key(o.alpha, o.beta)
+        assert key.hex() == "00020304010100020304"
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (2,)), path)
+        records = path.read_text().splitlines()[1:-1]
+        assert records == [
+            f'{{"key":"{k.hex()}"}}' for k in census_of(5, (2,))
+        ]
+        assert '{"key":"00020304010100020304"}' in records
         rec = words_record(o.alpha.word, o.beta.word)
         assert rec == {
             "degree": 5,
@@ -337,17 +347,21 @@ class TestRecords:
             "beta": [[1, 5], [2], [3], [4]],
         }
 
+    # Keys of degree 3 next to the valid "010002010200": one byte
+    # short, a repeated letter, a letter equal to the degree, one byte
+    # long, a letter that is not hex, an odd number of hex digits.
     @pytest.mark.parametrize(
         "bad",
         [
-            {"degree": 3, "alpha": [[1, 2]], "beta": [[1, 2, 3]]},
-            {"degree": 3, "alpha": [[1, 2, 2]], "beta": [[1, 2, 3]]},
-            {"degree": 3, "alpha": [[1, 2, 4]], "beta": [[1, 2, 3]]},
-            {"degree": 3, "alpha": [[0, 1, 2]], "beta": [[1, 2, 3]]},
-            {"degree": 3, "alpha": [["1", 2, 3]], "beta": [[1, 2, 3]]},
-            {"degree": 3, "alpha": [[1.0, 2, 3]], "beta": [[1, 2, 3]]},
+            {"key": "0100020102"},
+            {"key": "010102010200"},
+            {"key": "010003010200"},
+            {"key": "01000201020000"},
+            {"key": "01000g010200"},
+            {"key": "01000201020"},
         ],
     )
     def test_bad_records_rejected(self, bad):
+        assert from_record({"key": "010002010200"}, 3).degree == 3
         with pytest.raises(ValueError):
-            from_record(bad)
+            from_record(bad, 3)
