@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise, permutations, repeat
+from itertools import combinations_with_replacement, pairwise, permutations, repeat
 from pathlib import Path
 
 from .perm import (
@@ -135,9 +135,13 @@ def weight_of_keys(keys: Iterable[bytes], degree: int) -> Fraction:
     """Total weight of the members with these keys.
 
     A member's weight depends only on the cycle type of its alpha, so
-    one weight is computed per type.
+    one weight is computed per type.  Many members share an alpha word,
+    the first half of the key, so each distinct alpha is decoded and
+    walked once.
     """
-    counts = Counter(cycle_lengths(decode_pair(k, degree)[0]) for k in keys)
+    counts: Counter[tuple[int, ...]] = Counter()
+    for half, n in Counter(k[:len(k) // 2] for k in keys).items():
+        counts[cycle_lengths(decode_pair(half, degree)[0])] += n
     return sum(
         (n * weight_of_parts(parts) for parts, n in counts.items()), Fraction(0)
     )
@@ -217,6 +221,57 @@ def _commutators(
                 yield gw, dw
 
 
+def _path_matchings(
+    dw: Sequence[int], alpha_fixed: list[int], shared: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """Images of delta's fixed points, in increasing order, for one
+    beta of each Sym(F)-orbit of a coset that can give a transitive
+    pair, F being the letters ``shared`` that alpha and gamma fix.
+
+    A beta of the coset maps the fixed points D of delta = gamma
+    alpha^-1 onto those of alpha, A, and F = D n A.  Draw an arrow from
+    each x in D to beta(x).  The k sources D \\ F have no arrow in, the
+    k targets A \\ F none out, and each letter of F one of each, so the
+    arrows form k paths from sources to targets through letters of F,
+    and cycles inside F.
+
+    - A cycle inside F is a set of letters that alpha fixes and beta
+      permutes, so it is closed under both.  It is not every letter,
+      since gamma moves some, so the pair is not transitive: betas
+      with such a cycle are not walked.
+    - z in Sym(F) commutes with alpha and gamma, so z beta z^-1 lies
+      in the same coset and the same class.  It agrees with beta off
+      D and relabels the letters of F on the arrows.  With no cycle,
+      walking the paths from the sources in increasing order lists
+      each letter of F once, and exactly one z turns that list into F
+      in increasing order.  So the rule "F is met in increasing order"
+      keeps exactly one beta of each orbit.
+
+    Such a beta is set by the number of letters of F on each path, a
+    composition of |F| into k parts, and by the target each path ends
+    at: k! C(|F|+k-1, k-1) of the |D|! matchings, and none when k = 0.
+    The caller's per-coset dict drops the betas that the rest of the
+    stabilizer of gamma in Z makes conjugate.
+    """
+    fixed = [x for x in range(len(dw)) if dw[x] == x]
+    slot = {x: i for i, x in enumerate(fixed)}
+    sources = [x for x in fixed if x not in shared]
+    targets = [x for x in alpha_fixed if x not in shared]
+    if not sources:
+        return
+    m = len(shared)
+    images = [0] * len(fixed)
+    for cuts in combinations_with_replacement(range(m + 1), len(sources) - 1):
+        bounds = (0, *cuts, m)
+        for ends in permutations(targets):
+            for s, lo, hi, t in zip(sources, bounds, bounds[1:], ends):
+                for v in shared[lo:hi]:
+                    images[slot[s]] = v
+                    s = v
+                images[slot[s]] = t
+            yield tuple(images)
+
+
 def _enumerate_alpha_class(
     degree: int,
     alpha_parts: tuple[int, ...],
@@ -236,13 +291,15 @@ def _enumerate_alpha_class(
     its coset, two betas are one class exactly when an element of Z
     fixing gamma conjugates one to the other, that is when their
     canonical keys are equal; betas of different cosets never share
-    a key.
+    a key.  Of each coset, only the betas :func:`_path_matchings`
+    picks on the fixed points are walked.
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
     ai = inverse_word(aw)
     zgens = [g.word for g in centralizer_generators(alpha)]
     ai_rotations = cycle_rotations(ai)
+    alpha_fixed = [x for x in range(degree) if aw[x] == x]
 
     out = []
     seen: set[bytes] = set()  # gammas of the orbits solved
@@ -261,9 +318,11 @@ def _enumerate_alpha_class(
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
+        shared = [x for x in alpha_fixed if dw[x] == x]
+        images = _path_matchings(dw, alpha_fixed, shared) if shared else None
         out.extend(dict.fromkeys(
             encode_pair(*canonical_form(aw, bw))
-            for bw in conjugators_onto(dw, ai_rotations)
+            for bw in conjugators_onto(dw, ai_rotations, images)
             if words_transitive(aw, bw)
         ))
     return out

@@ -240,7 +240,9 @@ def cycle_rotations(
 
 
 def conjugators_onto(
-    xw: Sequence[int], y_rotations: dict[int, list[list[tuple[int, ...]]]]
+    xw: Sequence[int],
+    y_rotations: dict[int, list[list[tuple[int, ...]]]],
+    fixed_images: Iterable[Sequence[int]] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every word b with b x b^-1 == y, that is b[x[i]] == y[b[i]], with
     y given as ``cycle_rotations(y)``.
@@ -251,6 +253,10 @@ def conjugators_onto(
     gives one b: there are |Z(x)| of them, or none when x and y have
     different cycle types.  A caller that solves against one y for
     many x builds y's cycles once.
+
+    ``fixed_images``, if given, replaces the matchings of x's fixed
+    points onto y's: each entry lists the images of x's fixed points,
+    in increasing order, and must be a bijection onto y's fixed points.
     """
     xcycles: dict[int, list[tuple[int, ...]]] = {}
     for c in word_cycles(xw):
@@ -259,6 +265,9 @@ def conjugators_onto(
         n: len(cs) for n, cs in y_rotations.items()
     }:
         return
+    fixed = [c for c, in xcycles.pop(1, ())]
+    if fixed_images is None:
+        fixed_images = permutations([e for (e,), in y_rotations.get(1, ())])
     groups = [(xcycles[n], y_rotations[n]) for n in sorted(xcycles)]
     b = [0] * len(xw)
 
@@ -274,7 +283,10 @@ def conjugators_onto(
                         b[x] = y
                 yield from fill(g + 1)
 
-    yield from fill(0)
+    for images in fixed_images:
+        for x, y in zip(fixed, images):
+            b[x] = y
+        yield from fill(0)
 
 
 def word_from_cycles(

@@ -314,13 +314,16 @@ class TestRawPairAccounting:
 
 REFERENCE_CENSUSES = [
     (d, mu) for d in range(3, 8) for mu in strata_at(d)
-] + [(8, (2,)), (8, (3, 1))]
+] + [(8, (2,)), (8, (3, 1)), (9, (2,))]
 
 
 @pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
 def test_alpha_classes_match_seen_sweep_reference(d, mu):
     # (8,(2)) has many commutators with a nontrivial stabilizer in the
-    # centralizer of alpha, so one coset holds conjugate betas.
+    # centralizer of alpha, so one coset holds conjugate betas.  In
+    # (9,(2)) the classes (2,1^7), (3,1^6) and (2,2,1^5) share many
+    # fixed points with gamma, so the enumeration walks few of each
+    # coset's fixed-point matchings; the reference walks all of them.
     target = target_class(d, StratumSignature(mu)).parts
     for parts in partitions_desc(d):
         got = census_mod._enumerate_alpha_class(d, parts, target)

@@ -327,11 +327,15 @@ def test_alpha_types_match_frobenius(d, mu, census_of):
 
 
 @pytest.mark.parametrize(
-    "d,mu", [(d, mu) for d, mu in FROBENIUS_CENSUSES if d <= 8]
+    "d,mu",
+    [(d, mu) for d, mu in FROBENIUS_CENSUSES if d <= 8]
+    + [(9, (2,)), (10, (2,))],
 )
 def test_alpha_class_chunks_match_frobenius(d, mu):
     # Each chunk the enumeration returns holds the keys of one alpha
-    # class, so it carries that class's count and no other type.
+    # class, so it carries that class's count and no other type.  In
+    # H(2) at degrees 9 and 10 most alpha classes have many fixed
+    # points, so these chunks check the cut on the fixed-point matchings.
     nu = tuple(sorted((m + 1 for m in mu), reverse=True))
     target = nu + (1,) * (d - sum(nu))
     want = _alpha_counts(d, nu)

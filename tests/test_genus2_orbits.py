@@ -1,4 +1,4 @@
-"""An exact oracle for the orbit split: genus-2 censuses, n = 3-10.
+"""An exact oracle for the orbit split: genus-2 censuses, n = 3-13.
 
 In H(2) (``--mu 2``) the split of a census into twist orbits is known
 in closed form.  Write prod(n) for the product of (1 - 1/p^2) over the
@@ -32,13 +32,16 @@ from origami_census.involutions import find_anti_involutions
 from origami_census.orbits import decompose
 from origami_census.surface import decode_pair
 
-DEGREES = range(3, 11)
+DEGREES = range(3, 14)
 
 # Census totals and primitive orbit sizes, largest first.
-TOTALS = {3: 3, 4: 9, 5: 27, 6: 45, 7: 90, 8: 135, 9: 201, 10: 297}
+TOTALS = {
+    3: 3, 4: 9, 5: 27, 6: 45, 7: 90, 8: 135, 9: 201, 10: 297, 11: 405,
+    12: 525, 13: 693,
+}
 PRIMITIVE_ORBITS = {
     3: [3], 4: [9], 5: [18, 9], 6: [36], 7: [54, 36], 8: [108],
-    9: [108, 81], 10: [216],
+    9: [108, 81], 10: [216], 11: [225, 180], 12: [360], 13: [378, 315],
 }
 
 

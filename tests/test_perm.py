@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -357,6 +358,29 @@ class TestConjugatorWords:
                     )
                 else:
                     assert got == []
+
+    def test_fixed_images_pick_the_fixed_point_matching(self):
+        # Each entry of fixed_images keeps the conjugators with those
+        # images of x's fixed points; all of them, in the order of
+        # permutations, give the default walk in its order.
+        ps = [p.word for p in all_perms(4)]
+        for x in ps:
+            xf = [i for i in range(4) if x[i] == i]
+            for y in ps:
+                if cycle_lengths(x) != cycle_lengths(y):
+                    continue
+                every = list(conjugators_onto(x, cycle_rotations(y)))
+                walked = []
+                for images in permutations([i for i in range(4) if y[i] == i]):
+                    got = list(
+                        conjugators_onto(x, cycle_rotations(y), [images])
+                    )
+                    assert got == [
+                        b for b in every
+                        if tuple(b[i] for i in xf) == images
+                    ]
+                    walked += got
+                assert walked == every
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_self_conjugators_are_the_centralizer(self, d):
