@@ -65,14 +65,19 @@ def _propagate(aw, bw, target: int, ea, eb) -> list[int] | None:
     stack = [0]
     while stack:
         x = stack.pop()
-        for w, e in ((aw, ea), (bw, eb)):
-            y = w[x]
-            img = e[tau[x]]
-            if tau[y] < 0:
-                tau[y] = img
-                stack.append(y)
-            elif tau[y] != img:
-                return None
+        t = tau[x]
+        y, img = aw[x], ea[t]
+        if tau[y] < 0:
+            tau[y] = img
+            stack.append(y)
+        elif tau[y] != img:
+            return None
+        y, img = bw[x], eb[t]
+        if tau[y] < 0:
+            tau[y] = img
+            stack.append(y)
+        elif tau[y] != img:
+            return None
     if any(tau[t] != x for x, t in enumerate(tau)):
         return None
     return tau

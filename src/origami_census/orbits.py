@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
-from .perm import Perm, commutator_word, compose, cycle_lengths
+from .perm import Perm, compose, cycle_lengths
 from .spin import spin_parity
 from .surface import (
     Origami,
@@ -26,6 +26,11 @@ from .surface import (
     make_origami,
     weight_of_parts,
 )
+
+# Letter i is byte i.  A word of degree d is a ``bytes`` of length d;
+# ``_LETTERS[d:]`` pads it to a 256-byte table for ``bytes.translate``,
+# and ``_LETTERS[:d]`` is the identity word.
+_LETTERS = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -58,17 +63,26 @@ class ComponentSummary:
         return len(self.cusps)
 
 
-def twist_words(
-    aw: tuple[int, ...], bw: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def twist_words(aw: bytes, bw: bytes) -> tuple[tuple[bytes, bytes], ...]:
     """Words of the horizontal and vertical twist images of (aw, bw).
 
-    Returns ((alpha, alpha beta), (beta alpha, beta)) as 0-based words.
+    Returns ((alpha, alpha beta), (beta alpha, beta)).  A word is
+    ``bytes``, one letter per byte, so the degree is below 256 and each
+    product is one ``bytes.translate``: ``bw.translate(aw + pad)``,
+    with ``pad`` the letters from the degree to 255, maps each letter y
+    of beta to alpha's image of it.
     """
-    return (
-        (aw, tuple([aw[y] for y in bw])),
-        (tuple([bw[x] for x in aw]), bw),
-    )
+    pad = _LETTERS[len(aw):]
+    return (aw, bw.translate(aw + pad)), (aw.translate(bw + pad), bw)
+
+
+def _keeps_commutator(ta: bytes, tb: bytes, gw: bytes) -> bool:
+    """True when the commutator word of the pair (ta, tb) is ``gw``.
+
+    That is tb ta == ta tb gw, a test that needs no inverse word.
+    """
+    pad = _LETTERS[len(ta):]
+    return ta.translate(tb + pad) == gw.translate(tb + pad).translate(ta + pad)
 
 
 def act_h_alpha(o: Origami) -> Origami:
@@ -77,8 +91,8 @@ def act_h_alpha(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(o.alpha.word, o.beta.word)[0]
-    return make_origami(Perm(aw), Perm(bw))
+    aw, bw = twist_words(bytes(o.alpha.word), bytes(o.beta.word))[0]
+    return make_origami(Perm(tuple(aw)), Perm(tuple(bw)))
 
 
 def act_h_beta(o: Origami) -> Origami:
@@ -87,8 +101,8 @@ def act_h_beta(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(o.alpha.word, o.beta.word)[1]
-    return make_origami(Perm(aw), Perm(bw))
+    aw, bw = twist_words(bytes(o.alpha.word), bytes(o.beta.word))[1]
+    return make_origami(Perm(tuple(aw)), Perm(tuple(bw)))
 
 
 def act_h_alpha_inverse(o: Origami) -> Origami:
@@ -112,8 +126,9 @@ def decompose(census: Census) -> list[ComponentSummary]:
     """Split a census into twist orbits, ordered by least member key.
 
     A member is its position in the census's sorted keys.  One pass, in
-    key order, builds both twist images of each member as words, checks
-    that each keeps the member's commutator word exactly, and records
+    key order, slices each key into its two words and builds both twist
+    images with :func:`twist_words`, checks that each keeps the
+    member's commutator word exactly, and records
     the position of its canonical key, found by bisection, in one flat
     array per twist.  Each array is then walked once to check that no
     position is reached twice: each twist is then a bijection of the
@@ -127,30 +142,43 @@ def decompose(census: Census) -> list[ComponentSummary]:
     hyperelliptic flag (and spin parity, on even strata), which must
     equal that of the orbit's least member.  A failed check, or an
     image outside the census, raises :class:`InvariantError`.
+
+    The word products run as ``bytes.translate``, one byte per letter,
+    so a census of degree over 255 raises ValueError.
     """
+    d = census.degree
+    if d > 255:
+        raise ValueError(
+            f"decompose needs one byte per letter: degree {d} is over 255"
+        )
+    pad, identity = _LETTERS[d:], _LETTERS[:d]
     keys = list(census)  # in key order; a member is its position here
     h_next, v_next = array("i"), array("i")
     for key in keys:
-        aw, bw = decode_pair(key, census.degree)
-        gw = commutator_word(aw, bw)
-        for twist, (ta, tb), images in zip(
+        aw, bw = key[:d], key[d:]
+        # beta^-1 alpha^-1 beta alpha: maketrans(w, identity) is the
+        # translate table of w's inverse.
+        gw = (
+            aw.translate(bw + pad)
+            .translate(bytes.maketrans(aw, identity))
+            .translate(bytes.maketrans(bw, identity))
+        )
+        for twist, (ta, tb), positions in zip(
             ("horizontal", "vertical"), twist_words(aw, bw), (h_next, v_next)
         ):
-            # The image's commutator word is gw iff tb ta == ta tb gw,
-            # a test that needs no inverse word.
-            if [tb[x] for x in ta] != [ta[tb[y]] for y in gw]:
+            if not _keeps_commutator(ta, tb, gw):
                 raise InvariantError(
                     f"{twist} twist of {key.hex()} changed the "
                     "commutator word"
                 )
-            image_key = encode_pair(*canonical_form(ta, tb))
+            image_key = encode_pair(*canonical_form(tuple(ta), tuple(tb)))
             i = bisect_left(keys, image_key)
             if i == len(keys) or keys[i] != image_key:
                 raise InvariantError(
                     f"{twist} twist of {key.hex()} gives {image_key.hex()} "
                     "(not in the census)"
                 )
-            images.append(i)
+            positions.append(i)
     # Each array holds one census position per member, so a twist
     # permutes the census exactly when no position is reached twice.
     for twist, images in (("horizontal", h_next), ("vertical", v_next)):
@@ -223,22 +251,34 @@ def cusp_data(members: list[int], keys: list[bytes], h_next: array,
     A walked member is marked at its census position, so a cycle stops
     where it comes back to its start.  Each cycle is one cusp, in the
     order of its least member; the cycle type of alpha is constant
-    along it (the twist fixes alpha) and is reported per cusp.
+    along it (the twist fixes alpha) and is reported per cusp.  Many
+    members share an alpha word, the first half of the key, so each
+    distinct one is decoded and walked once.
     """
     walked = bytearray(len(keys))
+    parts_of: dict[bytes, tuple[int, ...]] = {}  # alpha's cycle type by word
     cusps = []
     for start in members:
         if walked[start]:
             continue
-        alpha_parts = cycle_lengths(decode_pair(keys[start], degree)[0])
+        alpha_parts = None
         size, i = 0, start
         while not walked[i]:
             walked[i] = 1
             size += 1
-            if cycle_lengths(decode_pair(keys[i], degree)[0]) != alpha_parts:
+            key = keys[i]
+            alpha = key[:len(key) // 2]
+            parts = parts_of.get(alpha)
+            if parts is None:
+                parts = parts_of[alpha] = cycle_lengths(
+                    decode_pair(alpha, degree)[0]
+                )
+            if alpha_parts is None:
+                alpha_parts = parts
+            elif parts != alpha_parts:
                 raise InvariantError(
                     f"alpha's cycle type is not constant on the cusp of "
-                    f"{keys[start].hex()}: {keys[i].hex()} differs"
+                    f"{keys[start].hex()}: {key.hex()} differs"
                 )
             i = h_next[i]
         cusps.append((size, alpha_parts))

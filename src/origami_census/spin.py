@@ -79,67 +79,93 @@ def _cycle_data(
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
 
-    # Per square: parent, move and edge id from the parent, depth, and
-    # the crossing mask and turning sum of the path down from the root.
+    # Per square: parent, move and edge id from the parent, the mask of
+    # its ancestors and itself by position in ``order``, and the
+    # crossing mask and turning sum of the path down from the root.
+    # The root is its own parent, and its move is arbitrary: a turning
+    # sum is only read as a difference along the path from some child
+    # of the root.
     parent = [-1] * d
-    move = [-1] * d
+    parent[0] = 0
+    move = [R] * d
     edge = [-1] * d
-    depth = [0] * d
+    anc = [1] * d
     cross_to = [0] * d
     turn_to = [0] * d
-    tree = 0
-    seen = [False] * d
-    seen[0] = True
     order = [0]
     for x in order:
-        # (move, target, edge id) of the four sides of x
-        for m, y, e in ((R, aw[x], x), (U, bw[x], d + x),
-                        (L, ai[x], ai[x]), (D, bi[x], d + bi[x])):
-            if not seen[y]:
-                seen[y] = True
-                parent[y], move[y], edge[y] = x, m, e
-                depth[y] = depth[x] + 1
-                cross_to[y] = cross_to[x] ^ 1 << e
-                if x:
-                    turn_to[y] = turn_to[x] + _turn(move[x], m)
-                tree |= 1 << e
-                order.append(y)
+        mx, ax, cx, tx = move[x], anc[x], cross_to[x], turn_to[x]
+        y = aw[x]
+        if parent[y] < 0:
+            parent[y], move[y], edge[y] = x, R, x
+            anc[y] = ax | 1 << len(order)
+            cross_to[y] = cx ^ 1 << x
+            turn_to[y] = tx + _TURN[-mx & 3]
+            order.append(y)
+        y = bw[x]
+        if parent[y] < 0:
+            parent[y], move[y], edge[y] = x, U, d + x
+            anc[y] = ax | 1 << len(order)
+            cross_to[y] = cx ^ 1 << (d + x)
+            turn_to[y] = tx + _TURN[(U - mx) & 3]
+            order.append(y)
+        y = ai[x]
+        if parent[y] < 0:
+            parent[y], move[y], edge[y] = x, L, y
+            anc[y] = ax | 1 << len(order)
+            cross_to[y] = cx ^ 1 << y
+            turn_to[y] = tx + _TURN[(L - mx) & 3]
+            order.append(y)
+        y = bi[x]
+        if parent[y] < 0:
+            parent[y], move[y], edge[y] = x, D, d + y
+            anc[y] = ax | 1 << len(order)
+            cross_to[y] = cx ^ 1 << (d + y)
+            turn_to[y] = tx + _TURN[(D - mx) & 3]
+            order.append(y)
     if len(order) != d:
         raise InvariantError("pair is not transitive")
-    cotree = [e for e in range(2 * d) if not tree >> e & 1]
+    tree = set(edge)
+    cotree = [e for e in range(2 * d) if e not in tree]
     if len(cotree) != d + 1:
         raise InvariantError(
             f"{len(cotree)} fundamental cycles, expected {d + 1}"
         )
 
     # Cycle i steps across cotree[i] from near to far, climbs the tree
-    # from far to the lowest common ancestor and descends to near.
+    # from far to the lowest common ancestor and descends to near.  The
+    # ancestor's children towards far and near, where those are not the
+    # ancestor itself, are the least positions in which the ancestor
+    # masks of far and near differ from their common part.
     q, cross, ends = [], [], []
     cycles_at = [0] * d  # bit i: the square is an end of cycle i
+    crossing = [0] * (2 * d)  # bit i: cycle i crosses the side
     for i, e in enumerate(cotree):
         if e < d:
             first, near, far = R, e, aw[e]
         else:
             first, near, far = U, e - d, bw[e - d]
-        # x and y climb to the ancestor; cx and cy stop on its children
-        # towards far and near, or on far and near when they are it.
-        x, y, cx, cy = far, near, far, near
-        while depth[x] > depth[y]:
-            cx, x = x, parent[x]
-        while depth[y] > depth[x]:
-            cy, y = y, parent[y]
-        while x != y:
-            cx, x, cy, y = x, parent[x], y, parent[y]
+        common = anc[far] & anc[near]
+        up, down = anc[far] ^ common, anc[near] ^ common
         # Climbing reverses each move (m ^ 2) and so negates each turn.
-        turn = turn_to[near] - turn_to[cy] - turn_to[far] + turn_to[cx]
-        last = first
-        if cx != x:
-            turn += _turn(last, move[far] ^ 2)
+        # Bit k of bends: a junction turns by k quarters (2: a step back).
+        turn, last, bends = 0, first, 0
+        if up:
+            cx = order[(up & -up).bit_length() - 1]
+            k = ((move[far] ^ 2) - last) & 3
+            turn += turn_to[cx] - turn_to[far] + _TURN[k]
+            bends |= 1 << k
             last = move[cx] ^ 2
-        if cy != x:
-            turn += _turn(last, move[cy])
+        if down:
+            cy = order[(down & -down).bit_length() - 1]
+            k = (move[cy] - last) & 3
+            turn += turn_to[near] - turn_to[cy] + _TURN[k]
+            bends |= 1 << k
             last = move[near]
-        turn += _turn(last, first)
+        k = (first - last) & 3
+        turn += _TURN[k]
+        if (bends | 1 << k) & 4:
+            raise InvariantError("backtracking step in a fundamental cycle")
         if turn % 4:
             raise InvariantError(
                 f"turning {turn} of a closed path not divisible by 4"
@@ -149,12 +175,10 @@ def _cycle_data(
         ends.append((near, far))
         cycles_at[near] ^= 1 << i
         cycles_at[far] ^= 1 << i
+        crossing[e] = 1 << i
 
     # A cycle crosses the tree edge above y when one of its ends lies
     # below y: subtree XORs, children before parents.
-    crossing = [0] * (2 * d)  # bit i: cycle i crosses the side
-    for i, e in enumerate(cotree):
-        crossing[e] = 1 << i
     for y in reversed(order[1:]):
         crossing[edge[y]] = cycles_at[y]
         cycles_at[parent[y]] ^= cycles_at[y]
@@ -183,12 +207,9 @@ def _cycle_data(
     return cotree, q, cross, rows
 
 
-def _turn(a: int, b: int) -> int:
-    """Turn from move a to move b: +1 left, -1 right, 0 straight."""
-    delta = (b - a) % 4
-    if delta == 2:
-        raise InvariantError("backtracking step in a fundamental cycle")
-    return (0, 1, 0, -1)[delta]
+# Turn from move a to move b, indexed by (b - a) & 3: +1 left, -1 right,
+# 0 straight; 2 is a step back, which no fundamental cycle takes.
+_TURN = (0, 1, 0, -1)
 
 
 def _skeleton_sides(d: int, ai, bi) -> list[int]:

@@ -23,6 +23,7 @@ from origami_census.perm import (
     commutator_word,
     compose,
     cycle_lengths,
+    inverse_word,
     perm_from_cycles,
 )
 from origami_census.surface import (
@@ -86,14 +87,92 @@ class TestTwistWords:
         census = census_of(d, mu)
         assert census.n_classes > 0
         for o in census.values():
-            aw, bw = o.alpha.word, o.beta.word
+            aw, bw = bytes(o.alpha.word), bytes(o.beta.word)
             images = twist_words(aw, bw)
             assert images == (
-                (aw, compose(o.alpha, o.beta).word),
-                (compose(o.beta, o.alpha).word, bw),
+                (aw, bytes(compose(o.alpha, o.beta).word)),
+                (bytes(compose(o.beta, o.alpha).word), bw),
             )
             for ta, tb in images:
                 assert commutator_word(ta, tb) == commutator_word(aw, bw)
+
+
+# Letter i is byte i; LETTERS[d:] pads a degree-d word to a translate
+# table, and LETTERS[:d] is the identity word.
+LETTERS = bytes(range(256))
+
+
+def random_word(rng, d):
+    word = list(range(d))
+    rng.shuffle(word)
+    return bytes(word)
+
+
+def list_form_keeps(ta, tb, gw):
+    """The twist check on index lists: tb ta == ta tb gw."""
+    return [tb[x] for x in ta] == [ta[tb[y]] for y in gw]
+
+
+class TestByteWords:
+    """The translate kernels of ``decompose`` against the tuple words."""
+
+    DEGREES = list(range(1, 13)) + [255]
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_kernels_match_tuple_definitions(self, d):
+        rng = random.Random(d)
+        pad, identity = LETTERS[d:], LETTERS[:d]
+        for _ in range(40):
+            aw, bw = random_word(rng, d), random_word(rng, d)
+            alpha, beta = Perm(tuple(aw)), Perm(tuple(bw))
+            # alpha o beta, beta applied first
+            assert bw.translate(aw + pad) == bytes(compose(alpha, beta).word)
+            # maketrans(aw, identity) is alpha's inverse as a whole table
+            inverse = bytes.maketrans(aw, identity)
+            assert inverse == bytes(inverse_word(aw)) + pad
+            assert aw.translate(inverse) == identity
+            commutator = (
+                aw.translate(bw + pad)
+                .translate(bytes.maketrans(aw, identity))
+                .translate(bytes.maketrans(bw, identity))
+            )
+            assert commutator == bytes(commutator_word(aw, bw))
+            assert twist_words(aw, bw) == (
+                (aw, bytes(compose(alpha, beta).word)),
+                (bytes(compose(beta, alpha).word), bw),
+            )
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_byte_twist_check_accepts_what_the_list_check_accepts(self, d):
+        rng = random.Random(100 + d)
+        verdicts = set()
+        for _ in range(40):
+            aw, bw = random_word(rng, d), random_word(rng, d)
+            gw = bytes(commutator_word(aw, bw))
+            for ta, tb in twist_words(aw, bw):
+                candidates = [(ta, tb), (tb, ta), (ta, random_word(rng, d))]
+                if d > 1:  # follow tb with a transposition
+                    x, y = rng.sample(range(d), 2)
+                    swapped = bytearray(tb)
+                    swapped[x], swapped[y] = tb[y], tb[x]
+                    candidates.append((ta, bytes(swapped)))
+                for pair in candidates:
+                    want = list_form_keeps(*pair, gw)
+                    assert orbits._keeps_commutator(*pair, gw) == want
+                    verdicts.add(want)
+        # S_1 and S_2 are abelian: every pair keeps the identity.
+        assert verdicts == ({True} if d <= 2 else {True, False})
+
+    def test_degree_over_255_is_rejected(self):
+        # The n-cycle with one transposition of neighbours lies in H(2).
+        d = 256
+        o = make_origami(
+            Perm(tuple(range(1, d)) + (0,)), Perm((1, 0) + tuple(range(2, d)))
+        )
+        census = Census(d, o.stratum, [canonical_key(o.alpha, o.beta)])
+        assert len(census) == 1
+        with pytest.raises(ValueError, match="one byte per letter"):
+            decompose(census)
 
 
 class TestDegree5Decomposition:
@@ -427,7 +506,7 @@ class TestInvariantErrors:
 
         def swap_01(word):
             # follow the word with the transposition of letters 0 and 1
-            return tuple(1 - y if y < 2 else y for y in word)
+            return bytes(1 - y if y < 2 else y for y in word)
 
         def bend(images):
             ta, tb = images[image]
@@ -436,7 +515,7 @@ class TestInvariantErrors:
 
         def bending_shows(o):
             aw, bw = o.alpha.word, o.beta.word
-            bent = bend(real(aw, bw))[image]
+            bent = bend(real(bytes(aw), bytes(bw)))[image]
             return commutator_word(*bent) != commutator_word(aw, bw)
 
         bad_key = next(
@@ -447,7 +526,7 @@ class TestInvariantErrors:
 
         def bent(aw, bw):
             images = real(aw, bw)
-            if (aw, bw) == (bad.alpha.word, bad.beta.word):
+            if (aw, bw) == (bytes(bad.alpha.word), bytes(bad.beta.word)):
                 return bend(images)
             return images
 
@@ -541,7 +620,9 @@ class TestInvariantErrors:
             return canonical_key(o.alpha, o.beta)
 
         y_image = h_image(y)
-        x_raw = twist_words(census[x].alpha.word, census[x].beta.word)[0]
+        x_raw = tuple(map(tuple, twist_words(
+            bytes(census[x].alpha.word), bytes(census[x].beta.word)
+        )[0]))
         redirect_images(
             monkeypatch, 5, lambda raw, key: y_image if raw == x_raw else key
         )

@@ -16,7 +16,7 @@ from origami_census import spin
 from origami_census.census import InvariantError
 from origami_census.limits import component_label, reference_rows
 from origami_census.orbits import decompose
-from origami_census.perm import inverse_word
+from origami_census.perm import Perm, inverse_word, words_transitive
 from origami_census.spin import ParityUndefinedError, spin_parity
 from origami_census.surface import canonical_key, make_origami
 from conftest import all_perms, origami, strata_at
@@ -264,6 +264,42 @@ def test_tree_pass_matches_walks(d, mu, census_of):
     census = census_of(d, mu)
     assert census.n_classes > 0
     for o in census.values():
+        assert spin._cycle_data(o, *inverse_words(o)) == walk_cycle_data(o)
+
+
+def random_transitive_pairs(n: int, seed: int):
+    """n surfaces of degrees 9 to 16 from random transitive pairs.
+
+    Half have a random alpha and beta, half a random d-cycle alpha and
+    a beta that moves at most four letters; those grow deep, narrow
+    breadth-first trees.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        d = rng.randrange(9, 17)
+        letters = list(range(d))
+        rng.shuffle(letters)
+        if len(out) % 2:
+            aw = [0] * d
+            for x, y in zip(letters, letters[1:] + letters[:1]):
+                aw[x] = y
+            bw = list(range(d))
+            moved = rng.sample(range(d), rng.randrange(2, 5))
+            for x, y in zip(moved, moved[1:] + moved[:1]):
+                bw[x] = y
+        else:
+            aw = letters
+            bw = rng.sample(range(d), d)
+        if words_transitive(aw, bw):
+            out.append(make_origami(Perm(tuple(aw)), Perm(tuple(bw))))
+    return out
+
+
+def test_tree_pass_matches_walks_beyond_degree_8():
+    surfaces = random_transitive_pairs(200, seed=16)
+    assert {o.degree for o in surfaces} == set(range(9, 17))
+    for o in surfaces:
         assert spin._cycle_data(o, *inverse_words(o)) == walk_cycle_data(o)
 
 

@@ -46,7 +46,7 @@ def _images(key: bytes, d: int) -> tuple[bytes, bytes, bytes]:
     ``decompose`` canonicalizes its twist images."""
     aw, bw = decode_pair(key, d)
     return (
-        _key(*twist_words(aw, bw)[0]),
+        _key(*map(tuple, twist_words(bytes(aw), bytes(bw))[0])),
         _key(inverse_word(bw), aw),
         _key(inverse_word(aw), inverse_word(bw)),
     )
