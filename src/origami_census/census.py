@@ -15,15 +15,18 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, pairwise, permutations, repeat
+from math import lcm
 from pathlib import Path
 
 from .perm import (
+    LETTERS,
     CycleType,
     Perm,
     centralizer_generators,
     class_representative,
     class_size,
     class_words,
+    commutator_bytes,
     commutator_word,
     conjugators_onto,
     cycle_lengths,
@@ -188,6 +191,25 @@ def _class_bytes(parts: tuple[int, ...], degree: int) -> bytes:
     return bytes(words)
 
 
+def _power_is_identity(w: bytes, n: int, pad: bytes) -> bool:
+    """True when the word ``w`` raised to the n-th power is the identity,
+    that is when every cycle length of w divides n.
+
+    With n the lcm of some parts, this is a necessary condition for w
+    to have cycle type ``parts``, tested in C: the power is built by
+    square-and-multiply, each product one ``bytes.translate`` with
+    ``pad`` the letters from len(w) to 255.
+    """
+    power = None
+    while True:
+        if n & 1:
+            power = w if power is None else power.translate(w + pad)
+        n >>= 1
+        if not n:
+            return power == LETTERS[:len(w)]
+        w = w.translate(w + pad)
+
+
 def _commutators(
     degree: int,
     alpha_parts: tuple[int, ...],
@@ -203,20 +225,32 @@ def _commutators(
     smaller of the two classes is walked: deltas of alpha's class,
     keeping gamma = delta alpha when it has the target type, or gammas
     of the target class, keeping those whose delta has alpha's type.
-    ``seen`` is read as the caller grows it, before each filter.
+    Each product is one ``bytes.translate``, and a word whose power to
+    the lcm of the wanted parts is not the identity is dropped before
+    its cycles are walked.  ``seen`` is read as the caller grows it,
+    before each filter.
     """
+    pad = LETTERS[degree:]
     if class_size(alpha_parts) < class_size(target_parts):
+        order = lcm(*target_parts)
+        a_bytes = bytes(aw)
         for dw in class_words(alpha_parts, degree):
-            gw = bytes([dw[x] for x in aw])
-            if gw not in seen and cycle_lengths(gw) == target_parts:
+            gw = a_bytes.translate(bytes(dw) + pad)
+            if gw in seen or not _power_is_identity(gw, order, pad):
+                continue
+            if cycle_lengths(gw) == target_parts:
                 yield gw, dw
     else:
+        order = lcm(*alpha_parts)
+        ai_bytes = bytes(ai)
         words = _class_bytes(target_parts, degree)
         for k in range(0, len(words), degree):
             gw = words[k:k + degree]
             if gw in seen:
                 continue
-            dw = [gw[x] for x in ai]
+            dw = ai_bytes.translate(gw + pad)
+            if not _power_is_identity(dw, order, pad):
+                continue
             if cycle_lengths(dw) == alpha_parts:
                 yield gw, dw
 
@@ -297,7 +331,12 @@ def _enumerate_alpha_class(
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
     ai = inverse_word(aw)
-    zgens = [g.word for g in centralizer_generators(alpha)]
+    pad = LETTERS[degree:]
+    # z gamma z^-1 maps each letter through z^-1, gamma, then z
+    ztables = [
+        (bytes(z.word) + pad, bytes(inverse_word(z.word)))
+        for z in centralizer_generators(alpha)
+    ]
     ai_rotations = cycle_rotations(ai)
     alpha_fixed = [x for x in range(degree) if aw[x] == x]
 
@@ -310,11 +349,8 @@ def _enumerate_alpha_class(
         orbit = [gw]
         seen.add(gw)
         for cur in orbit:
-            for z in zgens:
-                img = [0] * degree
-                for i in range(degree):
-                    img[z[i]] = z[cur[i]]
-                t = bytes(img)
+            for zt, zi in ztables:
+                t = zi.translate(cur.translate(zt) + pad)
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
@@ -342,10 +378,16 @@ def enumerate_census(
     the extra member is read; alpha classes not yet started are then
     cancelled.  ``workers`` is clamped to the number of alpha classes
     and of CPUs.  Every member is checked to be a transitive pair whose
-    commutator has the stratum's type.
+    commutator has the stratum's type.  The words are ``bytes``, one
+    byte per letter, so a degree over 255 raises ValueError.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
+    if degree > 255:
+        raise ValueError(
+            f"enumerate_census needs one byte per letter: degree {degree} "
+            "is over 255"
+        )
     target = target_class(degree, stratum)
     if target is None:
         return Census(degree, stratum, ())
@@ -365,12 +407,12 @@ def enumerate_census(
         for chunk in mapper(_enumerate_alpha_class, repeat(degree),
                             alpha_classes, repeat(target.parts)):
             for key in chunk:
-                aw, bw = decode_pair(key, degree)
+                aw, bw = key[:degree], key[degree:]
                 if not words_transitive(aw, bw):
                     raise InvariantError(
                         f"key {key.hex()} is not a transitive pair"
                     )
-                ctype = cycle_lengths(commutator_word(aw, bw))
+                ctype = cycle_lengths(commutator_bytes(aw, bw))
                 if ctype != target.parts:
                     raise InvariantError(
                         f"key {key.hex()} has commutator type "
@@ -451,10 +493,11 @@ def load_census(
     the trailer from the records, so the file is never held whole.
     Holding more than ``budget`` records raises
     :class:`ResourceBudgetError` at once, as in :func:`enumerate_census`.
-    A header other than ``expect``, a ``(degree, stratum)`` pair, raises
-    :class:`CensusSchemaError` before any record is read.  A path that
-    cannot be opened or read, or whose bytes are not ASCII, raises
-    :class:`CensusCorruptError` ("cannot read ...").
+    A header other than ``expect``, a ``(degree, stratum)`` pair, or of
+    degree over 255 raises :class:`CensusSchemaError` before any record
+    is read: the commutator check runs on ``bytes`` words, one byte per
+    letter.  A path that cannot be opened or read, or whose bytes are
+    not ASCII, raises :class:`CensusCorruptError` ("cannot read ...").
     """
     path = Path(path)
 
@@ -492,6 +535,10 @@ def load_census(
                     f"{path}: bad header: degree {degree!r} is not a positive "
                     "integer"
                 )
+            if degree > 255:
+                raise CensusSchemaError(
+                    f"{path}: bad header: degree {degree} is over 255"
+                )
             if expect is not None and (degree, stratum) != expect:
                 raise CensusSchemaError(
                     f"{path} holds the census of d={degree} mu={stratum}"
@@ -509,10 +556,9 @@ def load_census(
                     canonical = canonical_form(aw, bw) == (aw, bw)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
-                if (
-                    target is None
-                    or cycle_lengths(commutator_word(aw, bw)) != target.parts
-                ):
+                key = encode_pair(aw, bw)
+                gw = commutator_bytes(key[:degree], key[degree:])
+                if target is None or cycle_lengths(gw) != target.parts:
                     raise CensusSchemaError(
                         f"{path}: record does not match header degree/mu"
                     )
@@ -520,7 +566,6 @@ def load_census(
                     raise CensusSchemaError(
                         f"{path}: record is not its own canonical pair"
                     )
-                key = bytes.fromhex(rec["key"])
                 if keys and key <= keys[-1]:
                     raise CensusSchemaError(
                         f"{path}: records out of canonical-key order"

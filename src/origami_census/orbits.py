@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
-from .perm import Perm, compose, cycle_lengths
+from .perm import LETTERS, Perm, commutator_bytes, compose, cycle_lengths
 from .spin import spin_parity
 from .surface import (
     Origami,
@@ -26,11 +26,6 @@ from .surface import (
     make_origami,
     weight_of_parts,
 )
-
-# Letter i is byte i.  A word of degree d is a ``bytes`` of length d;
-# ``_LETTERS[d:]`` pads it to a 256-byte table for ``bytes.translate``,
-# and ``_LETTERS[:d]`` is the identity word.
-_LETTERS = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ def twist_words(aw: bytes, bw: bytes) -> tuple[tuple[bytes, bytes], ...]:
     with ``pad`` the letters from the degree to 255, maps each letter y
     of beta to alpha's image of it.
     """
-    pad = _LETTERS[len(aw):]
+    pad = LETTERS[len(aw):]
     return (aw, bw.translate(aw + pad)), (aw.translate(bw + pad), bw)
 
 
@@ -81,7 +76,7 @@ def _keeps_commutator(ta: bytes, tb: bytes, gw: bytes) -> bool:
 
     That is tb ta == ta tb gw, a test that needs no inverse word.
     """
-    pad = _LETTERS[len(ta):]
+    pad = LETTERS[len(ta):]
     return ta.translate(tb + pad) == gw.translate(tb + pad).translate(ta + pad)
 
 
@@ -151,18 +146,11 @@ def decompose(census: Census) -> list[ComponentSummary]:
         raise ValueError(
             f"decompose needs one byte per letter: degree {d} is over 255"
         )
-    pad, identity = _LETTERS[d:], _LETTERS[:d]
     keys = list(census)  # in key order; a member is its position here
     h_next, v_next = array("i"), array("i")
     for key in keys:
         aw, bw = key[:d], key[d:]
-        # beta^-1 alpha^-1 beta alpha: maketrans(w, identity) is the
-        # translate table of w's inverse.
-        gw = (
-            aw.translate(bw + pad)
-            .translate(bytes.maketrans(aw, identity))
-            .translate(bytes.maketrans(bw, identity))
-        )
+        gw = commutator_bytes(aw, bw)
         for twist, (ta, tb), positions in zip(
             ("horizontal", "vertical"), twist_words(aw, bw), (h_next, v_next)
         ):

@@ -144,6 +144,28 @@ def commutator_word(aw: Sequence[int], bw: Sequence[int]) -> tuple[int, ...]:
     return tuple([abi[bw[x]] for x in aw])
 
 
+# Below degree 256 a word can also be a ``bytes``, letter i being byte
+# i.  ``LETTERS[d:]`` pads a word of degree d to a 256-byte table for
+# ``bytes.translate``, and ``LETTERS[:d]`` is the identity word.
+LETTERS = bytes(range(256))
+
+
+def commutator_bytes(aw: bytes, bw: bytes) -> bytes:
+    """:func:`commutator_word` of two ``bytes`` words, in C.
+
+    Three ``bytes.translate`` calls: ``bw.translate(aw + pad)`` is the
+    word of alpha beta, and ``bytes.maketrans(w, identity)`` is the
+    table of w's inverse.
+    """
+    d = len(aw)
+    identity = LETTERS[:d]
+    return (
+        aw.translate(bw + LETTERS[d:])
+        .translate(bytes.maketrans(aw, identity))
+        .translate(bytes.maketrans(bw, identity))
+    )
+
+
 def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff two 0-based words of one degree generate a transitive group.
 

@@ -206,11 +206,13 @@ def canonical_form(
     Only the starts that can give the least relabeled alpha are walked.
     Its first letter is 0 exactly when the start is a fixed point of
     alpha.  With no fixed point, its second letter is 0 exactly when the
-    start lies on a 2-cycle of alpha.  So the starts are alpha's fixed
-    points, failing those the squares on its 2-cycles (with no fixed
-    point, alpha(alpha(s)) = s exactly there), failing both every
-    square.  The first of them is walked in full, so a disconnected
-    pair still raises :class:`DisconnectedCoverError`.
+    start lies on a 2-cycle of alpha.  With neither, it is 2 exactly
+    when beta(s) is s, alpha(s) or alpha(alpha(s)), and 3 otherwise.
+    So the starts are alpha's fixed points, failing those the squares
+    on its 2-cycles (with no fixed point, alpha(alpha(s)) = s exactly
+    there), failing those the squares s with such a beta(s), failing
+    all three every square.  The first of them is walked in full, so a
+    disconnected pair still raises :class:`DisconnectedCoverError`.
 
     The k-th letter of the relabeled alpha is known at step k of the
     walk, so a start is dropped as soon as its alpha prefix exceeds
@@ -221,6 +223,7 @@ def canonical_form(
     starts = (
         [x for x in squares if aw[x] == x]
         or [x for x in squares if aw[aw[x]] == x]
+        or [x for x in squares if bw[x] in (x, aw[x], aw[aw[x]])]
         or squares
     )
     best_a: tuple[int, ...] = ()

@@ -1,9 +1,12 @@
 import gc
 import hashlib
 import json
+import math
+import random
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -100,6 +103,29 @@ class TestEnumerate:
     def test_budget_exceeded(self):
         with pytest.raises(ResourceBudgetError):
             enumerate_census(5, StratumSignature((4,)), budget=10)
+
+    def test_degree_over_255_is_refused_before_any_work(self, monkeypatch):
+        # From degree 256 a key holds 4 bytes per letter, so the byte
+        # words of the enumeration do not fit.  At 255 the profile is
+        # too large for the degree, so that census is empty.
+        calls = []
+        monkeypatch.setattr(
+            census_mod, "_enumerate_alpha_class",
+            lambda *args: calls.append(args) or [],
+        )
+        monkeypatch.setattr(
+            census_mod, "partitions_desc", lambda n: calls.append(n) or ()
+        )
+        huge = StratumSignature((256,))
+        assert enumerate_census(255, huge).n_classes == 0
+        for d, mu in ((256, huge), (300, StratumSignature((2,)))):
+            with pytest.raises(
+                ValueError,
+                match=f"^enumerate_census needs one byte per letter: "
+                f"degree {d} is over 255$",
+            ):
+                enumerate_census(d, mu)
+        assert calls == []
 
     def test_serial_budget_stops_during_the_sweep(self, monkeypatch):
         calls = []
@@ -350,6 +376,42 @@ def test_reference_comparison_covers_both_walks(d, census_of):
     assert walks == {True, False}
 
 
+def word_order_divides(w, n):
+    return all(n % c == 0 for c in cycle_lengths(w))
+
+
+class TestOrderPrefilter:
+    """census._power_is_identity, the test run before each walk of a
+    candidate word's cycles, keeps every word of the wanted type."""
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_every_word_against_every_partition(self, d):
+        pad = bytes(range(d, 256))
+        orders = sorted({math.lcm(*parts) for parts in partitions_desc(d)})
+        for w in permutations(range(d)):
+            for n in orders:
+                assert census_mod._power_is_identity(
+                    bytes(w), n, pad
+                ) == word_order_divides(w, n)
+
+    def test_random_words_to_degree_12(self):
+        rng = random.Random(12)
+        for d in range(8, 13):
+            pad = bytes(range(d, 256))
+            parts_list = list(partitions_desc(d))
+            for _ in range(400):
+                w = list(range(d))
+                rng.shuffle(w)
+                parts = cycle_lengths(w)
+                # the word's own type, and a few others
+                for other in [parts] + rng.sample(parts_list, 4):
+                    n = math.lcm(*other)
+                    got = census_mod._power_is_identity(bytes(w), n, pad)
+                    assert got == word_order_divides(w, n)
+                    if other == parts:
+                        assert got
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize(
         "d,mu",
@@ -589,6 +651,34 @@ class TestSaveLoad:
         path.write_text(json.dumps(obj) + "\n" + trailer + "\n")
         with pytest.raises(CensusSchemaError, match="positive integer"):
             load_census(path)
+
+    def test_header_degree_over_255(self, census_of, tmp_path, monkeypatch):
+        # a census of degree 255 still loads; from 256 the header is
+        # refused before any record is read
+        path = tmp_path / "c.jsonl"
+        save_census(census_of(5, (4,)), path)
+        header, *records = path.read_text().splitlines()
+        calls = []
+        record_words = census_mod.record_words
+
+        def spy(rec, degree):
+            calls.append(rec)
+            return record_words(rec, degree)
+
+        monkeypatch.setattr(census_mod, "record_words", spy)
+        for degree, mu in ((255, [256]), (256, [4]), (300, [4])):
+            obj = json.loads(header)
+            obj["degree"], obj["mu"] = degree, mu
+            body = records if degree > 255 else ['{"m":"0/1","n":0}']
+            path.write_text("\n".join([json.dumps(obj), *body]) + "\n")
+            if degree == 255:
+                assert load_census(path).n_classes == 0
+                continue
+            with pytest.raises(
+                CensusSchemaError, match=f"degree {degree} is over 255"
+            ):
+                load_census(path)
+        assert calls == []
 
     def test_tampered_totals(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -221,6 +221,18 @@ def assert_matches_full_scan(a, b):
             canonical_form(a, b)
 
 
+def start_branch(a, b):
+    """The tier of canonical_form's start rule that a pair takes."""
+    squares = range(len(a))
+    if any(a[x] == x for x in squares):
+        return "fixed points"
+    if any(a[a[x]] == x for x in squares):
+        return "2-cycles"
+    if any(b[x] in (x, a[x], a[a[x]]) for x in squares):
+        return "beta-adjacent"
+    return "every square"
+
+
 class TestCanonicalFormReference:
     @pytest.mark.parametrize("d,mu", REFERENCE_CENSUSES)
     def test_members_and_twist_images_match_full_scan(self, d, mu, census_of):
@@ -249,20 +261,18 @@ class TestCanonicalFormReference:
 
     def test_every_pair_to_degree_5_matches_full_scan(self):
         # all of S_d x S_d: every cycle type of alpha, so each branch of
-        # the start rule (fixed points, 2-cycles, every square) is taken
+        # the start rule (fixed points, 2-cycles, beta-adjacent starts,
+        # every square) is taken
         branches = set()
         for d in range(1, 6):
             words = list(permutations(range(d)))
             for a in words:
-                if any(a[x] == x for x in range(d)):
-                    branches.add("fixed points")
-                elif any(a[a[x]] == x for x in range(d)):
-                    branches.add("2-cycles")
-                else:
-                    branches.add("every square")
                 for b in words:
+                    branches.add(start_branch(a, b))
                     assert_matches_full_scan(a, b)
-        assert branches == {"fixed points", "2-cycles", "every square"}
+        assert branches == {
+            "fixed points", "2-cycles", "beta-adjacent", "every square"
+        }
 
     def test_random_pairs_match_full_scan(self):
         rng = random.Random(6)
@@ -273,6 +283,44 @@ class TestCanonicalFormReference:
                 rng.shuffle(a)
                 rng.shuffle(b)
                 assert_matches_full_scan(tuple(a), tuple(b))
+
+
+    def test_random_pairs_with_long_alpha_cycles_match_full_scan(self):
+        # alpha has no fixed point and no 2-cycle, so the start rule
+        # reads beta; half the betas keep alpha's first cycle, which
+        # makes the pair disconnected when alpha has another cycle
+        rng = random.Random(12)
+        seen = set()
+        for d in range(6, 13):
+            for _ in range(200):
+                letters = list(range(d))
+                rng.shuffle(letters)
+                a = [0] * d
+                cycles, left = [], letters
+                while left:
+                    # a cycle of at least 3 letters, leaving 0 or 3 or more
+                    short = len(left) < 6 or rng.random() < 0.2
+                    n = len(left) if short else rng.randint(3, len(left) - 3)
+                    cyc, left = left[:n], left[n:]
+                    cycles.append(cyc)
+                    for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                        a[x] = y
+                b = [0] * d
+                blocks = (
+                    [cycles[0], letters[len(cycles[0]):]]
+                    if len(cycles) > 1 and rng.random() < 0.5 else [letters]
+                )
+                for block in blocks:
+                    for x, y in zip(block, rng.sample(block, len(block))):
+                        b[x] = y
+                a, b = tuple(a), tuple(b)
+                seen.add((start_branch(a, b), words_transitive(a, b)))
+                assert_matches_full_scan(a, b)
+        assert {branch for branch, _ in seen} == {
+            "beta-adjacent", "every square"
+        }
+        assert ("beta-adjacent", False) in seen
+        assert ("beta-adjacent", True) in seen
 
 
 class TestKeyCodec:
