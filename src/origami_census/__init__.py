@@ -34,7 +34,6 @@ from .census import (
     CensusSchemaError,
     CensusVersionError,
     ResourceBudgetError,
-    brute_force_census,
     enumerate_census,
     load_census,
     save_census,

@@ -11,7 +11,7 @@ import json
 import os
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, pairwise, permutations, repeat
@@ -27,7 +27,6 @@ from .perm import (
     class_size,
     class_words,
     commutator_bytes,
-    commutator_word,
     conjugators_onto,
     cycle_lengths,
     cycle_rotations,
@@ -46,8 +45,6 @@ from .surface import (
 )
 
 SCHEMA_VERSION = 2
-
-BRUTE_FORCE_MAX_DEGREE = 6
 
 
 class ResourceBudgetError(RuntimeError):
@@ -217,9 +214,10 @@ def _commutators(
     aw: tuple[int, ...],
     ai: tuple[int, ...],
     seen: set[bytes],
-) -> Iterator[tuple[bytes, Sequence[int]]]:
+) -> Iterator[tuple[bytes, bytes]]:
     """Each gamma of the target class not in ``seen`` whose delta =
-    gamma alpha^-1 has alpha's cycle type, with that delta.
+    gamma alpha^-1 has alpha's cycle type, with that delta, both as
+    ``bytes`` words.
 
     gamma and delta = gamma alpha^-1 determine each other, so the
     smaller of the two classes is walked: deltas of alpha's class,
@@ -234,8 +232,8 @@ def _commutators(
     if class_size(alpha_parts) < class_size(target_parts):
         order = lcm(*target_parts)
         a_bytes = bytes(aw)
-        for dw in class_words(alpha_parts, degree):
-            gw = a_bytes.translate(bytes(dw) + pad)
+        for dw in map(bytes, class_words(alpha_parts, degree)):
+            gw = a_bytes.translate(dw + pad)
             if gw in seen or not _power_is_identity(gw, order, pad):
                 continue
             if cycle_lengths(gw) == target_parts:
@@ -256,18 +254,18 @@ def _commutators(
 
 
 def _path_matchings(
-    dw: Sequence[int], alpha_fixed: list[int], shared: list[int]
+    dw: bytes, alpha_fixed: list[int]
 ) -> Iterator[tuple[int, ...]]:
     """Images of delta's fixed points, in increasing order, for one
     beta of each Sym(F)-orbit of a coset that can give a transitive
-    pair, F being the letters ``shared`` that alpha and gamma fix.
+    pair, F being the letters that alpha and gamma fix.
 
     A beta of the coset maps the fixed points D of delta = gamma
-    alpha^-1 onto those of alpha, A, and F = D n A.  Draw an arrow from
-    each x in D to beta(x).  The k sources D \\ F have no arrow in, the
-    k targets A \\ F none out, and each letter of F one of each, so the
-    arrows form k paths from sources to targets through letters of F,
-    and cycles inside F.
+    alpha^-1 onto those of alpha, ``alpha_fixed`` or A, and F = D n A.
+    Draw an arrow from each x in D to beta(x).  The k sources D \\ F
+    have no arrow in, the k targets A \\ F none out, and each letter of
+    F one of each, so the arrows form k paths from sources to targets
+    through letters of F, and cycles inside F.
 
     - A cycle inside F is a set of letters that alpha fixes and beta
       permutes, so it is closed under both.  It is not every letter,
@@ -283,16 +281,22 @@ def _path_matchings(
 
     Such a beta is set by the number of letters of F on each path, a
     composition of |F| into k parts, and by the target each path ends
-    at: k! C(|F|+k-1, k-1) of the |D|! matchings, and none when k = 0.
+    at: k! C(|F|+k-1, k-1) of the |D|! matchings.  With F empty that
+    is every matching, in the order of ``permutations(alpha_fixed)``,
+    as :func:`conjugators_onto` walks them by default; with k = 0 it
+    is none, unless D is empty and the one empty matching is yielded.
     The caller's per-coset dict drops the betas that the rest of the
     stabilizer of gamma in Z makes conjugate.
     """
     fixed = [x for x in range(len(dw)) if dw[x] == x]
-    slot = {x: i for i, x in enumerate(fixed)}
+    shared = [x for x in alpha_fixed if dw[x] == x]
     sources = [x for x in fixed if x not in shared]
     targets = [x for x in alpha_fixed if x not in shared]
     if not sources:
+        if not fixed:
+            yield ()
         return
+    slot = {x: i for i, x in enumerate(fixed)}
     m = len(shared)
     images = [0] * len(fixed)
     for cuts in combinations_with_replacement(range(m + 1), len(sources) - 1):
@@ -354,8 +358,7 @@ def _enumerate_alpha_class(
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        shared = [x for x in alpha_fixed if dw[x] == x]
-        images = _path_matchings(dw, alpha_fixed, shared) if shared else None
+        images = _path_matchings(dw, alpha_fixed)
         out.extend(dict.fromkeys(
             encode_pair(*canonical_form(aw, bw))
             for bw in conjugators_onto(dw, ai_rotations, images)
@@ -430,29 +433,6 @@ def enumerate_census(
         # longer, so its cost does not hang on what the process ran
         # before.
         _class_bytes.cache_clear()
-    return Census(degree, stratum, keys)
-
-
-def brute_force_census(degree: int, stratum: StratumSignature) -> Census:
-    """Reference enumeration over all of S_d x S_d (test oracle), up to
-    degree 6."""
-    if degree > BRUTE_FORCE_MAX_DEGREE:
-        raise ValueError(
-            f"brute force stops at degree {BRUTE_FORCE_MAX_DEGREE}"
-        )
-    target = target_class(degree, stratum)
-    if target is None:
-        return Census(degree, stratum, ())
-
-    keys: set[bytes] = set()
-    words = list(permutations(range(degree)))
-    for aw in words:
-        for bw in words:
-            if cycle_lengths(commutator_word(aw, bw)) != target.parts:
-                continue
-            if not words_transitive(aw, bw):
-                continue
-            keys.add(encode_pair(*canonical_form(aw, bw)))
     return Census(degree, stratum, keys)
 
 

@@ -167,6 +167,8 @@ def census_from_args(args) -> Census:
     stratum = parse_mu(args.mu)
     if args.degree < 1:
         raise UsageError("degree must be positive")
+    if args.degree > 255:
+        raise UsageError("degree must be at most 255")
     return get_census(args, args.degree, stratum)
 
 

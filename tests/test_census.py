@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,14 +18,23 @@ from origami_census.census import (
     CensusSchemaError,
     CensusVersionError,
     ResourceBudgetError,
-    brute_force_census,
     enumerate_census,
     load_census,
     partitions_desc,
     save_census,
     target_class,
 )
-from origami_census.perm import Perm, class_size, cycle_lengths
+from origami_census.perm import (
+    CycleType,
+    Perm,
+    class_representative,
+    class_size,
+    class_words,
+    conjugators_onto,
+    cycle_lengths,
+    cycle_rotations,
+    inverse_word,
+)
 from origami_census.surface import (
     Origami,
     StratumSignature,
@@ -412,6 +421,68 @@ class TestOrderPrefilter:
                         assert got
 
 
+class TestPathMatchings:
+    """census._path_matchings picks the images of delta's fixed points
+    for one beta of each Sym(F)-orbit of a coset, F being the letters
+    that alpha and delta both fix."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_no_fixed_point_gives_the_empty_matching(self, d):
+        for w in permutations(range(d)):
+            if all(w[x] != x for x in range(d)):
+                assert list(census_mod._path_matchings(bytes(w), [])) == [()]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_without_shared_fixed_points_every_matching_in_order(self, d):
+        # The order conjugators_onto walks by default, so a coset with F
+        # empty yields every beta, in conjugators_onto's own order.
+        for parts in partitions_desc(d):
+            aw = class_representative(CycleType(d, parts)).word
+            ai_rotations = cycle_rotations(inverse_word(aw))
+            alpha_fixed = [x for x in range(d) if aw[x] == x]
+            for dw in map(bytes, class_words(parts, d)):
+                if any(dw[x] == x for x in alpha_fixed):
+                    continue
+                got = list(census_mod._path_matchings(dw, alpha_fixed))
+                assert got == list(permutations(alpha_fixed))
+                assert list(conjugators_onto(dw, ai_rotations, got)) == list(
+                    conjugators_onto(dw, ai_rotations)
+                )
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_acyclic_matching_per_orbit(self, d):
+        # The function reads only alpha's fixed points, and every set of
+        # |D| letters is the fixed-point set of some alpha of delta's type.
+        for dw in map(bytes, permutations(range(d))):
+            fixed = [x for x in range(d) if dw[x] == x]
+            for alpha_fixed in map(list, combinations(range(d), len(fixed))):
+                shared = [x for x in fixed if x in alpha_fixed]
+                k = len(fixed) - len(shared)
+                got = list(census_mod._path_matchings(dw, alpha_fixed))
+                assert len(set(got)) == len(got)
+                if k == 0:
+                    assert got == ([()] if not fixed else [])
+                    continue
+                assert len(got) == math.factorial(k) * math.comb(
+                    len(shared) + k - 1, k - 1
+                )
+                for images in got:
+                    beta = dict(zip(fixed, images))
+                    assert sorted(images) == alpha_fixed
+                    # Walked from the sources up, the paths meet every
+                    # letter of D, so none lies on a cycle inside F, and
+                    # they meet F in increasing order.
+                    met = []
+                    for s in fixed:
+                        if s in shared:
+                            continue
+                        met.append(s)
+                        while beta[met[-1]] in beta:
+                            met.append(beta[met[-1]])
+                    assert sorted(met) == fixed
+                    assert [x for x in met if x in shared] == shared
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize(
         "d,mu",
@@ -429,21 +500,14 @@ class TestBruteForceOracle:
         assert fast.total_weight == slow.total_weight
 
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_one_sweep_equals_the_census_oracle(self, d, brute_force_of):
-        # Every stratum the sweep files a key under is one of strata_at.
+    def test_one_sweep_equals_the_census_oracle(self, d):
+        # Every stratum the sweep files a key under is one of strata_at,
+        # so brute_force_of reads each census oracle off the sweep.
         sweep = brute_force_censuses(d)
         nontrivial = {parts for parts in sweep if parts[0] > 1}
         assert nontrivial == {
             target_class(d, StratumSignature(mu)).parts for mu in strata_at(d)
         }
-        for mu in strata_at(d):
-            want = brute_force_census(d, StratumSignature(mu))
-            assert brute_force_of(d, mu) == want
-            assert brute_force_of(d, mu).total_weight == want.total_weight
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_census(7, StratumSignature((2,)))
 
 
 class TestSaveLoad:

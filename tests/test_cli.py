@@ -68,6 +68,21 @@ class TestCensusCommand:
         assert err == "error: degree must be positive\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["census", "orbits"])
+    @pytest.mark.parametrize("degree", ["256", "300"])
+    def test_degree_over_255_is_usage_error(
+        self, capsys, tmp_path, command, degree
+    ):
+        # Words are bytes, one byte per letter.
+        code, out, err = run(
+            capsys, command, "--degree", degree, "--mu", "2",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree must be at most 255\n"
+        assert not list(tmp_path.iterdir())
+
     def test_budget_exceeded_exits_one_without_partial_file(
         self, capsys, tmp_path
     ):

@@ -23,10 +23,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 KEEP = {
     "l_from_s_kappa": "the paper's relation L = 12 kappa / (12 - s) in closed form",
-    "brute_force_census": (
-        "holds census.py's permutations import, which the tracer wraps "
-        "to count census.betas_tried"
-    ),
 }
 
 
