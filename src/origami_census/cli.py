@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,7 +273,15 @@ def cmd_classify(args) -> None:
         "weight": o.weight,
         "cylinders": horizontal_cylinders(o),
         "involutions": [
-            {**asdict(r), "tau": str(r.tau), "total_fixed": r.total_fixed}
+            {
+                "tau": str(r.tau),
+                "square_centers": r.square_centers,
+                "vertical_edges": r.vertical_edges,
+                "horizontal_edges": r.horizontal_edges,
+                "regular_vertices": r.regular_vertices,
+                "fixed_zeros": r.fixed_zeros,
+                "total_fixed": r.total_fixed,
+            }
             for r in involutions
         ],
         "hyperelliptic": is_hyperelliptic(o),
@@ -313,6 +320,10 @@ def cmd_limits(args) -> None:
     stratum = parse_mu(args.mu)
     if args.dmax < 1:
         raise UsageError("--dmax must be positive")
+    if args.dmax > 255:
+        # Checked before the sweep, which would otherwise run every
+        # lower degree first.
+        raise UsageError("--dmax must be at most 255")
     report = sweep(
         stratum,
         args.dmax,

@@ -12,14 +12,11 @@ every compatible involution on any stratum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .perm import Perm, commutator_word, inverse_word, word_cycles
+from .perm import Perm, Value, commutator_word, inverse_word, word_cycles
 from .surface import Origami
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(Value):
     """Fixed-point census of one compatible involution.
 
     ``square_centers`` counts fixed squares (the center of each is a
@@ -31,12 +28,16 @@ class InvolutionReport:
     four letter counts plus one.
     """
 
-    tau: Perm
-    square_centers: int
-    vertical_edges: int
-    horizontal_edges: int
-    regular_vertices: int
-    fixed_zeros: int
+    __slots__ = (
+        "tau", "square_centers", "vertical_edges", "horizontal_edges",
+        "regular_vertices", "fixed_zeros",
+    )
+
+    def __init__(self, tau: Perm, square_centers: int, vertical_edges: int,
+                 horizontal_edges: int, regular_vertices: int,
+                 fixed_zeros: int):
+        self._set(tau, square_centers, vertical_edges, horizontal_edges,
+                  regular_vertices, fixed_zeros)
 
     @property
     def total_fixed(self) -> int:

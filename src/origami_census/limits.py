@@ -10,14 +10,13 @@ table (data/appendix_b.csv) gives the limit values for genus 3 to 6.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .census import ResourceBudgetError, enumerate_census, weight_of_keys
 from .involutions import is_hyperelliptic
 from .orbits import ComponentSummary, component_slope, decompose
+from .perm import Value
 from .surface import InvariantError, StratumSignature
 
 REFERENCE_GENUS_RANGE = (3, 6)
@@ -79,17 +78,24 @@ def stratum_constants(
     return hyperelliptic_constants(stratum.genus, zeros)
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    genus: int
-    mu: tuple[int, ...]
-    label: str  # hyp | odd | even | nonhyp | all
-    slope: Fraction
+class ReferenceRow(Value):
+    """One row of the reference table; ``label`` is hyp, odd, even,
+    nonhyp or all."""
+
+    __slots__ = ("genus", "mu", "label", "slope")
+
+    def __init__(self, genus: int, mu: tuple[int, ...], label: str,
+                 slope: Fraction):
+        self._set(genus, mu, label, slope)
 
 
 def load_reference_table() -> list[ReferenceRow]:
     """The bundled limiting-slope table, rows in file order, read from
     ``data/appendix_b.csv`` on each call."""
+    # Imported here: only `table` reads the file, so other commands
+    # start without the csv module.
+    import csv
+
     with open(_DATA_FILE, newline="") as f:
         return [
             ReferenceRow(
@@ -129,13 +135,16 @@ def component_label(comp: ComponentSummary, stratum: StratumSignature) -> str:
     return "all"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    degree: int
-    label: str  # all, or the component label for class rows
-    n_classes: int
-    total_weight: Fraction
-    slope: Fraction | None  # exact component slope; None for an empty row
+class SweepRow(Value):
+    """One row of a sweep.  ``label`` is "all", or the component label
+    of a class row; ``slope`` is the exact component slope, None for an
+    empty row."""
+
+    __slots__ = ("degree", "label", "n_classes", "total_weight", "slope")
+
+    def __init__(self, degree: int, label: str, n_classes: int,
+                 total_weight: Fraction, slope: Fraction | None):
+        self._set(degree, label, n_classes, total_weight, slope)
 
     @property
     def ratio(self) -> Fraction | None:
@@ -145,10 +154,15 @@ class SweepRow:
         return self.total_weight / self.n_classes
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-    truncated_at: int | None = None  # degree at which the budget ran out
+class SweepReport(Value):
+    """The rows of a sweep; ``truncated_at`` is the degree at which the
+    budget ran out, None for a full sweep."""
+
+    __slots__ = ("rows", "truncated_at")
+
+    def __init__(self, rows: tuple[SweepRow, ...],
+                 truncated_at: int | None = None):
+        self._set(rows, truncated_at)
 
 
 def sweep(

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import Census, InvariantError
 from .involutions import is_hyperelliptic
-from .perm import LETTERS, Perm, commutator_bytes, compose, cycle_lengths
+from .perm import LETTERS, Perm, Value, commutator_bytes, compose, cycle_lengths
 from .spin import spin_parity
 from .surface import (
     Origami,
@@ -28,8 +27,7 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(Value):
     """One orbit: exact counts, slope and classification labels.
 
     ``cusps`` are the orbits of the horizontal twist on the orbit's
@@ -44,14 +42,17 @@ class ComponentSummary:
     involution with 2g+2 fixed points.
     """
 
-    component_id: int
-    member_keys: tuple[bytes, ...]
-    n_classes: int
-    total_weight: Fraction
-    slope: Fraction
-    hyperelliptic: bool
-    parity: int | None
-    cusps: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = (
+        "component_id", "member_keys", "n_classes", "total_weight", "slope",
+        "hyperelliptic", "parity", "cusps",
+    )
+
+    def __init__(self, component_id: int, member_keys: tuple[bytes, ...],
+                 n_classes: int, total_weight: Fraction, slope: Fraction,
+                 hyperelliptic: bool, parity: int | None,
+                 cusps: tuple[tuple[int, tuple[int, ...]], ...]):
+        self._set(component_id, member_keys, n_classes, total_weight, slope,
+                  hyperelliptic, parity, cusps)
 
     @property
     def cusp_count(self) -> int:

@@ -12,7 +12,6 @@ this convention, so do not change it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import pairwise, permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -22,13 +21,63 @@ class DegreeMismatchError(ValueError):
     """Raised when combining permutations of different degrees."""
 
 
-@dataclass(frozen=True)
-class Perm:
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` sets them with ``object.__setattr__``, or with
+    :meth:`_set` where speed does not matter.  Two values are equal
+    when they are of one class with equal fields; a value hashes as the
+    tuple of its fields and prints as ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt by the constructor.
+        return self.__class__, self._fields()
+
+
+class Perm(Value):
     """A permutation of {1..d}, stored as a 0-based word."""
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        object.__setattr__(self, "word", word)
+        self.__post_init__()
 
     def __post_init__(self):
+        # Apart from __init__: perfbench/tracer.py counts constructions
+        # by wrapping this method.
         w = self.word
         if sorted(w) != list(range(len(w))):
             raise ValueError(f"not a permutation word: {w!r}")
@@ -60,14 +109,13 @@ class Perm:
         return f"Perm({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Value):
     """Multiset of cycle lengths of a degree-d permutation, descending."""
 
-    degree: int
-    parts: tuple[int, ...]
+    __slots__ = ("degree", "parts")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, parts: tuple[int, ...]):
+        self._set(degree, parts)
         if sum(self.parts) != self.degree:
             raise ValueError(
                 f"parts {self.parts} do not sum to degree {self.degree}"

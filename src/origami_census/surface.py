@@ -9,13 +9,13 @@ equivalence realized by :func:`canonical_key`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .perm import (
     CycleType,
     DegreeMismatchError,
     Perm,
+    Value,
     commutator_word,
     cycle_lengths,
     word_cycles,
@@ -43,13 +43,13 @@ class TrivialStratumError(OrigamiError):
     """The branching profile has genus < 2 (nothing to study)."""
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(Value):
     """Zero multiplicities (m_1,...,m_k), descending, with sum 2g-2."""
 
-    mu: tuple[int, ...]
+    __slots__ = ("mu",)
 
-    def __post_init__(self):
+    def __init__(self, mu: tuple[int, ...]):
+        self._set(mu)
         if not self.mu:
             raise TrivialStratumError("empty zero profile (genus 1)")
         if any(type(m) is not int for m in self.mu):
@@ -101,14 +101,17 @@ def stratum_of(commutator_type: CycleType) -> StratumSignature:
     return StratumSignature(mu)
 
 
-@dataclass(frozen=True)
-class Origami:
+class Origami(Value):
     """A validated transitive pair with its derived invariants."""
 
-    alpha: Perm
-    beta: Perm
-    commutator_type: CycleType
-    stratum: StratumSignature
+    __slots__ = ("alpha", "beta", "commutator_type", "stratum")
+
+    def __init__(self, alpha: Perm, beta: Perm,
+                 commutator_type: CycleType, stratum: StratumSignature):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "commutator_type", commutator_type)
+        object.__setattr__(self, "stratum", stratum)
 
     @property
     def degree(self) -> int:

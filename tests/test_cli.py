@@ -608,6 +608,18 @@ class TestLimitsCommand:
         assert err == "error: --dmax must be positive\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dmax", ["256", "300"])
+    def test_dmax_over_255_is_usage_error(self, capsys, tmp_path, dmax):
+        # Refused before the sweep walks any degree: no census is cached.
+        code, out, err = run(
+            capsys, "limits", "--mu", "2", "--dmax", dmax,
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --dmax must be at most 255\n"
+        assert not list(tmp_path.iterdir())
+
     def test_csv_columns(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "limits", "--mu", "2", "--dmax", "4",
@@ -667,6 +679,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_import_leaves_dataclasses_inspect_and_csv_unloaded(self):
+        # Start-up pays for none of them: the value types are slotted
+        # classes and `table` imports csv when it reads the file.
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, origami_census.cli; print(sorted(m for m in "
+                "('dataclasses', 'inspect', 'csv') if m in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_table_reads_the_csv_in_a_fresh_process(self, tmp_path):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "origami_census", "table", "--genus", "3",
+                "--cache-dir", str(tmp_path),
+            ],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == CLI_GOLDEN_SHA256[("table --genus 3", "text")]
 
     def test_usage_error_from_argparse(self):
         proc = subprocess.run(
