@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .perm import (
     LETTERS,
+    MAX_DEGREE,
     CycleType,
     Perm,
     centralizer_generators,
@@ -80,15 +81,15 @@ class Census(Mapping):
 
     def __init__(self, degree: int, stratum: StratumSignature,
                  keys: Iterable[bytes]):
+        self.commutator_type = target_class(degree, stratum)
         self.degree = degree
         self.stratum = stratum
-        self.commutator_type = target_class(degree, stratum)
         self._keys = sorted(keys)
         for a, b in pairwise(self._keys):
             if a == b:
                 raise InvariantError(f"canonical key {a.hex()} found twice")
         self.n_classes = len(self._keys)
-        self.total_weight = weight_of_keys(self._keys, degree)
+        self.total_weight = weight_of_keys(self._keys)
 
     def __getitem__(self, key: bytes) -> Origami:
         if key not in self:
@@ -131,17 +132,17 @@ class Census(Mapping):
         )
 
 
-def weight_of_keys(keys: Iterable[bytes], degree: int) -> Fraction:
+def weight_of_keys(keys: Iterable[bytes]) -> Fraction:
     """Total weight of the members with these keys.
 
     A member's weight depends only on the cycle type of its alpha, so
     one weight is computed per type.  Many members share an alpha word,
-    the first half of the key, so each distinct alpha is decoded and
-    walked once.
+    the first half of the key, so each distinct alpha is walked once,
+    on its bytes.
     """
     counts: Counter[tuple[int, ...]] = Counter()
     for half, n in Counter(k[:len(k) // 2] for k in keys).items():
-        counts[cycle_lengths(decode_pair(half, degree)[0])] += n
+        counts[cycle_lengths(half)] += n
     return sum(
         (n * weight_of_parts(parts) for parts, n in counts.items()), Fraction(0)
     )
@@ -149,7 +150,16 @@ def weight_of_keys(keys: Iterable[bytes], degree: int) -> Fraction:
 
 def target_class(degree: int, stratum: StratumSignature) -> CycleType | None:
     """Commutator class for the stratum at this degree, or None if d is
-    too small to fit one cycle of length m+1 per zero."""
+    too small to fit one cycle of length m+1 per zero.
+
+    A word holds one byte per letter, so a degree over ``MAX_DEGREE``
+    raises ValueError.
+    """
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"degree {degree} is over {MAX_DEGREE}: words hold one byte per "
+            "letter"
+        )
     heavy = [m + 1 for m in stratum.mu]
     if sum(heavy) > degree:
         return None
@@ -381,16 +391,11 @@ def enumerate_census(
     the extra member is read; alpha classes not yet started are then
     cancelled.  ``workers`` is clamped to the number of alpha classes
     and of CPUs.  Every member is checked to be a transitive pair whose
-    commutator has the stratum's type.  The words are ``bytes``, one
-    byte per letter, so a degree over 255 raises ValueError.
+    commutator has the stratum's type.  A degree over ``MAX_DEGREE``
+    raises ValueError from :func:`target_class` before any work.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
-    if degree > 255:
-        raise ValueError(
-            f"enumerate_census needs one byte per letter: degree {degree} "
-            "is over 255"
-        )
     target = target_class(degree, stratum)
     if target is None:
         return Census(degree, stratum, ())
@@ -474,10 +479,10 @@ def load_census(
     Holding more than ``budget`` records raises
     :class:`ResourceBudgetError` at once, as in :func:`enumerate_census`.
     A header other than ``expect``, a ``(degree, stratum)`` pair, or of
-    degree over 255 raises :class:`CensusSchemaError` before any record
-    is read: the commutator check runs on ``bytes`` words, one byte per
-    letter.  A path that cannot be opened or read, or whose bytes are
-    not ASCII, raises :class:`CensusCorruptError` ("cannot read ...").
+    degree over ``MAX_DEGREE`` raises :class:`CensusSchemaError` before
+    any record is read.  A path that cannot be opened or read, or whose
+    bytes are not ASCII, raises :class:`CensusCorruptError` ("cannot
+    read ...").
     """
     path = Path(path)
 
@@ -508,23 +513,18 @@ def load_census(
             try:
                 degree = header["degree"]
                 stratum = StratumSignature.from_parts(header["mu"])
+                if type(degree) is not int or degree < 1:
+                    raise ValueError(
+                        f"degree {degree!r} is not a positive integer"
+                    )
+                target = target_class(degree, stratum)
             except (KeyError, TypeError, ValueError) as exc:
                 raise CensusSchemaError(f"{path}: bad header: {exc}") from exc
-            if type(degree) is not int or degree < 1:
-                raise CensusSchemaError(
-                    f"{path}: bad header: degree {degree!r} is not a positive "
-                    "integer"
-                )
-            if degree > 255:
-                raise CensusSchemaError(
-                    f"{path}: bad header: degree {degree} is over 255"
-                )
             if expect is not None and (degree, stratum) != expect:
                 raise CensusSchemaError(
                     f"{path} holds the census of d={degree} mu={stratum}"
                 )
 
-            target = target_class(degree, stratum)
             keys: list[bytes] = []
             for line in f:
                 rec = parse(last, "record")

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .census import (
 from .involutions import find_anti_involutions, is_hyperelliptic
 from .limits import reference_rows, stratum_constants, sweep
 from .orbits import decompose
-from .perm import DegreeMismatchError, perm_from_cycles
+from .perm import MAX_DEGREE, DegreeMismatchError, perm_from_cycles
 from .spin import ParityUndefinedError, spin_parity
 from .surface import (
     OrigamiError,
@@ -100,6 +99,10 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
     census = enumerate_census(
         degree, stratum, workers=args.workers, budget=args.budget
     )
+    # Imported here: only a cache write needs it, and it costs every
+    # other run about 8 ms of start-up.
+    import tempfile
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -166,8 +169,8 @@ def census_from_args(args) -> Census:
     stratum = parse_mu(args.mu)
     if args.degree < 1:
         raise UsageError("degree must be positive")
-    if args.degree > 255:
-        raise UsageError("degree must be at most 255")
+    if args.degree > MAX_DEGREE:
+        raise UsageError(f"degree must be at most {MAX_DEGREE}")
     return get_census(args, args.degree, stratum)
 
 
@@ -320,10 +323,10 @@ def cmd_limits(args) -> None:
     stratum = parse_mu(args.mu)
     if args.dmax < 1:
         raise UsageError("--dmax must be positive")
-    if args.dmax > 255:
+    if args.dmax > MAX_DEGREE:
         # Checked before the sweep, which would otherwise run every
         # lower degree first.
-        raise UsageError("--dmax must be at most 255")
+        raise UsageError(f"--dmax must be at most {MAX_DEGREE}")
     report = sweep(
         stratum,
         args.dmax,

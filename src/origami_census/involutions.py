@@ -12,7 +12,7 @@ every compatible involution on any stratum.
 """
 from __future__ import annotations
 
-from .perm import Perm, Value, commutator_word, inverse_word, word_cycles
+from .perm import Perm, Value, commutator_bytes, inverse_word, word_cycles
 from .surface import Origami
 
 
@@ -108,7 +108,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     if not taus:
         return []
     # The surface's vertices are the cycles of the commutator.
-    gamma_cycles = word_cycles(commutator_word(aw, bw))
+    gamma_cycles = word_cycles(commutator_bytes(bytes(aw), bytes(bw)))
     cycle_of = [0] * d
     for idx, cyc in enumerate(gamma_cycles):
         for x in cyc:

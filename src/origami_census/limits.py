@@ -198,7 +198,7 @@ def sweep(
             totals = [("all", census.n_classes, census.total_weight)]
         elif scope == "hyperelliptic":
             keys = [k for k, o in census.items() if is_hyperelliptic(o)]
-            totals = [("hyp", len(keys), weight_of_keys(keys, d))]
+            totals = [("hyp", len(keys), weight_of_keys(keys))]
         else:
             groups: dict[str, tuple[int, Fraction]] = {}
             for comp in decompose(census):

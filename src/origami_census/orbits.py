@@ -20,7 +20,6 @@ from .surface import (
     Origami,
     StratumSignature,
     canonical_form,
-    decode_pair,
     encode_pair,
     make_origami,
     weight_of_parts,
@@ -63,10 +62,10 @@ def twist_words(aw: bytes, bw: bytes) -> tuple[tuple[bytes, bytes], ...]:
     """Words of the horizontal and vertical twist images of (aw, bw).
 
     Returns ((alpha, alpha beta), (beta alpha, beta)).  A word is
-    ``bytes``, one letter per byte, so the degree is below 256 and each
-    product is one ``bytes.translate``: ``bw.translate(aw + pad)``,
-    with ``pad`` the letters from the degree to 255, maps each letter y
-    of beta to alpha's image of it.
+    ``bytes``, one letter per byte, and each product is one
+    ``bytes.translate``: ``bw.translate(aw + pad)``, with ``pad`` the
+    letters from the degree to 255, maps each letter y of beta to
+    alpha's image of it.
     """
     pad = LETTERS[len(aw):]
     return (aw, bw.translate(aw + pad)), (aw.translate(bw + pad), bw)
@@ -138,15 +137,8 @@ def decompose(census: Census) -> list[ComponentSummary]:
     hyperelliptic flag (and spin parity, on even strata), which must
     equal that of the orbit's least member.  A failed check, or an
     image outside the census, raises :class:`InvariantError`.
-
-    The word products run as ``bytes.translate``, one byte per letter,
-    so a census of degree over 255 raises ValueError.
     """
     d = census.degree
-    if d > 255:
-        raise ValueError(
-            f"decompose needs one byte per letter: degree {d} is over 255"
-        )
     keys = list(census)  # in key order; a member is its position here
     h_next, v_next = array("i"), array("i")
     for key in keys:
@@ -209,7 +201,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
                         f"gives {want!r}, {keys[i].hex()} gives {got!r}"
                     )
         hyperelliptic, parity = first
-        cusps = cusp_data(members, keys, h_next, census.degree)
+        cusps = cusp_data(members, keys, h_next)
         weight = sum(
             (n * weight_of_parts(parts) for n, parts in cusps), Fraction(0)
         )
@@ -228,8 +220,9 @@ def decompose(census: Census) -> list[ComponentSummary]:
     return out
 
 
-def cusp_data(members: list[int], keys: list[bytes], h_next: array,
-              degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def cusp_data(
+    members: list[int], keys: list[bytes], h_next: array
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Orbits of the horizontal twist alone within one component.
 
     ``members`` are the component's positions in the sorted census
@@ -242,7 +235,7 @@ def cusp_data(members: list[int], keys: list[bytes], h_next: array,
     order of its least member; the cycle type of alpha is constant
     along it (the twist fixes alpha) and is reported per cusp.  Many
     members share an alpha word, the first half of the key, so each
-    distinct one is decoded and walked once.
+    distinct one is walked once, on its bytes.
     """
     walked = bytearray(len(keys))
     parts_of: dict[bytes, tuple[int, ...]] = {}  # alpha's cycle type by word
@@ -259,9 +252,7 @@ def cusp_data(members: list[int], keys: list[bytes], h_next: array,
             alpha = key[:len(key) // 2]
             parts = parts_of.get(alpha)
             if parts is None:
-                parts = parts_of[alpha] = cycle_lengths(
-                    decode_pair(alpha, degree)[0]
-                )
+                parts = parts_of[alpha] = cycle_lengths(alpha)
             if alpha_parts is None:
                 alpha_parts = parts
             elif parts != alpha_parts:

@@ -12,9 +12,9 @@ this convention, so do not change it.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import pairwise, permutations, product
 from math import factorial
-from typing import Iterable, Iterator, Sequence
 
 
 class DegreeMismatchError(ValueError):
@@ -183,27 +183,21 @@ def cycle_lengths(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def commutator_word(aw: Sequence[int], bw: Sequence[int]) -> tuple[int, ...]:
-    """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first).
-
-    Built as (alpha beta)^-1 (beta alpha), with one inverse word.
-    """
-    abi = inverse_word([aw[y] for y in bw])
-    return tuple([abi[bw[x]] for x in aw])
-
-
-# Below degree 256 a word can also be a ``bytes``, letter i being byte
-# i.  ``LETTERS[d:]`` pads a word of degree d to a 256-byte table for
-# ``bytes.translate``, and ``LETTERS[:d]`` is the identity word.
+# A word can also be a ``bytes``, letter i being byte i, so a degree is
+# at most MAX_DEGREE.  ``LETTERS[d:]`` pads a word of degree d to a
+# 256-byte table for ``bytes.translate``, and ``LETTERS[:d]`` is the
+# identity word.
 LETTERS = bytes(range(256))
+MAX_DEGREE = len(LETTERS) - 1
 
 
 def commutator_bytes(aw: bytes, bw: bytes) -> bytes:
-    """:func:`commutator_word` of two ``bytes`` words, in C.
+    """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first),
+    for two ``bytes`` words, in C.
 
-    Three ``bytes.translate`` calls: ``bw.translate(aw + pad)`` is the
-    word of alpha beta, and ``bytes.maketrans(w, identity)`` is the
-    table of w's inverse.
+    It is (alpha beta)^-1 (beta alpha), from three ``bytes.translate``
+    calls: ``bw.translate(aw + pad)`` is the word of alpha beta, and
+    ``bytes.maketrans(w, identity)`` is the table of w's inverse.
     """
     d = len(aw)
     identity = LETTERS[:d]
@@ -312,21 +306,22 @@ def cycle_rotations(
 def conjugators_onto(
     xw: Sequence[int],
     y_rotations: dict[int, list[list[tuple[int, ...]]]],
-    fixed_images: Iterable[Sequence[int]] | None = None,
+    fixed_images: Iterable[Sequence[int]],
 ) -> Iterator[tuple[int, ...]]:
-    """Every word b with b x b^-1 == y, that is b[x[i]] == y[b[i]], with
-    y given as ``cycle_rotations(y)``.
+    """The words b with b x b^-1 == y, that is b[x[i]] == y[b[i]], with
+    y given as ``cycle_rotations(y)``, that map x's fixed points as
+    one entry of ``fixed_images``.
 
     Each such b maps every cycle (c, x c, ...) of x onto a cycle
     (e, y e, ...) of y of the same length, with b[x^k c] == y^k e.
     Every matching of equal-length cycles, each with every rotation,
-    gives one b: there are |Z(x)| of them, or none when x and y have
-    different cycle types.  A caller that solves against one y for
-    many x builds y's cycles once.
+    gives one b, or none when x and y have different cycle types.  A
+    caller that solves against one y for many x builds y's cycles once.
 
-    ``fixed_images``, if given, replaces the matchings of x's fixed
-    points onto y's: each entry lists the images of x's fixed points,
-    in increasing order, and must be a bijection onto y's fixed points.
+    Each entry of ``fixed_images`` lists the images of x's fixed
+    points, in increasing order, and must be a bijection onto y's fixed
+    points.  With ``permutations`` of y's fixed points, in increasing
+    order, every b is walked: there are |Z(x)| of them.
     """
     xcycles: dict[int, list[tuple[int, ...]]] = {}
     for c in word_cycles(xw):
@@ -336,8 +331,6 @@ def conjugators_onto(
     }:
         return
     fixed = [c for c, in xcycles.pop(1, ())]
-    if fixed_images is None:
-        fixed_images = permutations([e for (e,), in y_rotations.get(1, ())])
     groups = [(xcycles[n], y_rotations[n]) for n in sorted(xcycles)]
     b = [0] * len(xw)
 

@@ -33,7 +33,7 @@ square side.
 """
 from __future__ import annotations
 
-from .perm import inverse_word
+from .perm import commutator_bytes, inverse_word
 from .surface import InvariantError, Origami, canonical_key
 
 R, U, L, D = 0, 1, 2, 3
@@ -57,7 +57,7 @@ def spin_parity(o: Origami) -> int:
     ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
     try:
         cotree, q, cross, rows = _cycle_data(o, ai, bi)
-        _check_descends(_face_masks(o, ai, bi), cotree, cross, rows, q)
+        _check_descends(_face_masks(o), cotree, cross, rows, q)
         return _arf(rows, q, genus=o.genus)
     except InvariantError as exc:
         key = canonical_key(o.alpha, o.beta).hex()
@@ -221,19 +221,16 @@ def _skeleton_sides(d: int, ai, bi) -> list[int]:
     return [d + b for b in bi] + list(ai)
 
 
-def _face_masks(
-    o: Origami, ai: tuple[int, ...], bi: tuple[int, ...]
-) -> list[int]:
+def _face_masks(o: Origami) -> list[int]:
     """Boundary of the disk around each vertex, in crossing coordinates.
 
     The upper-right corner of square i lies on the vertex of the
-    commutator cycle through i; the commutator is built from ``ai`` and
-    ``bi``, the inverse words of alpha and beta.  A side whose two ends
-    lie on one vertex enters its mask twice and cancels.
+    commutator cycle through i.  A side whose two ends lie on one
+    vertex enters its mask twice and cancels.
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    gw = [bi[ai[bw[aw[i]]]] for i in range(d)]
+    gw = commutator_bytes(bytes(aw), bytes(bw))
     seen = [False] * d
     masks = []
     for start in range(d):

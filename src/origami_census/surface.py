@@ -12,11 +12,12 @@ import math
 from fractions import Fraction
 
 from .perm import (
+    MAX_DEGREE,
     CycleType,
     DegreeMismatchError,
     Perm,
     Value,
-    commutator_word,
+    commutator_bytes,
     cycle_lengths,
     word_cycles,
     words_transitive,
@@ -130,18 +131,24 @@ class Origami(Value):
 
 
 def make_origami(alpha: Perm, beta: Perm) -> Origami:
-    """Validate a monodromy pair and derive its stratum data."""
-    if alpha.degree != beta.degree:
-        raise DegreeMismatchError(
-            f"degree mismatch: {alpha.degree} vs {beta.degree}"
+    """Validate a monodromy pair and derive its stratum data.
+
+    A word holds one byte per letter, so a pair of more than
+    ``MAX_DEGREE`` squares raises :class:`OrigamiError`.
+    """
+    d = alpha.degree
+    if d != beta.degree:
+        raise DegreeMismatchError(f"degree mismatch: {d} vs {beta.degree}")
+    if d > MAX_DEGREE:
+        raise OrigamiError(
+            f"degree {d} is over {MAX_DEGREE}: words hold one byte per letter"
         )
     if not words_transitive(alpha.word, beta.word):
         raise DisconnectedCoverError(
             "disconnected cover: <alpha, beta> is not transitive"
         )
-    ctype = CycleType(
-        alpha.degree, cycle_lengths(commutator_word(alpha.word, beta.word))
-    )
+    gw = commutator_bytes(bytes(alpha.word), bytes(beta.word))
+    ctype = CycleType(d, cycle_lengths(gw))
     stratum = stratum_of(ctype)
     return Origami(alpha, beta, ctype, stratum)
 
@@ -270,25 +277,16 @@ def canonical_form(
 
 
 def encode_pair(aw: tuple[int, ...], bw: tuple[int, ...]) -> bytes:
-    """Raw byte encoding of a pair of words (no relabeling)."""
-    if len(aw) < 256:
-        return bytes(aw) + bytes(bw)
-    out = bytearray()
-    for x in aw + bw:
-        out += x.to_bytes(4, "big")
-    return bytes(out)
+    """Raw byte encoding of a pair of words (no relabeling), one byte
+    per letter."""
+    return bytes(aw) + bytes(bw)
 
 
 def decode_pair(
     key: bytes, degree: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pair of words that :func:`encode_pair` turned into ``key``."""
-    if degree < 256:
-        return tuple(key[:degree]), tuple(key[degree:])
-    word = tuple(
-        int.from_bytes(key[i:i + 4], "big") for i in range(0, len(key), 4)
-    )
-    return word[:degree], word[degree:]
+    return tuple(key[:degree]), tuple(key[degree:])
 
 
 def canonical_key(alpha: Perm, beta: Perm) -> bytes:

@@ -11,6 +11,7 @@ dedups the betas of an alpha class by sweeping each transitive beta's
 whole centralizer orbit into one set held for the whole class.  The
 package's versions must agree with them exactly.
 
+``commutator_word`` is the tuple version of ``commutator_bytes``.
 ``commutator`` and ``conjugate`` are the ``Perm``-level products,
 ``has_order_two_automorphism`` searches for a non-identity involution
 commuting with both generators, and ``brute_force_anti_involutions``
@@ -40,7 +41,6 @@ from origami_census.perm import (
     centralizer_generators,
     class_representative,
     class_words,
-    commutator_word,
     conjugators_onto,
     cycle_lengths,
     cycle_rotations,
@@ -498,6 +498,7 @@ def seen_sweep_enumerate_alpha_class(
     ai = inverse_word(aw)
     zgens = [g.word for g in centralizer_generators(alpha)]
     ai_rotations = cycle_rotations(ai)
+    ai_fixed = [x for x in range(degree) if ai[x] == x]
 
     out = []
     seen: set[tuple[int, ...]] = set()
@@ -505,7 +506,7 @@ def seen_sweep_enumerate_alpha_class(
         dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
         if cycle_lengths(dw) != alpha_parts:
             continue
-        for bw in conjugators_onto(dw, ai_rotations):
+        for bw in conjugators_onto(dw, ai_rotations, permutations(ai_fixed)):
             if bw in seen or not words_transitive(aw, bw):
                 continue
             orbit = [bw]
@@ -522,6 +523,15 @@ def seen_sweep_enumerate_alpha_class(
             ca, cb = canonical_form(aw, bw)
             out.append((encode_pair(ca, cb), ca, cb))
     return out
+
+
+def commutator_word(aw, bw) -> tuple[int, ...]:
+    """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first).
+
+    Built as (alpha beta)^-1 (beta alpha), with one inverse word.
+    """
+    abi = inverse_word([aw[y] for y in bw])
+    return tuple([abi[bw[x]] for x in aw])
 
 
 def commutator(alpha: Perm, beta: Perm) -> Perm:

@@ -114,9 +114,9 @@ class TestEnumerate:
             enumerate_census(5, StratumSignature((4,)), budget=10)
 
     def test_degree_over_255_is_refused_before_any_work(self, monkeypatch):
-        # From degree 256 a key holds 4 bytes per letter, so the byte
-        # words of the enumeration do not fit.  At 255 the profile is
-        # too large for the degree, so that census is empty.
+        # A word holds one byte per letter, so target_class refuses a
+        # degree from 256 on.  At 255 the profile is too large for the
+        # degree, so that census is empty.
         calls = []
         monkeypatch.setattr(
             census_mod, "_enumerate_alpha_class",
@@ -130,11 +130,21 @@ class TestEnumerate:
         for d, mu in ((256, huge), (300, StratumSignature((2,)))):
             with pytest.raises(
                 ValueError,
-                match=f"^enumerate_census needs one byte per letter: "
-                f"degree {d} is over 255$",
+                match=f"^degree {d} is over 255: words hold one byte per "
+                "letter$",
             ):
                 enumerate_census(d, mu)
         assert calls == []
+
+    @pytest.mark.parametrize("d", [256, 300])
+    def test_census_of_degree_over_255_is_refused(self, d):
+        stratum = StratumSignature((2,))
+        for build in (
+            lambda: target_class(d, stratum),
+            lambda: Census(d, stratum, ()),
+        ):
+            with pytest.raises(ValueError, match=f"^degree {d} is over 255: "):
+                build()
 
     def test_serial_budget_stops_during_the_sweep(self, monkeypatch):
         calls = []
@@ -434,8 +444,8 @@ class TestPathMatchings:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_without_shared_fixed_points_every_matching_in_order(self, d):
-        # The order conjugators_onto walks by default, so a coset with F
-        # empty yields every beta, in conjugators_onto's own order.
+        # Every matching, in the order of permutations, so a coset with
+        # F empty yields every beta of the coset: |Z(alpha)| of them.
         for parts in partitions_desc(d):
             aw = class_representative(CycleType(d, parts)).word
             ai_rotations = cycle_rotations(inverse_word(aw))
@@ -445,9 +455,9 @@ class TestPathMatchings:
                     continue
                 got = list(census_mod._path_matchings(dw, alpha_fixed))
                 assert got == list(permutations(alpha_fixed))
-                assert list(conjugators_onto(dw, ai_rotations, got)) == list(
-                    conjugators_onto(dw, ai_rotations)
-                )
+                betas = list(conjugators_onto(dw, ai_rotations, got))
+                assert len(set(betas)) == len(betas)
+                assert len(betas) == math.factorial(d) // class_size(parts)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_acyclic_matching_per_orbit(self, d):
@@ -717,8 +727,8 @@ class TestSaveLoad:
             load_census(path)
 
     def test_header_degree_over_255(self, census_of, tmp_path, monkeypatch):
-        # a census of degree 255 still loads; from 256 the header is
-        # refused before any record is read
+        # a census of degree 255 still loads; from 256 target_class
+        # refuses the header before any record is read
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         header, *records = path.read_text().splitlines()

@@ -4,9 +4,11 @@ import json
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import origami_census
 from origami_census import census as census_mod
 from origami_census import cli
 from origami_census.cli import main
@@ -554,6 +556,24 @@ class TestClassifyCommand:
         assert out == ""
         assert err == "error: degree mismatch: 2 vs 3\n"
 
+    @pytest.mark.parametrize("degree", [256, 300])
+    def test_over_255_squares_is_usage_error(self, capsys, tmp_path, degree):
+        # A word holds one byte per letter.  The n-cycle with one
+        # transposition of neighbours is transitive and lies in H(2).
+        letters = ",".join(str(x) for x in range(1, degree + 1))
+        fixed = "".join(f"({x})" for x in range(3, degree + 1))
+        code, out, err = run(
+            capsys, "classify", "--alpha", f"({letters})",
+            "--beta", f"(1,2){fixed}", "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: degree {degree} is over 255: words hold one byte per "
+            "letter\n"
+        )
+        assert not list(tmp_path.iterdir())
+
 
 class TestLimitsCommand:
     def test_sweep_shows_forced_ratio(self, capsys, tmp_path):
@@ -688,6 +708,24 @@ class TestEntryPoint:
                 sys.executable, "-c",
                 "import sys, origami_census.cli; print(sorted(m for m in "
                 "('dataclasses', 'inspect', 'csv') if m in sys.modules))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_import_leaves_typing_and_tempfile_unloaded(self):
+        # Under -S no site hook preloads them, so this sees what the
+        # package itself imports: annotations are never evaluated, and
+        # only a cache write needs tempfile.
+        src = Path(origami_census.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-S", "-c",
+                f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import origami_census.cli; print(sorted(m for m in "
+                "('typing', 'tempfile') if m in sys.modules))",
             ],
             capture_output=True,
             text=True,

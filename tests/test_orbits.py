@@ -20,13 +20,14 @@ from origami_census.orbits import (
 )
 from origami_census.perm import (
     Perm,
-    commutator_word,
+    commutator_bytes,
     compose,
     cycle_lengths,
     inverse_word,
     perm_from_cycles,
 )
 from origami_census.surface import (
+    OrigamiError,
     StratumSignature,
     canonical_key,
     decode_pair,
@@ -41,7 +42,7 @@ from conftest import (
     origami,
     strata_at,
 )
-from reference_kernels import commutator, conjugate
+from reference_kernels import commutator, commutator_word, conjugate
 
 
 class TestTwists:
@@ -131,12 +132,7 @@ class TestByteWords:
             inverse = bytes.maketrans(aw, identity)
             assert inverse == bytes(inverse_word(aw)) + pad
             assert aw.translate(inverse) == identity
-            commutator = (
-                aw.translate(bw + pad)
-                .translate(bytes.maketrans(aw, identity))
-                .translate(bytes.maketrans(bw, identity))
-            )
-            assert commutator == bytes(commutator_word(aw, bw))
+            assert commutator_bytes(aw, bw) == bytes(commutator_word(aw, bw))
             assert twist_words(aw, bw) == (
                 (aw, bytes(compose(alpha, beta).word)),
                 (bytes(compose(beta, alpha).word), bw),
@@ -164,15 +160,16 @@ class TestByteWords:
         assert verdicts == ({True} if d <= 2 else {True, False})
 
     def test_degree_over_255_is_rejected(self):
-        # The n-cycle with one transposition of neighbours lies in H(2).
+        # decompose never sees a degree over 255: neither a member nor
+        # a census of that degree can be built.  The n-cycle with one
+        # transposition of neighbours would lie in H(2).
         d = 256
-        o = make_origami(
-            Perm(tuple(range(1, d)) + (0,)), Perm((1, 0) + tuple(range(2, d)))
-        )
-        census = Census(d, o.stratum, [canonical_key(o.alpha, o.beta)])
-        assert len(census) == 1
-        with pytest.raises(ValueError, match="one byte per letter"):
-            decompose(census)
+        alpha = Perm(tuple(range(1, d)) + (0,))
+        beta = Perm((1, 0) + tuple(range(2, d)))
+        with pytest.raises(OrigamiError, match="over 255"):
+            make_origami(alpha, beta)
+        with pytest.raises(ValueError, match="over 255"):
+            Census(d, StratumSignature((2,)), [bytes(alpha.word + beta.word)])
 
 
 class TestDegree5Decomposition:
@@ -562,7 +559,7 @@ class TestInvariantErrors:
         bad_next = array("i", range(len(keys)))
         bad_next[0], bad_next[i] = i, 0
         with pytest.raises(InvariantError, match=other.hex()) as err:
-            cusp_data([0, i], keys, bad_next, 5)
+            cusp_data([0, i], keys, bad_next)
         assert first.hex() in str(err.value)
 
     def test_image_into_an_earlier_orbit_names_the_keys(

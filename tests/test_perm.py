@@ -14,7 +14,7 @@ from origami_census.perm import (
     class_representative,
     class_size,
     class_words,
-    commutator_word,
+    commutator_bytes,
     compose,
     conjugators_onto,
     cycle_lengths,
@@ -24,7 +24,7 @@ from origami_census.perm import (
     words_transitive,
 )
 from conftest import all_perms
-from reference_kernels import commutator, conjugate
+from reference_kernels import commutator, commutator_word, conjugate
 
 
 def perms(min_degree=1, max_degree=8):
@@ -130,6 +130,7 @@ class TestWordPrimitives:
                 assert w == compose(
                     compose(b.inverse(), a.inverse()), compose(b, a)
                 ).word
+                assert commutator_bytes(bytes(a.word), bytes(b.word)) == bytes(w)
 
 
 class TestCycleType:
@@ -343,12 +344,18 @@ class TestClassWords:
             list(class_words(parts, 3))
 
 
+def every_conjugator(xw, yw):
+    """conjugators_onto with every matching of the fixed points."""
+    y_fixed = [i for i in range(len(yw)) if yw[i] == i]
+    return conjugators_onto(xw, cycle_rotations(yw), permutations(y_fixed))
+
+
 class TestConjugatorWords:
     def test_all_solutions_over_s4(self):
         ps = list(all_perms(4))
         for x in ps:
             for y in ps:
-                got = list(conjugators_onto(x.word, cycle_rotations(y.word)))
+                got = list(every_conjugator(x.word, y.word))
                 want = {b.word for b in ps if compose(b, x) == compose(y, b)}
                 assert len(got) == len(set(got))
                 assert set(got) == want
@@ -361,15 +368,16 @@ class TestConjugatorWords:
 
     def test_fixed_images_pick_the_fixed_point_matching(self):
         # Each entry of fixed_images keeps the conjugators with those
-        # images of x's fixed points; all of them, in the order of
-        # permutations, give the default walk in its order.
+        # images of x's fixed points; walked one entry at a time, in
+        # the order of permutations, they give the whole walk in its
+        # order.
         ps = [p.word for p in all_perms(4)]
         for x in ps:
             xf = [i for i in range(4) if x[i] == i]
             for y in ps:
                 if cycle_lengths(x) != cycle_lengths(y):
                     continue
-                every = list(conjugators_onto(x, cycle_rotations(y)))
+                every = list(every_conjugator(x, y))
                 walked = []
                 for images in permutations([i for i in range(4) if y[i] == i]):
                     got = list(
@@ -385,7 +393,7 @@ class TestConjugatorWords:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_self_conjugators_are_the_centralizer(self, d):
         for p in all_perms(d):
-            got = set(conjugators_onto(p.word, cycle_rotations(p.word)))
+            got = set(every_conjugator(p.word, p.word))
             assert got == _closure(centralizer_generators(p), d)
 
     def test_solves_for_beta_from_its_commutator(self):
@@ -396,8 +404,7 @@ class TestConjugatorWords:
         gamma = commutator(a, b)
         delta = compose(gamma, a.inverse())
         betas = {
-            Perm(w)
-            for w in conjugators_onto(delta.word, cycle_rotations(a.inverse().word))
+            Perm(w) for w in every_conjugator(delta.word, a.inverse().word)
         }
         assert b in betas
         assert len(betas) == 4

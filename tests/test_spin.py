@@ -219,7 +219,7 @@ class TestFaces:
         census = census_of(d, mu)
         assert census.n_classes > 0
         for o in census.values():
-            faces = spin._face_masks(o, *inverse_words(o))
+            faces = spin._face_masks(o)
             assert sorted(faces) == sorted(corner_union_find_masks(o))
             assert len(faces) == len(o.commutator_type.parts)
 

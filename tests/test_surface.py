@@ -21,6 +21,7 @@ from origami_census.perm import (
 from origami_census.surface import (
     DisconnectedCoverError,
     InvariantError,
+    OrigamiError,
     StratumSignature,
     TrivialStratumError,
     canonical_form,
@@ -87,6 +88,19 @@ class TestMakeOrigami:
     def test_trivial_stratum(self):
         with pytest.raises(TrivialStratumError):
             make_origami(Perm((0,)), Perm((0,)))
+
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_over_255_squares_is_refused(self, d):
+        # A word holds one byte per letter.  The n-cycle with one
+        # transposition of neighbours is transitive and lies in H(2),
+        # so only the degree can be at fault.
+        alpha = Perm(tuple(range(1, d)) + (0,))
+        beta = Perm((1, 0) + tuple(range(2, d)))
+        if d == 255:
+            assert make_origami(alpha, beta).stratum.mu == (2,)
+            return
+        with pytest.raises(OrigamiError, match=f"^degree {d} is over 255: "):
+            make_origami(alpha, beta)
 
 
 class TestGenus:
@@ -324,7 +338,7 @@ class TestCanonicalFormReference:
 
 
 class TestKeyCodec:
-    @pytest.mark.parametrize("d", [1, 5, 255, 256, 300])
+    @pytest.mark.parametrize("d", [1, 5, 255])
     def test_decode_inverts_encode(self, d):
         rng = random.Random(d)
         a, b = list(range(d)), list(range(d))
@@ -332,13 +346,13 @@ class TestKeyCodec:
         rng.shuffle(b)
         a, b = tuple(a), tuple(b)
         key = encode_pair(a, b)
-        assert len(key) == (2 * d if d < 256 else 8 * d)
+        assert len(key) == 2 * d
         assert decode_pair(key, d) == (a, b)
 
-    @pytest.mark.parametrize("d", [255, 256, 300])
+    @pytest.mark.parametrize("d", [255])
     def test_key_order_is_word_order(self, d):
-        # census members are sorted by key, so at every letter width
-        # the byte order of keys must be the order of their word pairs
+        # census members are sorted by key, so the byte order of keys
+        # must be the order of their word pairs
         rng = random.Random(d)
         pairs = []
         for _ in range(20):
@@ -348,17 +362,6 @@ class TestKeyCodec:
             pairs.append((tuple(a), tuple(b)))
         by_key = sorted(pairs, key=lambda p: encode_pair(*p))
         assert by_key == sorted(pairs)
-
-    def test_key_of_a_300_square_pair_decodes_to_its_form(self):
-        rng = random.Random(300)
-        a, b = list(range(300)), list(range(300))
-        rng.shuffle(a)
-        rng.shuffle(b)
-        a, b = tuple(a), tuple(b)
-        assert words_transitive(a, b)
-        key = canonical_key(Perm(a), Perm(b))
-        assert len(key) == 8 * 300
-        assert decode_pair(key, 300) == canonical_form(a, b)
 
     def test_key_of_every_member_decodes_to_its_pair(self, census_of):
         census = census_of(6, (2, 2))
