@@ -39,8 +39,6 @@ from .surface import (
     Origami,
     StratumSignature,
     canonical_form,
-    decode_pair,
-    encode_pair,
     record_words,
     weight_of_parts,
 )
@@ -72,11 +70,12 @@ class Census(Mapping):
     """All classes for one (degree, stratum): a read-only mapping from
     canonical key to member, in key order.
 
-    A key is ``encode_pair`` of the class's canonical pair, so it holds
-    the member's words; the commutator type and the stratum are shared
-    by every member and stored once.  A member is built as an
-    :class:`Origami` when it is read and is not kept.  The keys are
-    sorted once; a key given twice raises :class:`InvariantError`.
+    A key is the class's :func:`canonical_form`, alpha's word then
+    beta's, so it holds the member's words; the commutator type and the
+    stratum are shared by every member and stored once.  A member is
+    built as an :class:`Origami` when it is read and is not kept.  The
+    keys are sorted once; a key given twice raises
+    :class:`InvariantError`.
     """
 
     def __init__(self, degree: int, stratum: StratumSignature,
@@ -99,8 +98,10 @@ class Census(Mapping):
     def member(self, key: bytes) -> Origami:
         """The member of ``key``, which must be one of the census's keys:
         unlike ``census[key]``, it does not look the key up."""
-        aw, bw = decode_pair(key, self.degree)
-        return Origami(Perm(aw), Perm(bw), self.commutator_type, self.stratum)
+        d = self.degree
+        return Origami(
+            Perm(key[:d]), Perm(key[d:]), self.commutator_type, self.stratum
+        )
 
     def __contains__(self, key) -> bool:
         if not isinstance(key, bytes):
@@ -221,13 +222,12 @@ def _commutators(
     degree: int,
     alpha_parts: tuple[int, ...],
     target_parts: tuple[int, ...],
-    aw: tuple[int, ...],
-    ai: tuple[int, ...],
+    aw: bytes,
+    ai: bytes,
     seen: set[bytes],
 ) -> Iterator[tuple[bytes, bytes]]:
     """Each gamma of the target class not in ``seen`` whose delta =
-    gamma alpha^-1 has alpha's cycle type, with that delta, both as
-    ``bytes`` words.
+    gamma alpha^-1 has alpha's cycle type, with that delta.
 
     gamma and delta = gamma alpha^-1 determine each other, so the
     smaller of the two classes is walked: deltas of alpha's class,
@@ -241,22 +241,20 @@ def _commutators(
     pad = LETTERS[degree:]
     if class_size(alpha_parts) < class_size(target_parts):
         order = lcm(*target_parts)
-        a_bytes = bytes(aw)
-        for dw in map(bytes, class_words(alpha_parts, degree)):
-            gw = a_bytes.translate(dw + pad)
+        for dw in class_words(alpha_parts, degree):
+            gw = aw.translate(dw + pad)
             if gw in seen or not _power_is_identity(gw, order, pad):
                 continue
             if cycle_lengths(gw) == target_parts:
                 yield gw, dw
     else:
         order = lcm(*alpha_parts)
-        ai_bytes = bytes(ai)
         words = _class_bytes(target_parts, degree)
         for k in range(0, len(words), degree):
             gw = words[k:k + degree]
             if gw in seen:
                 continue
-            dw = ai_bytes.translate(gw + pad)
+            dw = ai.translate(gw + pad)
             if not _power_is_identity(dw, order, pad):
                 continue
             if cycle_lengths(dw) == alpha_parts:
@@ -348,7 +346,7 @@ def _enumerate_alpha_class(
     pad = LETTERS[degree:]
     # z gamma z^-1 maps each letter through z^-1, gamma, then z
     ztables = [
-        (bytes(z.word) + pad, bytes(inverse_word(z.word)))
+        (z.word + pad, inverse_word(z.word))
         for z in centralizer_generators(alpha)
     ]
     ai_rotations = cycle_rotations(ai)
@@ -370,7 +368,7 @@ def _enumerate_alpha_class(
                     orbit.append(t)
         images = _path_matchings(dw, alpha_fixed)
         out.extend(dict.fromkeys(
-            encode_pair(*canonical_form(aw, bw))
+            canonical_form(aw, bw)
             for bw in conjugators_onto(dw, ai_rotations, images)
             if words_transitive(aw, bw)
         ))
@@ -531,13 +529,13 @@ def load_census(
                 last = line
                 try:
                     aw, bw = record_words(rec, degree)
+                    key = aw + bw
                     # canonical_form raises DisconnectedCoverError, a
                     # ValueError, unless the pair is transitive.
-                    canonical = canonical_form(aw, bw) == (aw, bw)
+                    canonical = canonical_form(aw, bw) == key
                 except (KeyError, TypeError, ValueError) as exc:
                     raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
-                key = encode_pair(aw, bw)
-                gw = commutator_bytes(key[:degree], key[degree:])
+                gw = commutator_bytes(aw, bw)
                 if target is None or cycle_lengths(gw) != target.parts:
                     raise CensusSchemaError(
                         f"{path}: record does not match header degree/mu"

@@ -108,7 +108,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     if not taus:
         return []
     # The surface's vertices are the cycles of the commutator.
-    gamma_cycles = word_cycles(commutator_bytes(bytes(aw), bytes(bw)))
+    gamma_cycles = word_cycles(commutator_bytes(aw, bw))
     cycle_of = [0] * d
     for idx, cyc in enumerate(gamma_cycles):
         for x in cyc:
@@ -131,7 +131,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
             if len(cyc) >= 2 and cycle_of[sigma[cyc[0]]] == cycle_of[cyc[0]]
         )
         reports.append(InvolutionReport(
-            Perm(tuple(tw)), centers, vert, horiz, regular, zeros
+            Perm(tw), centers, vert, horiz, regular, zeros
         ))
     return reports
 

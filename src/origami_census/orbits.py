@@ -20,7 +20,6 @@ from .surface import (
     Origami,
     StratumSignature,
     canonical_form,
-    encode_pair,
     make_origami,
     weight_of_parts,
 )
@@ -86,8 +85,8 @@ def act_h_alpha(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(bytes(o.alpha.word), bytes(o.beta.word))[0]
-    return make_origami(Perm(tuple(aw)), Perm(tuple(bw)))
+    aw, bw = twist_words(o.alpha.word, o.beta.word)[0]
+    return make_origami(Perm(aw), Perm(bw))
 
 
 def act_h_beta(o: Origami) -> Origami:
@@ -96,8 +95,8 @@ def act_h_beta(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(bytes(o.alpha.word), bytes(o.beta.word))[1]
-    return make_origami(Perm(tuple(aw)), Perm(tuple(bw)))
+    aw, bw = twist_words(o.alpha.word, o.beta.word)[1]
+    return make_origami(Perm(aw), Perm(bw))
 
 
 def act_h_alpha_inverse(o: Origami) -> Origami:
@@ -152,7 +151,7 @@ def decompose(census: Census) -> list[ComponentSummary]:
                     f"{twist} twist of {key.hex()} changed the "
                     "commutator word"
                 )
-            image_key = encode_pair(*canonical_form(tuple(ta), tuple(tb)))
+            image_key = canonical_form(ta, tb)
             i = bisect_left(keys, image_key)
             if i == len(keys) or keys[i] != image_key:
                 raise InvariantError(

@@ -1,9 +1,9 @@
 """Permutations on the letters 1..d and conjugacy-class utilities.
 
-Internally a permutation is a word: a tuple ``w`` of length d with
-``w[i]`` the 0-based image of the 0-based letter ``i``.  Cycle
-strings are 1-based; a census key, printed and cached in hex, holds
-the 0-based words.
+Internally a permutation is a word: a ``bytes`` ``w`` of length d with
+``w[i]`` the 0-based image of the 0-based letter ``i``, so a degree is
+at most :data:`MAX_DEGREE`.  Cycle strings are 1-based; a census key,
+printed and cached in hex, is the two 0-based words of a pair joined.
 
 Composition convention: ``compose(p, q)`` applies ``q`` first, then
 ``p``.  Everything downstream (commutators, twist actions) relies on
@@ -66,12 +66,24 @@ class Value:
         return self.__class__, self._fields()
 
 
+# Letter i of a word is byte i.  ``LETTERS[d:]`` pads a word of degree
+# d to a 256-byte table for ``bytes.translate``, and ``LETTERS[:d]`` is
+# the identity word.
+LETTERS = bytes(range(256))
+MAX_DEGREE = len(LETTERS) - 1
+
+
 class Perm(Value):
-    """A permutation of {1..d}, stored as a 0-based word."""
+    """A permutation of {1..d}, stored as a 0-based ``bytes`` word.
+
+    Built from any sequence of ints; a sequence that is not a
+    permutation of 0..d-1, or of more than ``MAX_DEGREE`` letters,
+    raises ValueError.
+    """
 
     __slots__ = ("word",)
 
-    def __init__(self, word: tuple[int, ...]):
+    def __init__(self, word: Sequence[int]):
         object.__setattr__(self, "word", word)
         self.__post_init__()
 
@@ -79,8 +91,21 @@ class Perm(Value):
         # Apart from __init__: perfbench/tracer.py counts constructions
         # by wrapping this method.
         w = self.word
-        if sorted(w) != list(range(len(w))):
+        d = len(w)
+        if d > MAX_DEGREE:
+            raise ValueError(
+                f"degree {d} is over {MAX_DEGREE}: words hold one byte per "
+                "letter"
+            )
+        try:
+            word = bytes(w)  # refuses a letter that is not an int in 0..255
+            # d distinct letters, none of them d or more
+            ok = len(set(word)) == d and not word.translate(None, LETTERS[:d])
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError(f"not a permutation word: {w!r}")
+        object.__setattr__(self, "word", word)
 
     @property
     def degree(self) -> int:
@@ -133,12 +158,11 @@ class CycleType(Value):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def inverse_word(w: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of a 0-based word."""
-    inv = [0] * len(w)
-    for i, j in enumerate(w):
-        inv[j] = i
-    return tuple(inv)
+def inverse_word(w: bytes) -> bytes:
+    """Inverse of a 0-based word, in C: the translate table that maps
+    each letter w[i] back to i, cut to the word's length."""
+    d = len(w)
+    return bytes.maketrans(w, LETTERS[:d])[:d]
 
 
 def word_cycles(w: Sequence[int]) -> list[tuple[int, ...]]:
@@ -181,14 +205,6 @@ def cycle_lengths(w: Sequence[int]) -> tuple[int, ...]:
         parts.append(n)
     parts.sort(reverse=True)
     return tuple(parts)
-
-
-# A word can also be a ``bytes``, letter i being byte i, so a degree is
-# at most MAX_DEGREE.  ``LETTERS[d:]`` pads a word of degree d to a
-# 256-byte table for ``bytes.translate``, and ``LETTERS[:d]`` is the
-# identity word.
-LETTERS = bytes(range(256))
-MAX_DEGREE = len(LETTERS) - 1
 
 
 def commutator_bytes(aw: bytes, bw: bytes) -> bytes:
@@ -236,9 +252,7 @@ def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
     return n_seen == d
 
 
-def class_words(
-    parts: Sequence[int], degree: int
-) -> Iterator[tuple[int, ...]]:
+def class_words(parts: Sequence[int], degree: int) -> Iterator[bytes]:
     """Every 0-based word of cycle type ``parts``, each exactly once.
 
     The cycle through the least letter not yet placed is chosen first:
@@ -253,10 +267,10 @@ def class_words(
     lengths = sorted(left)
     word = list(range(degree))
 
-    def place(free: list[int]) -> Iterator[tuple[int, ...]]:
+    def place(free: list[int]) -> Iterator[bytes]:
         # On entry word[y] == y for every free letter y, and so on return.
         if len(free) == left.get(1, 0):
-            yield tuple(word)  # only fixed points remain
+            yield bytes(word)  # only fixed points remain
             return
         x, rest = free[0], free[1:]
         for length in lengths:
@@ -304,10 +318,10 @@ def cycle_rotations(
 
 
 def conjugators_onto(
-    xw: Sequence[int],
+    xw: bytes,
     y_rotations: dict[int, list[list[tuple[int, ...]]]],
     fixed_images: Iterable[Sequence[int]],
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[bytes]:
     """The words b with b x b^-1 == y, that is b[x[i]] == y[b[i]], with
     y given as ``cycle_rotations(y)``, that map x's fixed points as
     one entry of ``fixed_images``.
@@ -334,9 +348,9 @@ def conjugators_onto(
     groups = [(xcycles[n], y_rotations[n]) for n in sorted(xcycles)]
     b = [0] * len(xw)
 
-    def fill(g: int) -> Iterator[tuple[int, ...]]:
+    def fill(g: int) -> Iterator[bytes]:
         if g == len(groups):
-            yield tuple(b)
+            yield bytes(b)
             return
         xcycles, rotations = groups[g]
         for order in permutations(rotations):
@@ -352,39 +366,13 @@ def conjugators_onto(
         yield from fill(0)
 
 
-def word_from_cycles(
-    cycles: Iterable[Sequence[int]], degree: int
-) -> tuple[int, ...]:
-    """0-based word of disjoint 1-based cycles; unlisted letters are fixed.
-
-    Raises ValueError unless every letter is an int in 1..degree that
-    appears once.  Each letter is checked before it is used.
-    """
-    word = list(range(degree))
-    seen = [False] * degree
-    for cyc in cycles:
-        for k, x in enumerate(cyc):
-            if not isinstance(x, int) or not 0 < x <= degree:
-                raise ValueError(f"letter {x!r} is not an int in 1..{degree}")
-            if seen[x - 1]:
-                raise ValueError(f"letter {x} repeated in 1..{degree}")
-            seen[x - 1] = True
-            if k:
-                word[cyc[k - 1] - 1] = x - 1
-        if cyc:
-            word[cyc[-1] - 1] = cyc[0] - 1
-    return tuple(word)
-
-
 def compose(p: Perm, q: Perm) -> Perm:
-    """p after q: the result maps i to p(q(i))."""
+    """p after q: the result maps i to p(q(i)), one ``translate``."""
     if p.degree != q.degree:
         raise DegreeMismatchError(
             f"degree mismatch: {p.degree} vs {q.degree}"
         )
-    qw = q.word
-    pw = p.word
-    return Perm(tuple(pw[qw[i]] for i in range(len(pw))))
+    return Perm(q.word.translate(p.word + LETTERS[p.degree:]))
 
 
 def class_representative(t: CycleType) -> Perm:
@@ -399,7 +387,7 @@ def class_representative(t: CycleType) -> Perm:
             word[start + k] = start + k + 1
         word[start + p - 1] = start
         start += p
-    return Perm(tuple(word))
+    return Perm(word)
 
 
 def centralizer_generators(p: Perm) -> list[Perm]:
@@ -417,7 +405,7 @@ def centralizer_generators(p: Perm) -> list[Perm]:
         moves = [zip(c[0], c[1]) for c in cycles] if length > 1 else []
         moves += [zip(c[0] + e[0], e[0] + c[0]) for c, e in pairwise(cycles)]
         for move in map(dict, moves):
-            gens.append(Perm(tuple([move.get(x, x) for x in range(p.degree)])))
+            gens.append(Perm([move.get(x, x) for x in range(p.degree)]))
     return gens
 
 
@@ -466,4 +454,18 @@ def perm_from_cycles(text: str) -> Perm:
         raise ValueError(
             f"letters {missing}{more} missing; write fixed points as (i)"
         )
-    return Perm(word_from_cycles(cycles, degree))
+    # Each letter is checked before it is used; Perm converts the word
+    # and refuses one of more than MAX_DEGREE letters.
+    word = list(range(degree))
+    placed = [False] * degree
+    for cyc in cycles:
+        for k, x in enumerate(cyc):
+            if not 0 < x <= degree:
+                raise ValueError(f"letter {x} is not in 1..{degree}")
+            if placed[x - 1]:
+                raise ValueError(f"letter {x} repeated in 1..{degree}")
+            placed[x - 1] = True
+            if k:
+                word[cyc[k - 1] - 1] = x - 1
+        word[cyc[-1] - 1] = cyc[0] - 1
+    return Perm(word)

@@ -65,7 +65,7 @@ def spin_parity(o: Origami) -> int:
 
 
 def _cycle_data(
-    o: Origami, ai: tuple[int, ...], bi: tuple[int, ...]
+    o: Origami, ai: bytes, bi: bytes
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Cotree edge ids, q, crossing masks and pairing rows of the cycles.
 
@@ -230,7 +230,7 @@ def _face_masks(o: Origami) -> list[int]:
     """
     d = o.degree
     aw, bw = o.alpha.word, o.beta.word
-    gw = commutator_bytes(bytes(aw), bytes(bw))
+    gw = commutator_bytes(aw, bw)
     seen = [False] * d
     masks = []
     for start in range(d):

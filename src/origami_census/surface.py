@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from .perm import (
-    MAX_DEGREE,
     CycleType,
     DegreeMismatchError,
     Perm,
@@ -131,23 +130,15 @@ class Origami(Value):
 
 
 def make_origami(alpha: Perm, beta: Perm) -> Origami:
-    """Validate a monodromy pair and derive its stratum data.
-
-    A word holds one byte per letter, so a pair of more than
-    ``MAX_DEGREE`` squares raises :class:`OrigamiError`.
-    """
+    """Validate a monodromy pair and derive its stratum data."""
     d = alpha.degree
     if d != beta.degree:
         raise DegreeMismatchError(f"degree mismatch: {d} vs {beta.degree}")
-    if d > MAX_DEGREE:
-        raise OrigamiError(
-            f"degree {d} is over {MAX_DEGREE}: words hold one byte per letter"
-        )
     if not words_transitive(alpha.word, beta.word):
         raise DisconnectedCoverError(
             "disconnected cover: <alpha, beta> is not transitive"
         )
-    gw = commutator_bytes(bytes(alpha.word), bytes(beta.word))
+    gw = commutator_bytes(alpha.word, beta.word)
     ctype = CycleType(d, cycle_lengths(gw))
     stratum = stratum_of(ctype)
     return Origami(alpha, beta, ctype, stratum)
@@ -202,16 +193,16 @@ def weight_of_parts(parts: tuple[int, ...]) -> Fraction:
     return Fraction(sum(lcm // n for n in parts), lcm)
 
 
-def canonical_form(
-    aw: tuple[int, ...], bw: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least relabeling of a transitive pair of 0-based words.
+def canonical_form(aw: bytes, bw: bytes) -> bytes:
+    """Canonical key of a transitive pair of 0-based words: its least
+    relabeling, alpha's word then beta's.
 
     For every start square s, relabel squares in first-discovery order
     of a breadth-first walk that follows alpha then beta from each
     square, and keep the lexicographically least relabeled pair.  The
-    result is a class invariant: conjugate pairs give equal forms,
-    distinct classes give distinct forms.
+    result is a class invariant: conjugate pairs give equal keys,
+    distinct classes give distinct keys, and the order of keys is the
+    order of the relabeled pairs.
 
     Only the starts that can give the least relabeled alpha are walked.
     Its first letter is 0 exactly when the start is a fixed point of
@@ -228,6 +219,10 @@ def canonical_form(
     walk, so a start is dropped as soon as its alpha prefix exceeds
     the best one; beta is compared only when the alphas tie.
     """
+    # The walk indexes letters one at a time, which is faster on lists
+    # than on bytes: 0.095 s against 0.101 s over the 19,600 twist
+    # images of (8,(6)), copies included.
+    aw, bw = list(aw), list(bw)
     d = len(aw)
     squares = range(d)
     starts = (
@@ -236,8 +231,8 @@ def canonical_form(
         or [x for x in squares if bw[x] in (x, aw[x], aw[aw[x]])]
         or squares
     )
-    best_a: tuple[int, ...] = ()
-    best_b: tuple[int, ...] = ()
+    best_a: list[int] = []
+    best_b: list[int] = []
     for start in starts:
         relabel = [-1] * d
         relabel[start] = 0
@@ -270,41 +265,27 @@ def canonical_form(
                     "disconnected cover: breadth-first walk did not reach "
                     "every square"
                 )
-            nb = tuple([relabel[bw[x]] for x in order])
+            nb = [relabel[bw[x]] for x in order]
             if not tie or nb < best_b:
-                best_a, best_b = tuple(na), nb
-    return best_a, best_b
-
-
-def encode_pair(aw: tuple[int, ...], bw: tuple[int, ...]) -> bytes:
-    """Raw byte encoding of a pair of words (no relabeling), one byte
-    per letter."""
-    return bytes(aw) + bytes(bw)
-
-
-def decode_pair(
-    key: bytes, degree: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair of words that :func:`encode_pair` turned into ``key``."""
-    return tuple(key[:degree]), tuple(key[degree:])
+                best_a, best_b = na, nb
+    return bytes(best_a + best_b)
 
 
 def canonical_key(alpha: Perm, beta: Perm) -> bytes:
     """Byte key identifying the simultaneous-conjugation class."""
-    return encode_pair(*canonical_form(alpha.word, beta.word))
+    return canonical_form(alpha.word, beta.word)
 
 
-def record_words(
-    rec: dict, degree: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The 0-based words of a census record ``{"key": "<hex>"}``: its
-    key, in hex, decoded as a pair of ``degree`` letters each.
+def record_words(rec: dict, degree: int) -> tuple[bytes, bytes]:
+    """The 0-based words of a census record ``{"key": "<hex>"}``: the
+    two halves of its key, in hex, of ``degree`` letters each.
 
     Raises ValueError unless each word is a permutation of
     0..degree-1, which checks the key's length and its letters, and
     KeyError or TypeError on a record of the wrong shape.
     """
-    aw, bw = decode_pair(bytes.fromhex(rec["key"]), degree)
+    key = bytes.fromhex(rec["key"])
+    aw, bw = key[:degree], key[degree:]
     letters = list(range(degree))
     if sorted(aw) != letters or sorted(bw) != letters:
         raise ValueError(f"key is not two words on 0..{degree - 1}")

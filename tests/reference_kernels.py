@@ -11,7 +11,7 @@ dedups the betas of an alpha class by sweeping each transitive beta's
 whole centralizer orbit into one set held for the whole class.  The
 package's versions must agree with them exactly.
 
-``commutator_word`` is the tuple version of ``commutator_bytes``.
+``commutator_word`` is ``commutator_bytes`` built by Python loops.
 ``commutator`` and ``conjugate`` are the ``Perm``-level products,
 ``has_order_two_automorphism`` searches for a non-identity involution
 commuting with both generators, and ``brute_force_anti_involutions``
@@ -53,18 +53,15 @@ from origami_census.surface import (
     InvariantError,
     Origami,
     canonical_form,
-    decode_pair,
-    encode_pair,
 )
 
 R, U, L, D = 0, 1, 2, 3
 _OPPOSITE = {R: L, L: R, U: D, D: U}
 
 
-def full_scan_canonical_form(
-    aw: tuple[int, ...], bw: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least relabeling of a transitive pair of 0-based words.
+def full_scan_canonical_form(aw, bw) -> bytes:
+    """Least relabeling of a transitive pair of 0-based words, as the
+    key ``canonical_form`` gives: alpha's word then beta's.
 
     For every start square s, relabel squares in first-discovery order
     of a breadth-first walk that follows alpha then beta from each
@@ -74,7 +71,7 @@ def full_scan_canonical_form(
     """
     d = len(aw)
     if d == 0:
-        return (), ()
+        return b""
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for start in range(d):
         relabel = [-1] * d
@@ -100,7 +97,7 @@ def full_scan_canonical_form(
         cand = (tuple(na), tuple(nb))
         if best is None or cand < best:
             best = cand
-    return best
+    return bytes(best[0] + best[1])
 
 
 def matrix_spin_parity(o) -> int:
@@ -491,7 +488,8 @@ def seen_sweep_enumerate_alpha_class(
     alpha.  For each gamma in the target class, the betas with
     commutator gamma are those conjugating delta = gamma alpha^-1 to
     alpha^-1.  Each transitive beta not seen yet is canonicalized, and
-    its whole centralizer orbit goes into ``seen``.
+    its whole centralizer orbit goes into ``seen``.  Each class is
+    returned as its key and the two words of its full-scan form.
     """
     alpha = class_representative(CycleType(degree, alpha_parts))
     aw = alpha.word
@@ -501,7 +499,7 @@ def seen_sweep_enumerate_alpha_class(
     ai_fixed = [x for x in range(degree) if ai[x] == x]
 
     out = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     for gw in class_words(target_parts, degree):
         dw = [gw[ai[i]] for i in range(degree)]  # delta = gamma alpha^-1
         if cycle_lengths(dw) != alpha_parts:
@@ -516,22 +514,24 @@ def seen_sweep_enumerate_alpha_class(
                     img = [0] * degree
                     for i in range(degree):
                         img[z[i]] = z[cur[i]]
-                    t = tuple(img)
+                    t = bytes(img)
                     if t not in seen:
                         seen.add(t)
                         orbit.append(t)
-            ca, cb = canonical_form(aw, bw)
-            out.append((encode_pair(ca, cb), ca, cb))
+            form = full_scan_canonical_form(aw, bw)
+            out.append((canonical_form(aw, bw), form[:degree], form[degree:]))
     return out
 
 
-def commutator_word(aw, bw) -> tuple[int, ...]:
+def commutator_word(aw, bw) -> bytes:
     """Word of beta^-1 alpha^-1 beta alpha (rightmost factor acts first).
 
     Built as (alpha beta)^-1 (beta alpha), with one inverse word.
     """
-    abi = inverse_word([aw[y] for y in bw])
-    return tuple([abi[bw[x]] for x in aw])
+    abi = [0] * len(aw)
+    for x, y in enumerate(bw):
+        abi[aw[y]] = x
+    return bytes([abi[bw[x]] for x in aw])
 
 
 def commutator(alpha: Perm, beta: Perm) -> Perm:
@@ -554,7 +554,7 @@ def conjugate(p: Perm, tau: Perm) -> Perm:
     word = [0] * len(pw)
     for i in range(len(pw)):
         word[tw[i]] = tw[pw[i]]
-    return Perm(tuple(word))
+    return Perm(word)
 
 
 def has_order_two_automorphism(o: Origami) -> bool:
@@ -569,7 +569,7 @@ def has_order_two_automorphism(o: Origami) -> bool:
     )
 
 
-def brute_force_anti_involutions(o: Origami) -> list[tuple[int, ...]]:
+def brute_force_anti_involutions(o: Origami) -> list[bytes]:
     """Every involution tau of S_d with tau alpha tau = alpha^-1 and
     tau beta tau = beta^-1, as 0-based words in word order.
 
@@ -579,7 +579,7 @@ def brute_force_anti_involutions(o: Origami) -> list[tuple[int, ...]]:
     aw, bw = o.alpha.word, o.beta.word
     ai, bi = inverse_word(aw), inverse_word(bw)
     return [
-        tau for tau in permutations(range(o.degree))
+        bytes(tau) for tau in permutations(range(o.degree))
         if all(tau[t] == x for x, t in enumerate(tau))
         and all(
             tau[w[tau[x]]] == wi[x]
@@ -598,11 +598,11 @@ def brute_force_censuses(degree: int) -> dict[tuple[int, ...], set[bytes]]:
         for bw in words:
             if words_transitive(aw, bw):
                 ctype = cycle_lengths(commutator_word(aw, bw))
-                keys[ctype].add(encode_pair(*canonical_form(aw, bw)))
+                keys[ctype].add(canonical_form(aw, bw))
     return dict(keys)
 
 
-def words_record(aw: tuple[int, ...], bw: tuple[int, ...]) -> dict:
+def words_record(aw: bytes, bw: bytes) -> dict:
     """JSON-able record with 1-based cycles in canonical cycle order."""
     return {
         "degree": len(aw),
@@ -618,6 +618,6 @@ def schema1_file(census: Census) -> bytes:
     m = census.total_weight
     d = census.degree
     lines = [{"schema": 1, "degree": d, "mu": list(census.stratum.mu)}]
-    lines += [words_record(*decode_pair(key, d)) for key in census]
+    lines += [words_record(key[:d], key[d:]) for key in census]
     lines.append({"n": census.n_classes, "m": f"{m.numerator}/{m.denominator}"})
     return "".join(map(_json_line, lines)).encode("ascii")

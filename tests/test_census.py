@@ -35,12 +35,7 @@ from origami_census.perm import (
     cycle_rotations,
     inverse_word,
 )
-from origami_census.surface import (
-    Origami,
-    StratumSignature,
-    decode_pair,
-    encode_pair,
-)
+from origami_census.surface import Origami, StratumSignature
 from conftest import all_perms, strata_at
 from reference_kernels import (
     brute_force_censuses,
@@ -374,7 +369,7 @@ def test_alpha_classes_match_seen_sweep_reference(d, mu):
         got = census_mod._enumerate_alpha_class(d, parts, target)
         want = seen_sweep_enumerate_alpha_class(d, parts, target)
         for key, ca, cb in want:
-            assert key == encode_pair(ca, cb)
+            assert key == ca + cb
         assert sorted(got) == sorted(key for key, _, _ in want), parts
 
 
@@ -389,7 +384,7 @@ def test_reference_comparison_covers_both_walks(d, census_of):
             continue
         target = target_class(d, StratumSignature(mu)).parts
         for parts in {
-            cycle_lengths(decode_pair(k, d)[0]) for k in census_of(d, mu)
+            cycle_lengths(k[:d]) for k in census_of(d, mu)
         }:
             walks.add(class_size(parts) < class_size(target))
     assert walks == {True, False}
@@ -450,7 +445,7 @@ class TestPathMatchings:
             aw = class_representative(CycleType(d, parts)).word
             ai_rotations = cycle_rotations(inverse_word(aw))
             alpha_fixed = [x for x in range(d) if aw[x] == x]
-            for dw in map(bytes, class_words(parts, d)):
+            for dw in class_words(parts, d):
                 if any(dw[x] == x for x in alpha_fixed):
                     continue
                 got = list(census_mod._path_matchings(dw, alpha_fixed))
@@ -597,11 +592,11 @@ class TestSaveLoad:
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         saved = path.read_text().splitlines()
-        _, bw = decode_pair(list(census_of(5, (4,)))[0], 5)
+        bw = list(census_of(5, (4,)))[0][5:]
         # too few letters, then five letters with one repeated
         for aw in ((1, 0), (1, 2, 3, 4, 4)):
             lines = list(saved)
-            lines[1] = json.dumps({"key": (bytes(aw) + bytes(bw)).hex()})
+            lines[1] = json.dumps({"key": (bytes(aw) + bw).hex()})
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(CensusSchemaError, match="bad record"):
                 load_census(path)
@@ -614,7 +609,7 @@ class TestSaveLoad:
         lambda key: {"key": key[2:4] + key[2:]},
         lambda key: {"key": "05" + key[2:]},
         lambda key: {"key": int(key, 16)},
-        lambda key: words_record(*decode_pair(bytes.fromhex(key), 5)),
+        lambda key: words_record(bytes.fromhex(key)[:5], bytes.fromhex(key)[5:]),
     ], ids=[
         "not-hex", "odd-length", "byte-short", "byte-long",
         "repeated-letter", "letter-of-degree", "not-a-string",
@@ -638,12 +633,13 @@ class TestSaveLoad:
     def test_relabeled_record(self, census_of, tmp_path):
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
-        aw, bw = decode_pair(list(census_of(5, (4,)))[0], 5)
+        key = list(census_of(5, (4,)))[0]
+        aw, bw = key[:5], key[5:]
         swap = (1, 0, 2, 3, 4)  # relabel squares 1 and 2
-        ra = tuple(swap[aw[swap[i]]] for i in range(5))
-        rb = tuple(swap[bw[swap[i]]] for i in range(5))
+        ra = bytes([swap[aw[swap[i]]] for i in range(5)])
+        rb = bytes([swap[bw[swap[i]]] for i in range(5)])
         assert (ra, rb) != (aw, bw)
-        self._replace_record(path, 1, {"key": encode_pair(ra, rb).hex()})
+        self._replace_record(path, 1, {"key": (ra + rb).hex()})
         with pytest.raises(CensusSchemaError, match="own canonical pair"):
             load_census(path)
 
@@ -663,7 +659,7 @@ class TestSaveLoad:
         path = tmp_path / "c.jsonl"
         save_census(census_of(5, (4,)), path)
         # alpha (1,2)(3,4,5), beta (1)(2)(3,4,5)
-        key = encode_pair((1, 0, 3, 4, 2), (0, 1, 3, 4, 2))
+        key = bytes((1, 0, 3, 4, 2, 0, 1, 3, 4, 2))
         self._replace_record(path, 1, {"key": key.hex()})
         with pytest.raises(CensusSchemaError, match="disconnected"):
             load_census(path)
@@ -805,7 +801,7 @@ class TestCompactMembers:
         assert list(census.keys()) == keys == sorted(keys)
         assert len(census) == 40
         o = census[keys[3]]
-        assert (o.alpha.word, o.beta.word) == decode_pair(keys[3], 5)
+        assert (o.alpha.word, o.beta.word) == (keys[3][:5], keys[3][5:])
         assert o.commutator_type == census.commutator_type
         assert o.stratum == census.stratum
         assert [m.alpha for m in census.values()] == [

@@ -569,8 +569,8 @@ class TestClassifyCommand:
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: degree {degree} is over 255: words hold one byte per "
-            "letter\n"
+            f"error: bad permutation: degree {degree} is over 255: words "
+            "hold one byte per letter\n"
         )
         assert not list(tmp_path.iterdir())
 

@@ -30,7 +30,6 @@ import pytest
 
 from origami_census.involutions import find_anti_involutions
 from origami_census.orbits import decompose
-from origami_census.surface import decode_pair
 
 DEGREES = range(3, 14)
 
@@ -63,7 +62,7 @@ def divisor_sum(k: int) -> int:
     return sum(j for j in range(1, k + 1) if k % j == 0)
 
 
-def is_primitive(aw: tuple[int, ...], bw: tuple[int, ...]) -> bool:
+def is_primitive(aw: bytes, bw: bytes) -> bool:
     """Is the period lattice of the pair Z^2?"""
     d = len(aw)
     steps = ((aw, (1, 0)), (bw, (0, 1)))
@@ -105,7 +104,7 @@ def split(census_of):
         orbits = []
         for comp in decompose(census):
             flags = {
-                is_primitive(*decode_pair(k, n)) for k in comp.member_keys
+                is_primitive(k[:n], k[n:]) for k in comp.member_keys
             }
             assert len(flags) == 1, (
                 f"primitivity varies on the orbit of {comp.member_keys[0].hex()}"

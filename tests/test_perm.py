@@ -130,7 +130,7 @@ class TestWordPrimitives:
                 assert w == compose(
                     compose(b.inverse(), a.inverse()), compose(b, a)
                 ).word
-                assert commutator_bytes(bytes(a.word), bytes(b.word)) == bytes(w)
+                assert commutator_bytes(a.word, b.word) == w
 
 
 class TestCycleType:
@@ -238,8 +238,8 @@ class TestClassRepresentative:
                 assert CycleType(d, cycle_lengths(class_representative(t).word)) == t
 
 
-def _closure(gens: list[Perm], degree: int) -> set[tuple[int, ...]]:
-    group = {tuple(range(degree))}
+def _closure(gens: list[Perm], degree: int) -> set[bytes]:
+    group = {bytes(range(degree))}
     frontier = list(group)
     while frontier:
         w = frontier.pop()
@@ -251,7 +251,7 @@ def _closure(gens: list[Perm], degree: int) -> set[tuple[int, ...]]:
     return group
 
 
-def _true_centralizer(p: Perm) -> set[tuple[int, ...]]:
+def _true_centralizer(p: Perm) -> set[bytes]:
     return {
         q.word
         for q in all_perms(p.degree)
@@ -457,3 +457,16 @@ class TestCycleStrings:
             perm_from_cycles("(2,5)(1)(3)(4)"), perm_from_cycles("(3,4)(1)(2)(5)")
         )
         assert str(p) == "(1)(2,5)(3,4)"
+
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_over_255_letters_is_refused(self, d):
+        # A word holds one byte per letter.
+        text = "(" + ",".join(str(x) for x in range(1, d + 1)) + ")"
+        if d == 255:
+            assert perm_from_cycles(text).word == bytes(range(1, 255)) + b"\0"
+            return
+        with pytest.raises(
+            ValueError,
+            match=f"^degree {d} is over 255: words hold one byte per letter$",
+        ):
+            perm_from_cycles(text)

@@ -183,6 +183,11 @@ def test_missing_fields_raise_type_error(cls, args):
 @pytest.mark.parametrize("word,message", [
     ((0, 0), "not a permutation word: (0, 0)"),
     ((1, 2), "not a permutation word: (1, 2)"),
+    # A letter must be an int: a float one compared equal to it.
+    ((1.0, 0.0), "not a permutation word: (1.0, 0.0)"),
+    (("1", "0"), "not a permutation word: ('1', '0')"),
+    (range(256), "degree 256 is over 255: words hold one byte per letter"),
+    (range(300), "degree 300 is over 255: words hold one byte per letter"),
 ])
 def test_perm_validation_messages(word, message):
     with pytest.raises(ValueError) as exc:

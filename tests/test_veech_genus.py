@@ -21,7 +21,7 @@ import pytest
 
 from origami_census.orbits import decompose, twist_words
 from origami_census.perm import inverse_word
-from origami_census.surface import canonical_form, decode_pair, encode_pair
+from origami_census.surface import canonical_form
 
 CENSUSES = [(d, (2,)) for d in range(3, 9)] + [
     (4, (1, 1)), (5, (1, 1)), (5, (4,)), (6, (3, 1)), (7, (2, 2)),
@@ -37,18 +37,14 @@ PINS = {
 }
 
 
-def _key(aw, bw) -> bytes:
-    return encode_pair(*canonical_form(aw, bw))
-
-
 def _images(key: bytes, d: int) -> tuple[bytes, bytes, bytes]:
     """The keys of the T, S and -I images of a member, canonicalized as
     ``decompose`` canonicalizes its twist images."""
-    aw, bw = decode_pair(key, d)
+    aw, bw = key[:d], key[d:]
     return (
-        _key(*map(tuple, twist_words(bytes(aw), bytes(bw))[0])),
-        _key(inverse_word(bw), aw),
-        _key(inverse_word(aw), inverse_word(bw)),
+        canonical_form(*twist_words(aw, bw)[0]),
+        canonical_form(inverse_word(bw), aw),
+        canonical_form(inverse_word(aw), inverse_word(bw)),
     )
 
 
