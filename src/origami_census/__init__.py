@@ -1,7 +1,6 @@
 """Exact enumeration and classification of square-tiled surfaces."""
 
 from .perm import (
-    CycleType,
     DegreeMismatchError,
     Perm,
     class_representative,

@@ -20,10 +20,9 @@ from pathlib import Path
 
 from .perm import (
     LETTERS,
-    MAX_DEGREE,
-    CycleType,
     Perm,
     centralizer_generators,
+    check_degree,
     class_representative,
     class_size,
     class_words,
@@ -149,24 +148,21 @@ def weight_of_keys(keys: Iterable[bytes]) -> Fraction:
     )
 
 
-def target_class(degree: int, stratum: StratumSignature) -> CycleType | None:
-    """Commutator class for the stratum at this degree, or None if d is
-    too small to fit one cycle of length m+1 per zero.
+def target_class(
+    degree: int, stratum: StratumSignature
+) -> tuple[int, ...] | None:
+    """Cycle type of the commutator class for the stratum at this
+    degree, descending: one part m+1 per zero, then fixed points.  None
+    if d is too small to fit them.
 
     A word holds one byte per letter, so a degree over ``MAX_DEGREE``
     raises ValueError.
     """
-    if degree > MAX_DEGREE:
-        raise ValueError(
-            f"degree {degree} is over {MAX_DEGREE}: words hold one byte per "
-            "letter"
-        )
-    heavy = [m + 1 for m in stratum.mu]
-    if sum(heavy) > degree:
+    check_degree(degree)
+    rest = degree - sum(stratum.mu) - len(stratum.mu)
+    if rest < 0:
         return None
-    return CycleType.from_parts(
-        degree, heavy + [1] * (degree - sum(heavy))
-    )
+    return tuple(m + 1 for m in stratum.mu) + (1,) * rest
 
 
 def partitions_desc(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -340,15 +336,11 @@ def _enumerate_alpha_class(
     a key.  Of each coset, only the betas :func:`_path_matchings`
     picks on the fixed points are walked.
     """
-    alpha = class_representative(CycleType(degree, alpha_parts))
-    aw = alpha.word
+    aw = class_representative(alpha_parts)
     ai = inverse_word(aw)
     pad = LETTERS[degree:]
     # z gamma z^-1 maps each letter through z^-1, gamma, then z
-    ztables = [
-        (z.word + pad, inverse_word(z.word))
-        for z in centralizer_generators(alpha)
-    ]
+    ztables = [(z + pad, inverse_word(z)) for z in centralizer_generators(aw)]
     ai_rotations = cycle_rotations(ai)
     alpha_fixed = [x for x in range(degree) if aw[x] == x]
 
@@ -411,7 +403,7 @@ def enumerate_census(
     try:
         mapper = pool.map if pool is not None else map
         for chunk in mapper(_enumerate_alpha_class, repeat(degree),
-                            alpha_classes, repeat(target.parts)):
+                            alpha_classes, repeat(target)):
             for key in chunk:
                 aw, bw = key[:degree], key[degree:]
                 if not words_transitive(aw, bw):
@@ -419,10 +411,11 @@ def enumerate_census(
                         f"key {key.hex()} is not a transitive pair"
                     )
                 ctype = cycle_lengths(commutator_bytes(aw, bw))
-                if ctype != target.parts:
+                if ctype != target:
+                    got, want = (",".join(map(str, t)) for t in (ctype, target))
                     raise InvariantError(
-                        f"key {key.hex()} has commutator type "
-                        f"{CycleType(degree, ctype)}, expected {target}"
+                        f"key {key.hex()} has commutator type [{got}], "
+                        f"expected [{want}]"
                     )
             keys.extend(chunk)
             if budget is not None and len(keys) > budget:
@@ -536,7 +529,7 @@ def load_census(
                 except (KeyError, TypeError, ValueError) as exc:
                     raise CensusSchemaError(f"{path}: bad record: {exc}") from exc
                 gw = commutator_bytes(aw, bw)
-                if target is None or cycle_lengths(gw) != target.parts:
+                if target is None or cycle_lengths(gw) != target:
                     raise CensusSchemaError(
                         f"{path}: record does not match header degree/mu"
                     )

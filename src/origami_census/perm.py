@@ -73,6 +73,22 @@ LETTERS = bytes(range(256))
 MAX_DEGREE = len(LETTERS) - 1
 
 
+def check_degree(d: int) -> None:
+    """Raise ValueError if a word of d letters does not fit one byte per
+    letter."""
+    if d > MAX_DEGREE:
+        raise ValueError(
+            f"degree {d} is over {MAX_DEGREE}: words hold one byte per letter"
+        )
+
+
+def is_word(w: bytes) -> bool:
+    """True when ``w`` is a permutation of 0..len(w)-1: its letters are
+    distinct and, deleted in C, none of them is len(w) or more."""
+    d = len(w)
+    return len(set(w)) == d and not w.translate(None, LETTERS[:d])
+
+
 class Perm(Value):
     """A permutation of {1..d}, stored as a 0-based ``bytes`` word.
 
@@ -91,16 +107,10 @@ class Perm(Value):
         # Apart from __init__: perfbench/tracer.py counts constructions
         # by wrapping this method.
         w = self.word
-        d = len(w)
-        if d > MAX_DEGREE:
-            raise ValueError(
-                f"degree {d} is over {MAX_DEGREE}: words hold one byte per "
-                "letter"
-            )
+        check_degree(len(w))
         try:
             word = bytes(w)  # refuses a letter that is not an int in 0..255
-            # d distinct letters, none of them d or more
-            ok = len(set(word)) == d and not word.translate(None, LETTERS[:d])
+            ok = is_word(word)
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -132,30 +142,6 @@ class Perm(Value):
 
     def __repr__(self) -> str:
         return f"Perm({str(self)!r})"
-
-
-class CycleType(Value):
-    """Multiset of cycle lengths of a degree-d permutation, descending."""
-
-    __slots__ = ("degree", "parts")
-
-    def __init__(self, degree: int, parts: tuple[int, ...]):
-        self._set(degree, parts)
-        if sum(self.parts) != self.degree:
-            raise ValueError(
-                f"parts {self.parts} do not sum to degree {self.degree}"
-            )
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"non-positive part in {self.parts}")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError(f"parts not descending: {self.parts}")
-
-    @classmethod
-    def from_parts(cls, degree: int, parts: Iterable[int]) -> CycleType:
-        return cls(degree, tuple(sorted(parts, reverse=True)))
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
 def inverse_word(w: bytes) -> bytes:
@@ -252,6 +238,16 @@ def words_transitive(a: Sequence[int], b: Sequence[int]) -> bool:
     return n_seen == d
 
 
+def parts_degree(parts: Sequence[int]) -> int:
+    """The degree of cycle type ``parts``, their sum.  A part below 1,
+    or a sum over ``MAX_DEGREE``, raises ValueError."""
+    if any(p < 1 for p in parts):
+        raise ValueError(f"non-positive part in {tuple(parts)}")
+    d = sum(parts)
+    check_degree(d)
+    return d
+
+
 def class_words(parts: Sequence[int], degree: int) -> Iterator[bytes]:
     """Every 0-based word of cycle type ``parts``, each exactly once.
 
@@ -259,7 +255,7 @@ def class_words(parts: Sequence[int], degree: int) -> Iterator[bytes]:
     its length, then its other letters in order.  There are
     :func:`class_size` of them.
     """
-    if sum(parts) != degree or any(p < 1 for p in parts):
+    if parts_degree(parts) != degree:
         raise ValueError(f"parts {tuple(parts)} do not partition {degree}")
     left = {}
     for p in parts:
@@ -375,37 +371,37 @@ def compose(p: Perm, q: Perm) -> Perm:
     return Perm(q.word.translate(p.word + LETTERS[p.degree:]))
 
 
-def class_representative(t: CycleType) -> Perm:
-    """Canonical member of a conjugacy class: consecutive letter blocks.
+def class_representative(parts: Sequence[int]) -> bytes:
+    """Canonical word of a cycle type: consecutive letter blocks.
 
-    [4,1] -> (1,2,3,4)(5), [3,2] -> (1,2,3)(4,5).
+    (4,1) -> (1,2,3,4)(5), (3,2) -> (1,2,3)(4,5).
     """
-    word = list(range(t.degree))
+    word = list(range(parts_degree(parts)))
     start = 0
-    for p in t.parts:
+    for p in parts:
         for k in range(p - 1):
             word[start + k] = start + k + 1
         word[start + p - 1] = start
         start += p
-    return Perm(word)
+    return bytes(word)
 
 
-def centralizer_generators(p: Perm) -> list[Perm]:
-    """A generating set of the centralizer of p in S_d.
+def centralizer_generators(w: bytes) -> list[bytes]:
+    """Words generating the centralizer of the word w in S_d.
 
     One rotation per cycle (the cycle itself) plus a pointwise swap of
     each adjacent pair of equal-length cycles, read off
     :func:`cycle_rotations`: lengths ascending, cycles in the order of
     :func:`word_cycles`.
     """
-    rotations = cycle_rotations(p.word)
-    gens: list[Perm] = []
+    rotations = cycle_rotations(w)
+    gens = []
     for length in sorted(rotations):
         cycles = rotations[length]
         moves = [zip(c[0], c[1]) for c in cycles] if length > 1 else []
         moves += [zip(c[0] + e[0], e[0] + c[0]) for c, e in pairwise(cycles)]
         for move in map(dict, moves):
-            gens.append(Perm([move.get(x, x) for x in range(p.degree)]))
+            gens.append(bytes([move.get(x, x) for x in range(len(w))]))
     return gens
 
 

@@ -12,12 +12,12 @@ import math
 from fractions import Fraction
 
 from .perm import (
-    CycleType,
     DegreeMismatchError,
     Perm,
     Value,
     commutator_bytes,
     cycle_lengths,
+    is_word,
     word_cycles,
     words_transitive,
 )
@@ -91,14 +91,15 @@ class StratumSignature(Value):
         return "(" + ",".join(str(m) for m in self.mu) + ")"
 
 
-def stratum_of(commutator_type: CycleType) -> StratumSignature:
-    """Zero profile read off the commutator: parts c >= 2 give zeros c-1."""
-    mu = tuple(c - 1 for c in commutator_type.parts if c >= 2)
+def stratum_of(parts: tuple[int, ...]) -> StratumSignature:
+    """Zero profile read off the commutator's cycle type, its parts in
+    any order: parts c >= 2 give zeros c-1."""
+    mu = [c - 1 for c in parts if c >= 2]
     if not mu:
         raise TrivialStratumError(
             "commutator is trivial: the cover is unramified (genus 1)"
         )
-    return StratumSignature(mu)
+    return StratumSignature.from_parts(mu)
 
 
 class Origami(Value):
@@ -107,7 +108,7 @@ class Origami(Value):
     __slots__ = ("alpha", "beta", "commutator_type", "stratum")
 
     def __init__(self, alpha: Perm, beta: Perm,
-                 commutator_type: CycleType, stratum: StratumSignature):
+                 commutator_type: tuple[int, ...], stratum: StratumSignature):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "commutator_type", commutator_type)
@@ -138,10 +139,8 @@ def make_origami(alpha: Perm, beta: Perm) -> Origami:
         raise DisconnectedCoverError(
             "disconnected cover: <alpha, beta> is not transitive"
         )
-    gw = commutator_bytes(alpha.word, beta.word)
-    ctype = CycleType(d, cycle_lengths(gw))
-    stratum = stratum_of(ctype)
-    return Origami(alpha, beta, ctype, stratum)
+    ctype = cycle_lengths(commutator_bytes(alpha.word, beta.word))
+    return Origami(alpha, beta, ctype, stratum_of(ctype))
 
 
 def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
@@ -280,14 +279,13 @@ def record_words(rec: dict, degree: int) -> tuple[bytes, bytes]:
     """The 0-based words of a census record ``{"key": "<hex>"}``: the
     two halves of its key, in hex, of ``degree`` letters each.
 
-    Raises ValueError unless each word is a permutation of
-    0..degree-1, which checks the key's length and its letters, and
-    KeyError or TypeError on a record of the wrong shape.
+    Raises ValueError unless the key has 2 * degree letters and each
+    word is a permutation of 0..degree-1, and KeyError or TypeError on
+    a record of the wrong shape.
     """
     key = bytes.fromhex(rec["key"])
     aw, bw = key[:degree], key[degree:]
-    letters = list(range(degree))
-    if sorted(aw) != letters or sorted(bw) != letters:
+    if len(key) != 2 * degree or not (is_word(aw) and is_word(bw)):
         raise ValueError(f"key is not two words on 0..{degree - 1}")
     return aw, bw
 

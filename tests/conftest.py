@@ -49,7 +49,7 @@ def brute_force_of():
             return Census(degree, stratum, ())
         if degree not in _sweep_memo:
             _sweep_memo[degree] = brute_force_censuses(degree)
-        return Census(degree, stratum, _sweep_memo[degree].get(target.parts, ()))
+        return Census(degree, stratum, _sweep_memo[degree].get(target, ()))
 
     return get
 

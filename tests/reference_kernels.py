@@ -35,7 +35,6 @@ from itertools import permutations
 from origami_census.census import Census, _json_line
 from origami_census.involutions import _propagate
 from origami_census.perm import (
-    CycleType,
     DegreeMismatchError,
     Perm,
     centralizer_generators,
@@ -491,10 +490,9 @@ def seen_sweep_enumerate_alpha_class(
     its whole centralizer orbit goes into ``seen``.  Each class is
     returned as its key and the two words of its full-scan form.
     """
-    alpha = class_representative(CycleType(degree, alpha_parts))
-    aw = alpha.word
+    aw = class_representative(alpha_parts)
     ai = inverse_word(aw)
-    zgens = [g.word for g in centralizer_generators(alpha)]
+    zgens = centralizer_generators(aw)
     ai_rotations = cycle_rotations(ai)
     ai_fixed = [x for x in range(degree) if ai[x] == x]
 

@@ -25,7 +25,6 @@ from origami_census.census import (
     target_class,
 )
 from origami_census.perm import (
-    CycleType,
     Perm,
     class_representative,
     class_size,
@@ -48,9 +47,9 @@ from reference_kernels import (
 class TestTargetClass:
     def test_padding(self):
         t = target_class(5, StratumSignature((4,)))
-        assert t.parts == (5,)
+        assert t == (5,)
         t = target_class(6, StratumSignature((2,)))
-        assert t.parts == (3, 1, 1, 1)
+        assert t == (3, 1, 1, 1)
 
     def test_too_small(self):
         assert target_class(2, StratumSignature((2,))) is None
@@ -103,6 +102,21 @@ class TestEnumerate:
             # walks the target class too and draws no words of its own.
             assert built.count((3, 1, 1, 1)) == 1
             assert census_mod._class_bytes.cache_info().currsize == 0
+
+    def test_enumeration_builds_no_perm(self, monkeypatch):
+        # The enumeration runs on words from the class representative
+        # on: a Perm is built, and checked, only at the API boundary.
+        built = []
+        real = Perm.__post_init__
+
+        def counted(self):
+            built.append(self.word)
+            real(self)
+
+        monkeypatch.setattr(Perm, "__post_init__", counted)
+        for d, mu in [(7, (4,)), (6, (3, 1))]:
+            assert enumerate_census(d, StratumSignature(mu)).n_classes
+        assert built == []
 
     def test_budget_exceeded(self):
         with pytest.raises(ResourceBudgetError):
@@ -320,7 +334,7 @@ class TestRawPairAccounting:
             1
             for a in perms
             for b in perms
-            if cycle_lengths(commutator(a, b).word) == target.parts
+            if cycle_lengths(commutator(a, b).word) == target
             and words_transitive(a.word, b.word)
         )
 
@@ -364,7 +378,7 @@ def test_alpha_classes_match_seen_sweep_reference(d, mu):
     # (9,(2)) the classes (2,1^7), (3,1^6) and (2,2,1^5) share many
     # fixed points with gamma, so the enumeration walks few of each
     # coset's fixed-point matchings; the reference walks all of them.
-    target = target_class(d, StratumSignature(mu)).parts
+    target = target_class(d, StratumSignature(mu))
     for parts in partitions_desc(d):
         got = census_mod._enumerate_alpha_class(d, parts, target)
         want = seen_sweep_enumerate_alpha_class(d, parts, target)
@@ -382,7 +396,7 @@ def test_reference_comparison_covers_both_walks(d, census_of):
     for dd, mu in REFERENCE_CENSUSES:
         if dd != d:
             continue
-        target = target_class(d, StratumSignature(mu)).parts
+        target = target_class(d, StratumSignature(mu))
         for parts in {
             cycle_lengths(k[:d]) for k in census_of(d, mu)
         }:
@@ -442,7 +456,7 @@ class TestPathMatchings:
         # Every matching, in the order of permutations, so a coset with
         # F empty yields every beta of the coset: |Z(alpha)| of them.
         for parts in partitions_desc(d):
-            aw = class_representative(CycleType(d, parts)).word
+            aw = class_representative(parts)
             ai_rotations = cycle_rotations(inverse_word(aw))
             alpha_fixed = [x for x in range(d) if aw[x] == x]
             for dw in class_words(parts, d):
@@ -511,7 +525,7 @@ class TestBruteForceOracle:
         sweep = brute_force_censuses(d)
         nontrivial = {parts for parts in sweep if parts[0] > 1}
         assert nontrivial == {
-            target_class(d, StratumSignature(mu)).parts for mu in strata_at(d)
+            target_class(d, StratumSignature(mu)) for mu in strata_at(d)
         }
 
 

@@ -47,7 +47,7 @@ class TestTwists:
         o = origami("(1,2,3,4)(5)", "(1,5)(2)(3)(4)")
         image = act_h_alpha(o)
         assert image.alpha == o.alpha
-        assert image.commutator_type.parts == (3, 1, 1)
+        assert image.commutator_type == (3, 1, 1)
         # beta becomes alpha*beta under the fixed composition convention
         assert image.beta == perm_from_cycles("(1,5,2,3,4)")
 
@@ -239,7 +239,7 @@ def brute_force_orbit_count(degree: int, mu: tuple[int, ...]) -> int:
 
     for a in words:
         for b in words:
-            if cycle_lengths(commutator(a, b).word) == target.parts and words_transitive(
+            if cycle_lengths(commutator(a, b).word) == target and words_transitive(
                 a.word, b.word
             ):
                 valid.add((a.word, b.word))

@@ -221,7 +221,7 @@ class TestFaces:
         for o in census.values():
             faces = spin._face_masks(o)
             assert sorted(faces) == sorted(corner_union_find_masks(o))
-            assert len(faces) == len(o.commutator_type.parts)
+            assert len(faces) == len(o.commutator_type)
 
 
 # Every stratum with only even zeros at degrees 3 to 7.

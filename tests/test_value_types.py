@@ -1,6 +1,6 @@
 """The package's immutable value types behave as values.
 
-For each of the nine types: equal fields give equal objects with
+For each of the eight types: equal fields give equal objects with
 equal hashes, an object of another class with the same fields is not
 equal, construction works by position and by keyword, fields cannot be
 assigned or deleted, and the ``repr`` names the fields.  The
@@ -15,7 +15,7 @@ import pytest
 from origami_census.involutions import InvolutionReport
 from origami_census.limits import ReferenceRow, SweepReport, SweepRow
 from origami_census.orbits import ComponentSummary
-from origami_census.perm import CycleType, Perm
+from origami_census.perm import Perm
 from origami_census.surface import (
     Origami,
     StratumSignature,
@@ -28,17 +28,15 @@ ROW = SweepRow(4, "all", 9, Fraction(10), Fraction(10))
 # type -> (positional fields, keyword fields of the same object, repr).
 CASES = {
     Perm: ((P.word,), {"word": (1, 0, 2)}, "Perm('(1,2)(3)')"),
-    CycleType: ((4, (4,)), {"degree": 4, "parts": (4,)},
-                "CycleType(degree=4, parts=(4,))"),
     StratumSignature: (((4,),), {"mu": (4,)}, "StratumSignature(mu=(4,))"),
     Origami: (
-        (Perm((1, 2, 0)), Perm((0, 2, 1)), CycleType(3, (3,)),
+        (Perm((1, 2, 0)), Perm((0, 2, 1)), (3,),
          StratumSignature((2,))),
         {"alpha": Perm((1, 2, 0)), "beta": Perm((0, 2, 1)),
-         "commutator_type": CycleType(3, (3,)),
+         "commutator_type": (3,),
          "stratum": StratumSignature((2,))},
         "Origami(alpha=Perm('(1,2,3)'), beta=Perm('(1)(2,3)'), "
-        "commutator_type=CycleType(degree=3, parts=(3,)), "
+        "commutator_type=(3,), "
         "stratum=StratumSignature(mu=(2,)))",
     ),
     InvolutionReport: (
@@ -114,7 +112,6 @@ def test_different_fields_are_unequal(cls):
     args, _, _ = CASES[cls]
     other = {
         Perm: ((0, 1, 2),),
-        CycleType: (4, (3, 1)),
         StratumSignature: ((2,),),
         Origami: (Perm((0, 2, 1)), *args[1:]),
         InvolutionReport: (P, 1, 2, 3, 4, 6),
@@ -169,9 +166,9 @@ def test_component_summary_by_keyword():
 
 @pytest.mark.parametrize("cls,args", [
     (Perm, ()),
-    (CycleType, (4,)),
+    (InvolutionReport, (P, 1, 2, 3, 4)),
     (StratumSignature, ()),
-    (Origami, (P, P, CycleType(3, (3,)))),
+    (Origami, (P, P, (3,))),
     (SweepReport, ()),
     (SweepRow, (4, "all", 9, Fraction(10))),
 ])
@@ -192,17 +189,6 @@ def test_missing_fields_raise_type_error(cls, args):
 def test_perm_validation_messages(word, message):
     with pytest.raises(ValueError) as exc:
         Perm(word)
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("degree,parts,message", [
-    (4, (3,), "parts (3,) do not sum to degree 4"),
-    (2, (3, -1), "non-positive part in (3, -1)"),
-    (4, (1, 3), "parts not descending: (1, 3)"),
-])
-def test_cycle_type_validation_messages(degree, parts, message):
-    with pytest.raises(ValueError) as exc:
-        CycleType(degree, parts)
     assert str(exc.value) == message
 
 

@@ -10,7 +10,6 @@ import pytest
 from origami_census.census import Census
 from origami_census.involutions import find_anti_involutions
 from origami_census.perm import (
-    CycleType,
     centralizer_generators,
     class_representative,
     class_words,
@@ -44,10 +43,10 @@ CASES = {
         list(conjugators_onto(A.word, cycle_rotations(A.word), [(4,)])), None
     ),
     "class_representative": lambda c: (
-        [class_representative(CycleType(5, (3, 2))).word], None
+        [class_representative((3, 2))], None
     ),
     "centralizer_generators": lambda c: (
-        [g.word for g in centralizer_generators(A)], None
+        centralizer_generators(A.word), None
     ),
     "canonical_form": lambda c: (
         [], [canonical_form(o.alpha.word, o.beta.word) for o in c.values()]
