@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .perm import (
     LETTERS,
-    Perm,
     centralizer_generators,
     check_degree,
     class_representative,
@@ -70,16 +69,16 @@ class Census(Mapping):
     canonical key to member, in key order.
 
     A key is the class's :func:`canonical_form`, alpha's word then
-    beta's, so it holds the member's words; the commutator type and the
-    stratum are shared by every member and stored once.  A member is
-    built as an :class:`Origami` when it is read and is not kept.  The
+    beta's, so it holds the member's words; the stratum is shared by
+    every member and stored once.  A member is the :class:`Origami` of
+    its key and the stratum, built when it is read and not kept.  The
     keys are sorted once; a key given twice raises
     :class:`InvariantError`.
     """
 
     def __init__(self, degree: int, stratum: StratumSignature,
                  keys: Iterable[bytes]):
-        self.commutator_type = target_class(degree, stratum)
+        target_class(degree, stratum)  # refuses a degree over MAX_DEGREE
         self.degree = degree
         self.stratum = stratum
         self._keys = sorted(keys)
@@ -96,11 +95,9 @@ class Census(Mapping):
 
     def member(self, key: bytes) -> Origami:
         """The member of ``key``, which must be one of the census's keys:
-        unlike ``census[key]``, it does not look the key up."""
-        d = self.degree
-        return Origami(
-            Perm(key[:d]), Perm(key[d:]), self.commutator_type, self.stratum
-        )
+        unlike ``census[key]``, it does not look the key up, and it
+        builds no ``Perm``: the key is the member's words."""
+        return Origami(key, self.stratum)
 
     def __contains__(self, key) -> bool:
         if not isinstance(key, bytes):

@@ -81,8 +81,11 @@ def get_census(args, degree: int, stratum: StratumSignature) -> Census:
     recomputed; ``--budget`` bounds a cache hit as it bounds the
     enumeration, stopping the read at the first record past it.  A
     cache that cannot be written is logged and the census returned.
+    The default cache directory is found here, its only reader, so a
+    command that reads no census runs where none can be found.
     """
-    path = cache_path(args.cache_dir, degree, stratum)
+    cache_dir = args.cache_dir or default_cache_dir()
+    path = cache_path(cache_dir, degree, stratum)
     if path.exists():
         try:
             census = load_census(
@@ -487,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.cache_dir = args.cache_dir or default_cache_dir()
     try:
         if args.workers < 1:
             raise UsageError("--workers must be positive")

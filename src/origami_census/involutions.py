@@ -97,7 +97,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
     to fixed points.
     """
     d = o.degree
-    aw, bw = o.alpha.word, o.beta.word
+    aw, bw = o.words[:d], o.words[d:]
     ai, bi = inverse_word(aw), inverse_word(bw)
     fixed_a, fixed_b = aw[0] == 0, bw[0] == 0
     taus = [

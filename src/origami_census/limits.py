@@ -197,7 +197,7 @@ def sweep(
         if scope == "stratum":
             totals = [("all", census.n_classes, census.total_weight)]
         elif scope == "hyperelliptic":
-            keys = [k for k, o in census.items() if is_hyperelliptic(o)]
+            keys = [k for k in census if is_hyperelliptic(census.member(k))]
             totals = [("hyp", len(keys), weight_of_keys(keys))]
         else:
             groups: dict[str, tuple[int, Fraction]] = {}

@@ -85,7 +85,7 @@ def act_h_alpha(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(o.alpha.word, o.beta.word)[0]
+    aw, bw = twist_words(o.words[:o.degree], o.words[o.degree:])[0]
     return make_origami(Perm(aw), Perm(bw))
 
 
@@ -95,7 +95,7 @@ def act_h_beta(o: Origami) -> Origami:
     The image is not checked here: :func:`decompose` checks the
     commutator word of every twist image it builds.
     """
-    aw, bw = twist_words(o.alpha.word, o.beta.word)[1]
+    aw, bw = twist_words(o.words[:o.degree], o.words[o.degree:])[1]
     return make_origami(Perm(aw), Perm(bw))
 
 

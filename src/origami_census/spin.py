@@ -34,7 +34,7 @@ square side.
 from __future__ import annotations
 
 from .perm import commutator_bytes, inverse_word
-from .surface import InvariantError, Origami, canonical_key
+from .surface import InvariantError, Origami, canonical_form
 
 R, U, L, D = 0, 1, 2, 3
 
@@ -54,13 +54,14 @@ def spin_parity(o: Origami) -> int:
         raise ParityUndefinedError(
             f"parity undefined for this stratum: mu = {o.stratum} has an odd zero"
         )
-    ai, bi = inverse_word(o.alpha.word), inverse_word(o.beta.word)
+    aw, bw = o.words[:o.degree], o.words[o.degree:]
+    ai, bi = inverse_word(aw), inverse_word(bw)
     try:
         cotree, q, cross, rows = _cycle_data(o, ai, bi)
         _check_descends(_face_masks(o), cotree, cross, rows, q)
         return _arf(rows, q, genus=o.genus)
     except InvariantError as exc:
-        key = canonical_key(o.alpha, o.beta).hex()
+        key = canonical_form(aw, bw).hex()
         raise InvariantError(f"spin parity of {key}: {exc}") from None
 
 
@@ -77,7 +78,7 @@ def _cycle_data(
     horizontal side between i and beta(i).
     """
     d = o.degree
-    aw, bw = o.alpha.word, o.beta.word
+    aw, bw = o.words[:d], o.words[d:]
 
     # Per square: parent, move and edge id from the parent, the mask of
     # its ancestors and itself by position in ``order``, and the
@@ -229,7 +230,7 @@ def _face_masks(o: Origami) -> list[int]:
     vertex enters its mask twice and cancels.
     """
     d = o.degree
-    aw, bw = o.alpha.word, o.beta.word
+    aw, bw = o.words[:d], o.words[d:]
     gw = commutator_bytes(aw, bw)
     seen = [False] * d
     masks = []

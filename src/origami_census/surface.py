@@ -103,20 +103,31 @@ def stratum_of(parts: tuple[int, ...]) -> StratumSignature:
 
 
 class Origami(Value):
-    """A validated transitive pair with its derived invariants."""
+    """A validated transitive pair and its stratum.
 
-    __slots__ = ("alpha", "beta", "commutator_type", "stratum")
+    ``words`` is alpha's 0-based word then beta's, the format of a
+    census key.  ``alpha`` and ``beta`` are :class:`Perm` views of its
+    halves, built and checked each time one is read, so code that reads
+    the words builds no ``Perm``.
+    """
 
-    def __init__(self, alpha: Perm, beta: Perm,
-                 commutator_type: tuple[int, ...], stratum: StratumSignature):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "commutator_type", commutator_type)
+    __slots__ = ("words", "stratum")
+
+    def __init__(self, words: bytes, stratum: StratumSignature):
+        object.__setattr__(self, "words", words)
         object.__setattr__(self, "stratum", stratum)
 
     @property
     def degree(self) -> int:
-        return self.alpha.degree
+        return len(self.words) // 2
+
+    @property
+    def alpha(self) -> Perm:
+        return Perm(self.words[:self.degree])
+
+    @property
+    def beta(self) -> Perm:
+        return Perm(self.words[self.degree:])
 
     @property
     def genus(self) -> int:
@@ -140,7 +151,7 @@ def make_origami(alpha: Perm, beta: Perm) -> Origami:
             "disconnected cover: <alpha, beta> is not transitive"
         )
     ctype = cycle_lengths(commutator_bytes(alpha.word, beta.word))
-    return Origami(alpha, beta, ctype, stratum_of(ctype))
+    return Origami(alpha.word + beta.word, stratum_of(ctype))
 
 
 def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
@@ -154,8 +165,8 @@ def horizontal_cylinders(o: Origami) -> list[tuple[int, int]]:
     in the order of the least square of their bottom strip; the sum of
     width * height is the degree.
     """
-    aw = o.alpha.word
-    bw = o.beta.word
+    d = o.degree
+    aw, bw = o.words[:d], o.words[d:]
     strips = word_cycles(aw)
     strip_of = [0] * len(aw)
     for k, cyc in enumerate(strips):

@@ -54,6 +54,21 @@ def brute_force_of():
     return get
 
 
+@pytest.fixture
+def perm_builds(monkeypatch):
+    """The words of the Perms built, and so checked, during the test, in
+    order: Perm.__post_init__ appends each one."""
+    built = []
+    real = Perm.__post_init__
+
+    def counted(self):
+        built.append(self.word)
+        real(self)
+
+    monkeypatch.setattr(Perm, "__post_init__", counted)
+    return built
+
+
 def origami(alpha: str, beta: str):
     return make_origami(perm_from_cycles(alpha), perm_from_cycles(beta))
 

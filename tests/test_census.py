@@ -29,12 +29,13 @@ from origami_census.perm import (
     class_representative,
     class_size,
     class_words,
+    commutator_bytes,
     conjugators_onto,
     cycle_lengths,
     cycle_rotations,
     inverse_word,
 )
-from origami_census.surface import Origami, StratumSignature
+from origami_census.surface import Origami, StratumSignature, make_origami
 from conftest import all_perms, strata_at
 from reference_kernels import (
     brute_force_censuses,
@@ -79,7 +80,9 @@ class TestEnumerate:
     def test_commutator_class_exhaustively_checked(self, census_of):
         target = target_class(5, StratumSignature((4,)))
         for o in census_of(5, (4,)).values():
-            assert o.commutator_type == target
+            assert cycle_lengths(
+                commutator_bytes(o.words[:5], o.words[5:])
+            ) == target
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_genus2_ratio_identity(self, d, census_of):
@@ -103,20 +106,12 @@ class TestEnumerate:
             assert built.count((3, 1, 1, 1)) == 1
             assert census_mod._class_bytes.cache_info().currsize == 0
 
-    def test_enumeration_builds_no_perm(self, monkeypatch):
+    def test_enumeration_builds_no_perm(self, perm_builds):
         # The enumeration runs on words from the class representative
         # on: a Perm is built, and checked, only at the API boundary.
-        built = []
-        real = Perm.__post_init__
-
-        def counted(self):
-            built.append(self.word)
-            real(self)
-
-        monkeypatch.setattr(Perm, "__post_init__", counted)
         for d, mu in [(7, (4,)), (6, (3, 1))]:
             assert enumerate_census(d, StratumSignature(mu)).n_classes
-        assert built == []
+        assert perm_builds == []
 
     def test_budget_exceeded(self):
         with pytest.raises(ResourceBudgetError):
@@ -816,7 +811,9 @@ class TestCompactMembers:
         assert len(census) == 40
         o = census[keys[3]]
         assert (o.alpha.word, o.beta.word) == (keys[3][:5], keys[3][5:])
-        assert o.commutator_type == census.commutator_type
+        assert cycle_lengths(
+            commutator_bytes(o.words[:5], o.words[5:])
+        ) == target_class(5, census.stratum)
         assert o.stratum == census.stratum
         assert [m.alpha for m in census.values()] == [
             census[k].alpha for k in keys
@@ -828,6 +825,26 @@ class TestCompactMembers:
             census[absent]
         with pytest.raises(TypeError):
             census[keys[0]] = o
+
+    def test_member_is_the_pair_its_key_holds(self, census_of):
+        census = census_of(5, (4,))
+        for k in census:
+            o = census.member(k)
+            alpha, beta = Perm(k[:5]), Perm(k[5:])
+            made = make_origami(alpha, beta)
+            assert o.words == k
+            assert o == made and hash(o) == hash(made)
+            assert (o.alpha, o.beta) == (alpha, beta)
+
+    def test_members_build_no_perm(self, census_of, perm_builds):
+        # The loader or the enumeration has checked every key, and a
+        # member holds its key as its words: 80 Perms were built here
+        # when a member held two.
+        census = census_of(5, (4,))
+        perm_builds.clear()
+        members = [census.member(k) for k in census]
+        assert len(members) == 40
+        assert perm_builds == []
 
     def test_census_refuses_a_key_given_twice(self, census_of):
         census = census_of(5, (4,))

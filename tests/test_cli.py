@@ -673,6 +673,38 @@ class TestTableCommand:
         assert err == "error: mu (6) has genus 4, not 3\n"
 
 
+class TestNoHomeDirectory:
+    """No cache directory can be found: the environment names none and
+    there is no home directory (HOME unset, a uid with no passwd
+    entry)."""
+
+    @pytest.fixture(autouse=True)
+    def no_home(self, monkeypatch):
+        for name in ("ORIGAMI_CACHE_DIR", "XDG_CACHE_HOME", "HOME"):
+            monkeypatch.delenv(name, raising=False)
+
+        def home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.setattr(Path, "home", staticmethod(home))
+
+    @pytest.mark.parametrize("command,fmt", [
+        ("table --genus 3", "text"),
+        ('classify --alpha "(1,2,3,4)(5)" --beta "(1,5)(2)(3)(4)"', "json"),
+    ])
+    def test_commands_without_a_census_run(self, capsys, command, fmt):
+        code, out, _ = run(capsys, *shlex.split(command), "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CLI_GOLDEN_SHA256[(command, fmt)]
+
+    def test_census_without_cache_dir_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "census", "--degree", "3", "--mu", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Could not determine home directory.\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -47,7 +47,9 @@ class TestTwists:
         o = origami("(1,2,3,4)(5)", "(1,5)(2)(3)(4)")
         image = act_h_alpha(o)
         assert image.alpha == o.alpha
-        assert image.commutator_type == (3, 1, 1)
+        assert cycle_lengths(
+            commutator_bytes(image.words[:5], image.words[5:])
+        ) == (3, 1, 1)
         # beta becomes alpha*beta under the fixed composition convention
         assert image.beta == perm_from_cycles("(1,5,2,3,4)")
 
@@ -442,6 +444,18 @@ class TestLabelCalls:
         odd = census_of(6, (3, 1))
         decompose(odd)
         assert calls == {"is_hyperelliptic": odd.n_classes}
+
+
+class TestDecomposeBuildsNoPerm:
+    def test_odd_stratum(self, census_of, perm_builds):
+        # On H(3,1) is_hyperelliptic returns before it reads a word and
+        # spin_parity is not called, so the members' own words are all
+        # decompose reads: 256 Perms were built here, two per member,
+        # when a member held Perms.
+        census = census_of(6, (3, 1))
+        perm_builds.clear()
+        assert len(decompose(census)) > 0
+        assert perm_builds == []
 
 
 def redirect_images(monkeypatch, redirect):

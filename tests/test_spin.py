@@ -16,7 +16,13 @@ from origami_census import spin
 from origami_census.census import InvariantError
 from origami_census.limits import component_label, reference_rows
 from origami_census.orbits import decompose
-from origami_census.perm import Perm, inverse_word, words_transitive
+from origami_census.perm import (
+    Perm,
+    commutator_bytes,
+    cycle_lengths,
+    inverse_word,
+    words_transitive,
+)
 from origami_census.spin import ParityUndefinedError, spin_parity
 from origami_census.surface import canonical_key, make_origami
 from conftest import all_perms, origami, strata_at
@@ -221,7 +227,9 @@ class TestFaces:
         for o in census.values():
             faces = spin._face_masks(o)
             assert sorted(faces) == sorted(corner_union_find_masks(o))
-            assert len(faces) == len(o.commutator_type)
+            assert len(faces) == len(
+                cycle_lengths(commutator_bytes(o.words[:d], o.words[d:]))
+            )
 
 
 # Every stratum with only even zeros at degrees 3 to 7.

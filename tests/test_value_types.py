@@ -30,13 +30,10 @@ CASES = {
     Perm: ((P.word,), {"word": (1, 0, 2)}, "Perm('(1,2)(3)')"),
     StratumSignature: (((4,),), {"mu": (4,)}, "StratumSignature(mu=(4,))"),
     Origami: (
-        (Perm((1, 2, 0)), Perm((0, 2, 1)), (3,),
-         StratumSignature((2,))),
-        {"alpha": Perm((1, 2, 0)), "beta": Perm((0, 2, 1)),
-         "commutator_type": (3,),
+        (bytes((1, 2, 0, 0, 2, 1)), StratumSignature((2,))),
+        {"words": bytes((1, 2, 0, 0, 2, 1)),
          "stratum": StratumSignature((2,))},
-        "Origami(alpha=Perm('(1,2,3)'), beta=Perm('(1)(2,3)'), "
-        "commutator_type=(3,), "
+        "Origami(words=b'\\x01\\x02\\x00\\x00\\x02\\x01', "
         "stratum=StratumSignature(mu=(2,)))",
     ),
     InvolutionReport: (
@@ -113,7 +110,7 @@ def test_different_fields_are_unequal(cls):
     other = {
         Perm: ((0, 1, 2),),
         StratumSignature: ((2,),),
-        Origami: (Perm((0, 2, 1)), *args[1:]),
+        Origami: (bytes((0, 2, 1, 0, 2, 1)), *args[1:]),
         InvolutionReport: (P, 1, 2, 3, 4, 6),
         ComponentSummary: (2, *args[1:]),
         ReferenceRow: (3, (4,), "odd", Fraction(28, 3)),
@@ -168,7 +165,7 @@ def test_component_summary_by_keyword():
     (Perm, ()),
     (InvolutionReport, (P, 1, 2, 3, 4)),
     (StratumSignature, ()),
-    (Origami, (P, P, (3,))),
+    (Origami, (bytes((1, 2, 0, 0, 2, 1)),)),
     (SweepReport, ()),
     (SweepRow, (4, "all", 9, Fraction(10))),
 ])
