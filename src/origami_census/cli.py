@@ -26,7 +26,7 @@ from .census import (
 from .involutions import find_anti_involutions, is_hyperelliptic
 from .limits import reference_rows, stratum_constants, sweep
 from .orbits import decompose
-from .perm import MAX_DEGREE, DegreeMismatchError, perm_from_cycles
+from .perm import MAX_DEGREE, DegreeMismatchError, Perm, perm_from_cycles
 from .spin import ParityUndefinedError, spin_parity
 from .surface import (
     OrigamiError,
@@ -280,7 +280,7 @@ def cmd_classify(args) -> None:
         "cylinders": horizontal_cylinders(o),
         "involutions": [
             {
-                "tau": str(r.tau),
+                "tau": str(Perm(r.tau)),
                 "square_centers": r.square_centers,
                 "vertical_edges": r.vertical_edges,
                 "horizontal_edges": r.horizontal_edges,
@@ -302,7 +302,7 @@ def cmd_classify(args) -> None:
         "cylinders = " + " ".join(f"{w}x{h}" for w, h in doc["cylinders"]),
     ]
     text += [
-        f"involution tau={r.tau} fixes: centers={r.square_centers} "
+        f"involution tau={Perm(r.tau)} fixes: centers={r.square_centers} "
         f"vertical={r.vertical_edges} horizontal={r.horizontal_edges} "
         f"vertices={r.regular_vertices} zeros={r.fixed_zeros} "
         f"total={r.total_fixed}"

@@ -12,13 +12,14 @@ every compatible involution on any stratum.
 """
 from __future__ import annotations
 
-from .perm import Perm, Value, commutator_bytes, inverse_word, word_cycles
+from .perm import Value, commutator_bytes, inverse_word, word_cycles
 from .surface import Origami
 
 
 class InvolutionReport(Value):
     """Fixed-point census of one compatible involution.
 
+    ``tau`` is the involution's 0-based word, as in a census key.
     ``square_centers`` counts fixed squares (the center of each is a
     fixed point); ``vertical_edges`` / ``horizontal_edges`` count fixed
     edge midpoints; ``regular_vertices`` counts fixed unramified
@@ -33,7 +34,7 @@ class InvolutionReport(Value):
         "regular_vertices", "fixed_zeros",
     )
 
-    def __init__(self, tau: Perm, square_centers: int, vertical_edges: int,
+    def __init__(self, tau: bytes, square_centers: int, vertical_edges: int,
                  horizontal_edges: int, regular_vertices: int,
                  fixed_zeros: int):
         self._set(tau, square_centers, vertical_edges, horizontal_edges,
@@ -131,7 +132,7 @@ def find_anti_involutions(o: Origami) -> list[InvolutionReport]:
             if len(cyc) >= 2 and cycle_of[sigma[cyc[0]]] == cycle_of[cyc[0]]
         )
         reports.append(InvolutionReport(
-            Perm(tw), centers, vert, horiz, regular, zeros
+            bytes(tw), centers, vert, horiz, regular, zeros
         ))
     return reports
 

@@ -33,7 +33,7 @@ square side.
 """
 from __future__ import annotations
 
-from .perm import commutator_bytes, inverse_word
+from .perm import commutator_bytes, inverse_word, word_cycles
 from .surface import InvariantError, Origami, canonical_form
 
 R, U, L, D = 0, 1, 2, 3
@@ -57,8 +57,8 @@ def spin_parity(o: Origami) -> int:
     aw, bw = o.words[:o.degree], o.words[o.degree:]
     ai, bi = inverse_word(aw), inverse_word(bw)
     try:
-        cotree, q, cross, rows = _cycle_data(o, ai, bi)
-        _check_descends(_face_masks(o), cotree, cross, rows, q)
+        cotree, q, cross, rows = _cycle_data(aw, bw, ai, bi)
+        _check_descends(_face_masks(aw, bw), cotree, cross, rows, q)
         return _arf(rows, q, genus=o.genus)
     except InvariantError as exc:
         key = canonical_form(aw, bw).hex()
@@ -66,19 +66,19 @@ def spin_parity(o: Origami) -> int:
 
 
 def _cycle_data(
-    o: Origami, ai: bytes, bi: bytes
+    aw: bytes, bw: bytes, ai: bytes, bi: bytes
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Cotree edge ids, q, crossing masks and pairing rows of the cycles.
 
-    ``ai`` and ``bi`` are the inverse words of alpha and beta.
+    ``aw`` and ``bw`` are the words of alpha and beta, ``ai`` and
+    ``bi`` their inverse words.
 
     The tree grows from square 0 with neighbours in the order R, U, L,
     D.  An edge's id is the bit of the side it crosses: bit i is the
     glued vertical side between i and alpha(i), bit d+i the glued
     horizontal side between i and beta(i).
     """
-    d = o.degree
-    aw, bw = o.words[:d], o.words[d:]
+    d = len(aw)
 
     # Per square: parent, move and edge id from the parent, the mask of
     # its ancestors and itself by position in ``order``, and the
@@ -222,31 +222,23 @@ def _skeleton_sides(d: int, ai, bi) -> list[int]:
     return [d + b for b in bi] + list(ai)
 
 
-def _face_masks(o: Origami) -> list[int]:
+def _face_masks(aw: bytes, bw: bytes) -> list[int]:
     """Boundary of the disk around each vertex, in crossing coordinates.
 
     The upper-right corner of square i lies on the vertex of the
     commutator cycle through i.  A side whose two ends lie on one
     vertex enters its mask twice and cancels.
     """
-    d = o.degree
-    aw, bw = o.words[:d], o.words[d:]
-    gw = commutator_bytes(aw, bw)
-    seen = [False] * d
+    d = len(aw)
     masks = []
-    for start in range(d):
-        if seen[start]:
-            continue
+    for cyc in word_cycles(commutator_bytes(aw, bw)):
         mask = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
+        for i in cyc:
             # the sides between i and alpha(i) (bit i) and between i and
             # beta(i) (bit d+i) both end at the upper-right corner of i;
             # the side between beta(i) and alpha(beta(i)) starts there,
             # as does the one between alpha(i) and beta(alpha(i))
             mask ^= (1 << i) ^ (1 << (d + i)) ^ (1 << bw[i]) ^ (1 << (d + aw[i]))
-            i = gw[i]
         masks.append(mask)
     return masks
 

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from origami_census import (
+    Perm,
     StratumSignature,
     canonical_key,
     decompose,
@@ -110,7 +111,7 @@ def test_criterion_04_hyperelliptic_classification(census_of):
             assert comp.hyperelliptic == (len(orbit) in (3, 15))
 
         o13 = origami(*DEGREE5_PAIRS[13])
-        reports = {str(r.tau): r for r in find_anti_involutions(o13)}
+        reports = {str(Perm(r.tau)): r for r in find_anti_involutions(o13)}
         r = reports["(1,2)(3,4)(5)"]
         assert (
             r.square_centers, r.vertical_edges, r.horizontal_edges,
@@ -125,7 +126,7 @@ def test_criterion_04_hyperelliptic_classification(census_of):
 
         o8 = origami(*DEGREE5_PAIRS[8])
         (r8,) = find_anti_involutions(o8)
-        assert str(r8.tau) == "(1,2)(3)(4,5)"
+        assert str(Perm(r8.tau)) == "(1,2)(3)(4,5)"
         assert (
             r8.square_centers, r8.vertical_edges, r8.horizontal_edges,
             r8.regular_vertices,
@@ -143,7 +144,7 @@ def test_criterion_05_genus2_pipeline():
         assert o.stratum.mu == (2,)
         assert o.genus == 2
         (r,) = find_anti_involutions(o)
-        assert str(r.tau) == "(1)(2,4)(3)(5)"
+        assert str(Perm(r.tau)) == "(1)(2,4)(3)(5)"
         assert (
             r.square_centers, r.vertical_edges, r.horizontal_edges,
             r.regular_vertices,

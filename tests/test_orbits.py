@@ -8,6 +8,7 @@ import pytest
 
 from origami_census import orbits
 from origami_census.census import Census, InvariantError, enumerate_census
+from origami_census.involutions import find_anti_involutions
 from origami_census.orbits import (
     act_h_alpha,
     act_h_alpha_inverse,
@@ -455,6 +456,21 @@ class TestDecomposeBuildsNoPerm:
         census = census_of(6, (3, 1))
         perm_builds.clear()
         assert len(decompose(census)) > 0
+        assert perm_builds == []
+
+    def test_even_hyperelliptic_stratum(self, census_of, perm_builds):
+        # On H(4) both labels run on every member: the involution search
+        # reports each tau as a word, and the spin helpers take the
+        # member's words.  85 Perms were built here, one per reported
+        # tau, when a report held a Perm.
+        census = census_of(6, (4,))
+        perm_builds.clear()
+        components = decompose(census)
+        assert any(c.hyperelliptic for c in components)
+        assert {c.parity for c in components} == {0, 1}
+        assert perm_builds == []
+        reports = [r for o in census.values() for r in find_anti_involutions(o)]
+        assert reports and all(type(r.tau) is bytes for r in reports)
         assert perm_builds == []
 
 

@@ -34,9 +34,11 @@ from reference_kernels import (
 )
 
 
-def inverse_words(o):
-    """The inverse words of alpha and beta, which the kernels take."""
-    return inverse_word(o.alpha.word), inverse_word(o.beta.word)
+def kernel_words(o):
+    """The words of alpha and beta and their inverse words, which the
+    kernels take."""
+    aw, bw = o.words[:o.degree], o.words[o.degree:]
+    return aw, bw, inverse_word(aw), inverse_word(bw)
 
 
 class TestPreconditions:
@@ -148,8 +150,8 @@ class TestInvariantErrors:
         # asymmetric M' must each be caught.
         o = list(census_of(6, (2, 2)).values())[5]
         d = o.degree
-        ai, bi = inverse_words(o)
-        _, _, cross, _ = spin._cycle_data(o, ai, bi)
+        aw, bw, ai, bi = kernel_words(o)
+        _, _, cross, _ = spin._cycle_data(aw, bw, ai, bi)
         sigma = spin._skeleton_sides(d, ai, bi)
         caught = set()
         for a in range(2 * d):
@@ -225,7 +227,7 @@ class TestFaces:
         census = census_of(d, mu)
         assert census.n_classes > 0
         for o in census.values():
-            faces = spin._face_masks(o)
+            faces = spin._face_masks(o.words[:d], o.words[d:])
             assert sorted(faces) == sorted(corner_union_find_masks(o))
             assert len(faces) == len(
                 cycle_lengths(commutator_bytes(o.words[:d], o.words[d:]))
@@ -272,7 +274,7 @@ def test_tree_pass_matches_walks(d, mu, census_of):
     census = census_of(d, mu)
     assert census.n_classes > 0
     for o in census.values():
-        assert spin._cycle_data(o, *inverse_words(o)) == walk_cycle_data(o)
+        assert spin._cycle_data(*kernel_words(o)) == walk_cycle_data(o)
 
 
 def random_transitive_pairs(n: int, seed: int):
@@ -308,7 +310,7 @@ def test_tree_pass_matches_walks_beyond_degree_8():
     surfaces = random_transitive_pairs(200, seed=16)
     assert {o.degree for o in surfaces} == set(range(9, 17))
     for o in surfaces:
-        assert spin._cycle_data(o, *inverse_words(o)) == walk_cycle_data(o)
+        assert spin._cycle_data(*kernel_words(o)) == walk_cycle_data(o)
 
 
 def gf2_rank(rows: list[int]) -> int:

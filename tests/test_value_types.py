@@ -37,10 +37,10 @@ CASES = {
         "stratum=StratumSignature(mu=(2,)))",
     ),
     InvolutionReport: (
-        (P, 1, 2, 3, 4, 5),
-        {"tau": P, "square_centers": 1, "vertical_edges": 2,
+        (P.word, 1, 2, 3, 4, 5),
+        {"tau": P.word, "square_centers": 1, "vertical_edges": 2,
          "horizontal_edges": 3, "regular_vertices": 4, "fixed_zeros": 5},
-        "InvolutionReport(tau=Perm('(1,2)(3)'), square_centers=1, "
+        "InvolutionReport(tau=b'\\x01\\x00\\x02', square_centers=1, "
         "vertical_edges=2, horizontal_edges=3, regular_vertices=4, "
         "fixed_zeros=5)",
     ),
@@ -111,7 +111,7 @@ def test_different_fields_are_unequal(cls):
         Perm: ((0, 1, 2),),
         StratumSignature: ((2,),),
         Origami: (bytes((0, 2, 1, 0, 2, 1)), *args[1:]),
-        InvolutionReport: (P, 1, 2, 3, 4, 6),
+        InvolutionReport: (P.word, 1, 2, 3, 4, 6),
         ComponentSummary: (2, *args[1:]),
         ReferenceRow: (3, (4,), "odd", Fraction(28, 3)),
         SweepRow: (5, *args[1:]),

@@ -53,7 +53,7 @@ CASES = {
     ),
     "Census.member": member_words,
     "find_anti_involutions": lambda c: (
-        [r.tau.word for o in c.values() for r in find_anti_involutions(o)],
+        [r.tau for o in c.values() for r in find_anti_involutions(o)],
         None,
     ),
 }
